@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .errors import ConfigError, SpinflipError
 from .figures import FIGURES, reproduce
 from .materials import (DrudeMetal, IsotropicSuperconductor,
                         UniaxialSuperconductor, Vacuum, material_presets)
-from .quadrature import QuadratureSettings
 from .rates import spin_flip_rate
 from .sweep import RunConfig, emit_csv, load_config, run_sweep
 
@@ -36,6 +36,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _tolerance(text: str) -> float:
+    """--tol value: a positive number ("not > 0" also rejects NaN)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="spinflip", description=__doc__,
                              formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -47,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         if needs_out:
             p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="override quadrature relative tolerance")
         p.add_argument("--quiet", action="store_true",
                        help="suppress validity notes")
@@ -59,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="reproduce a canonical figure")
     rep.add_argument("figure", choices=FIGURES)
     rep.add_argument("--out", default=".", help="output directory")
-    rep.add_argument("--tol", type=float, default=None)
+    rep.add_argument("--tol", type=_tolerance, default=None)
     rep.add_argument("--quiet", action="store_true")
     return parser
 
@@ -67,12 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _override_tol(config: RunConfig, tol: float | None) -> RunConfig:
     if tol is None:
         return config
-    s = config.settings
-    return RunConfig(stack=config.stack, z=config.z, transition=config.transition,
-                     settings=QuadratureSettings(rel_tol=tol, abs_floor=s.abs_floor,
-                                                 max_refinements=s.max_refinements,
-                                                 tail_threshold=s.tail_threshold),
-                     echo=config.echo)
+    return replace(config, settings=replace(config.settings, rel_tol=tol))
 
 
 def _validity_notes(config: RunConfig, quiet: bool):

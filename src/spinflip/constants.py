@@ -107,4 +107,8 @@ def thermal_photon_number(frequency: float, T: float,
     if T == 0:
         return 0.0
     x = constants.h * frequency / (constants.kB * T)
-    return 1.0 / math.expm1(x)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        # x above ~709.8 (h f >> kB T): the occupation underflows to 0.
+        return 0.0

@@ -8,12 +8,12 @@ config/sweep machinery and writes one CSV per curve.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .quadrature import QuadratureSettings
-from .sweep import RunConfig, emit_csv, parse_config, run_sweep
+from .sweep import emit_csv, parse_config, run_sweep
 
 __all__ = ["FIGURES", "figure_curves", "reproduce"]
 
@@ -40,14 +40,7 @@ def reproduce(name: str, out_dir, rel_tol: float | None = None) -> list[Path]:
         if spec is None:
             raise ConfigError(f"curve {curve_name!r} carries no sweep")
         if rel_tol is not None:
-            config = RunConfig(stack=config.stack, z=config.z,
-                               transition=config.transition,
-                               settings=QuadratureSettings(
-                                   rel_tol=rel_tol,
-                                   abs_floor=config.settings.abs_floor,
-                                   max_refinements=config.settings.max_refinements,
-                                   tail_threshold=config.settings.tail_threshold),
-                               echo=config.echo)
+            config = replace(config, settings=replace(config.settings, rel_tol=rel_tol))
         table = run_sweep(spec, config)
         path = out / f"{name}_{curve_name}.csv"
         emit_csv(table, path)

@@ -46,11 +46,12 @@ class QuadratureSettings:
     tail_threshold: float = 1e-12  # truncation tail-to-total bound
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
+        # Written as "not (valid)" so that NaN fails every check.
+        if not self.rel_tol > 0:
             raise DomainError("rel_tol must be positive")
-        if self.max_refinements < 1:
+        if not self.max_refinements >= 1:
             raise DomainError("max_refinements must be at least 1")
-        if self.abs_floor < 0 or self.tail_threshold <= 0:
+        if not (self.abs_floor >= 0 and self.tail_threshold > 0):
             raise DomainError("abs_floor must be >= 0 and tail_threshold > 0")
 
 

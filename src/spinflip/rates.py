@@ -1,34 +1,30 @@
 """Spin-flip rate computations above a layered structure.
 
-Two integration routes are provided:
+Every rate is one quasi-static near-field kernel with a weight per wave
+family of the film,
 
-* gamma_isotropic -- the layered-medium rate for stacks of isotropic layers,
+    Gamma = P * integral_0^inf d eta * e^{-2 eta z}/(8 pi)
+              * Im[w_M eta^2 M(eta) + w_N k1^2 N(eta)],
 
-      Gamma_s = P * integral K^2 dK/(2 pi)^2 * e^{-2 K z}/2 * Im r_TE(K),
+with P = mu0 (muB gS)^2 / (8 hbar), k1 = omega/c and (M, N) the film
+responses of the TE-like and TM-like families: the negatives of the
+scattering_coefficients amplitudes, i.e. r_TE / r_TM in the isotropic limit.
+With this passive-response sign the integrand, a magnetic noise spectral
+density, is non-negative for passive media.  The routes differ only in the
+channel weights (w_M, w_N):
 
-  with P = mu0 (muB gS)^2 / (8 hbar) and r_TE the generalized TE reflection
-  coefficient of the stack.
+* gamma_anisotropic -- (3, 1), the scattering-coefficient rate (uniaxial
+  film allowed);
+* gamma_isotropic -- (3 / PATH_CALIBRATION_RATIO, 0) for stacks of isotropic
+  layers: the M channel scaled by 1/(3 pi), which is the layered-medium form
+  P * integral K^2 dK/(2 pi)^2 * e^{-2 K z}/2 * Im r_TE(K);
+* gamma_general -- weights from the spin matrix elements and orientation.
 
-* gamma_anisotropic -- the scattering-coefficient rate valid for a uniaxial
-  film,
+On isotropic stacks gamma_anisotropic / gamma_isotropic is therefore 3*pi up
+to the near-field-small N channel (measurable via isotropic_path_ratio);
+which of the two published normalisations is absolute is not yet settled.
 
-      Gamma_d = P * integral_0^inf d eta * e^{-2 eta z}/(8 pi)
-                  * Im[3 eta^2 M(eta) + k1^2 N(eta)],
-
-  where (M, N) are the film responses of the TE-like and TM-like wave
-  families and k1 = omega/c.  M and N are the negatives of the
-  scattering_coefficients amplitudes (whose sign convention makes them equal
-  to -r_TE / -r_TM in the isotropic limit); the rate uses the passive-response
-  sign so the integrand, a magnetic noise spectral density, is non-negative
-  for passive media.
-
-The two routes carry different angular normalizations: on purely isotropic
-stacks gamma_anisotropic / gamma_isotropic is the constant 3*pi (exposed as
-PATH_CALIBRATION_RATIO and measurable via isotropic_path_ratio).  Each route
-is used verbatim for its own material class; the ratio is documented, never
-silently applied.
-
-Both rates are "field" rates at zero temperature of the field; thermal
+Rates are "field" rates at zero temperature of the field; thermal
 occupation multiplies them by (n_th + 1).
 """
 
@@ -63,9 +59,10 @@ __all__ = [
     "isotropic_path_ratio",
 ]
 
-# Measured gamma_anisotropic / gamma_isotropic on isotropic stacks (the two
-# published integral forms are not mutually normalized).  Documented here and
-# asserted by the test suite; never applied to a result.
+# gamma_anisotropic / gamma_isotropic on isotropic stacks (the two published
+# integral forms are not mutually normalized).  It sets the isotropic route's
+# M-channel weight and is asserted by the test suite; it never converts one
+# route's result into the other's.
 PATH_CALIBRATION_RATIO = 3.0 * math.pi
 
 # Effective squared spin matrix element per coupling channel (hbar units) that
@@ -101,7 +98,7 @@ def _check_geometry(stack: LayerStack, z: float, transition: TransitionSpec):
         warnings.warn(
             f"z = {z:g} m is not small against the transition wavelength "
             f"{wavelength:g} m; the quasi-static rate formulas degrade",
-            stacklevel=3)
+            stacklevel=4)
 
 
 def _result(gamma_field: float, transition: TransitionSpec, T: float,
@@ -112,6 +109,46 @@ def _result(gamma_field: float, transition: TransitionSpec, T: float,
     return RateResult(gamma_field, n, gamma_total, tau, diag)
 
 
+def _family_responses(stack: LayerStack, eta, omega: float):
+    """Passive-sign film responses (M, N) of the TE-like and TM-like families."""
+    b_m, b_n = scattering_coefficients(stack, eta, omega)
+    return -b_m, -b_n
+
+
+def _rate_integrand(stack: LayerStack, eta, z: float, omega: float,
+                    w_m: float, w_n: float):
+    """The one rate integrand, e^{-2 eta z}/(8 pi) * Im[w_m eta^2 M + w_n k1^2 N].
+    With w_n = 0 only the M family is computed (te_reflection)."""
+    if w_n == 0.0:
+        m, n = te_reflection(stack, eta, omega), 0.0
+    else:
+        m, n = _family_responses(stack, eta, omega)
+    k1 = omega / CONSTANTS.c
+    eta = np.asarray(eta, dtype=float)
+    return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (w_m * eta**2 * m + w_n * k1**2 * n).imag
+
+
+def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
+           T: float | None, settings: QuadratureSettings,
+           w_m: float, w_n: float) -> RateResult:
+    """Rate with channel weights (w_m, w_n) on the prefactor rate_prefactor()."""
+    _check_geometry(stack, z, transition)
+    if T is None:
+        T = stack.temperature
+    stack = stack.with_temperature(T)
+    if w_m == 0.0 and w_n == 0.0:
+        # Zero matrix elements: no coupling, no integral to run.
+        diag = QuadratureDiagnostics(0, 0.0, 0.0, 0, 0)
+        return _result(0.0, transition, T, diag)
+    omega = transition.omega
+
+    def integrand(eta):
+        return _rate_integrand(stack, eta, z, omega, w_m, w_n)
+
+    value, diag = integrate_semi_infinite(integrand, z, settings)
+    return _result(rate_prefactor() * value, transition, T, diag)
+
+
 def gamma_isotropic(stack: LayerStack, z: float,
                     transition: TransitionSpec = RB87_CLOCK_TRANSITION,
                     T: float | None = None,
@@ -119,33 +156,13 @@ def gamma_isotropic(stack: LayerStack, z: float,
     """Spin-flip rate above a stack of isotropic layers."""
     if stack.is_anisotropic:
         raise DomainError("stack contains a uniaxial layer; use gamma_anisotropic")
-    _check_geometry(stack, z, transition)
-    if T is None:
-        T = stack.temperature
-    stack = stack.with_temperature(T)
-    omega = transition.omega
-
-    def integrand(eta):
-        r = te_reflection(stack, eta, omega)
-        return eta**2 * np.exp(-2.0 * eta * z) / 2.0 * r.imag / (2.0 * math.pi) ** 2
-
-    value, diag = integrate_semi_infinite(integrand, z, settings)
-    return _result(rate_prefactor() * value, transition, T, diag)
-
-
-def _family_responses(stack: LayerStack, eta, omega: float):
-    """Passive-sign film responses (M, N) of the TE-like and TM-like families."""
-    b_m, b_n = scattering_coefficients(stack, eta, omega)
-    return -b_m, -b_n
+    return _gamma(stack, z, transition, T, settings, 3.0 / PATH_CALIBRATION_RATIO, 0.0)
 
 
 def rate_integrand_anisotropic(stack: LayerStack, eta, z: float, omega: float):
     """Integrand of the anisotropic-route rate (before the global prefactor):
     e^{-2 eta z}/(8 pi) * Im[3 eta^2 M + k1^2 N]."""
-    m, n = _family_responses(stack, eta, omega)
-    k1 = omega / CONSTANTS.c
-    eta = np.asarray(eta, dtype=float)
-    return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (3.0 * eta**2 * m + k1**2 * n).imag
+    return _rate_integrand(stack, eta, z, omega, 3.0, 1.0)
 
 
 def gamma_anisotropic(stack: LayerStack, z: float,
@@ -155,17 +172,7 @@ def gamma_anisotropic(stack: LayerStack, z: float,
     """Spin-flip rate via the scattering-coefficient route (uniaxial film
     allowed; isotropic stacks are accepted and reproduce gamma_isotropic up
     to PATH_CALIBRATION_RATIO)."""
-    _check_geometry(stack, z, transition)
-    if T is None:
-        T = stack.temperature
-    stack = stack.with_temperature(T)
-    omega = transition.omega
-
-    def integrand(eta):
-        return rate_integrand_anisotropic(stack, eta, z, omega)
-
-    value, diag = integrate_semi_infinite(integrand, z, settings)
-    return _result(rate_prefactor() * value, transition, T, diag)
+    return _gamma(stack, z, transition, T, settings, 3.0, 1.0)
 
 
 def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
@@ -224,30 +231,10 @@ def gamma_general(stack: LayerStack, z: float,
     With the preset weights and RANDOM orientation (the channel sum) this is
     identical to gamma_anisotropic.
     """
-    _check_geometry(stack, z, transition)
-    if T is None:
-        T = stack.temperature
-    stack = stack.with_temperature(T)
-    omega = transition.omega
-    k1 = omega / CONSTANTS.c
     w_par, w_perp = _orientation_weights(transition, orientation)
-
-    def integrand(eta):
-        m, n = _family_responses(stack, eta, omega)
-        eta = np.asarray(eta, dtype=float)
-        envelope = np.exp(-2.0 * eta * z) / (8.0 * math.pi)
-        c_rr = (eta**2 * m + k1**2 * n).imag
-        c_zz = (2.0 * eta**2 * m).imag
-        return envelope * (w_par * c_rr + w_perp * c_zz)
-
-    if w_par == 0.0 and w_perp == 0.0:
-        # Zero matrix elements: no coupling, no integral to run.
-        diag = QuadratureDiagnostics(0, 0.0, 0.0, 0, 0)
-        return _result(0.0, transition, T, diag)
-
-    value, diag = integrate_semi_infinite(integrand, z, settings)
-    pref = CONSTANTS.mu0 * 2.0 * (CONSTANTS.muB * CONSTANTS.gS) ** 2 / CONSTANTS.hbar
-    return _result(pref * value, transition, T, diag)
+    # mu0 2 (muB gS)^2/hbar = 16 rate_prefactor()
+    return _gamma(stack, z, transition, T, settings,
+                  16.0 * (w_par + 2.0 * w_perp), 16.0 * w_par)
 
 
 def spin_flip_rate(stack: LayerStack, z: float,

@@ -27,6 +27,10 @@ Conventions, fixed once for the whole package:
   into the atom-side factor exp(2i h1 z) and keeps every integrand decaying.
   Signs: +quotient for the M family, -quotient for the N family, so in the
   isotropic limit B_M = -r_TE(stack) and B_N = -r_TM(stack).
+* One film formula (generalized_r_te) composes the interface coefficients of
+  both families, and one TE interface formula (interface_rh) serves both sign
+  conventions: fresnel_te = -interface_rh, te_reflection = -B_M (evaluated
+  without the TM family) and tm_reflection = -B_N.
 
 All coefficient functions accept scalar or ndarray eta and vectorize.
 """
@@ -52,7 +56,6 @@ __all__ = [
     "generalized_r_te",
     "interface_rh",
     "interface_rv",
-    "interface_rv_general",
     "scattering_coefficients",
     "te_reflection",
     "tm_reflection",
@@ -153,16 +156,14 @@ def layer_wavevectors(eta, omega: float, eps: PermittivityTensor) -> LayerWaveve
 
 def fresnel_te(k1z, k2z):
     """TE Fresnel reflection coefficient (k1z - k2z)/(k1z + k2z)."""
-    den = k1z + k2z
-    if np.any(np.abs(den) == 0):
-        raise DegenerateInterfaceError("k1z + k2z = 0")
-    return (k1z - k2z) / den
+    return -interface_rh(k1z, k2z)
 
 
 def generalized_r_te(r12, r23, k2z, d: float):
     """Film reflection coefficient combining two interfaces with the interior
     round-trip phase:  (r12 + r23 e^{2i k2z d}) / (1 - r21 r23 e^{2i k2z d}),
-    with r21 = -r12."""
+    with r21 = -r12.  The one film formula of the package: both wave families
+    compose their interface coefficients with it."""
     if d < 0:
         raise DomainError("film thickness must be non-negative")
     phase = np.exp(2j * np.asarray(k2z, dtype=complex) * d)
@@ -191,39 +192,16 @@ def interface_rv(h_f, h_f1, k_f, k_f1):
     return (a - b) / den
 
 
-def interface_rv_general(h_f, h_f1, k_f, k_f1, w1=1.0, w2=1.0):
-    """Weighted TM-family interface coefficient (X - 1)/(X + 1) with
-    X = h_f [(w1 - w2) h_f1^2 + w2 k_f1^2] / (h_f1 [(w1 - w2) h_f^2 + w2 k_f^2]).
-
-    Reduces algebraically to interface_rv at w1 = w2 = 1; kept as a test hook
-    for that identity."""
-    x = (h_f * ((w1 - w2) * h_f1**2 + w2 * k_f1**2)) / (
-        h_f1 * ((w1 - w2) * h_f**2 + w2 * k_f**2))
-    return (x - 1.0) / (x + 1.0)
-
-
-def _three_layer_eps(stack: LayerStack):
-    """(materials, d) with two-layer stacks promoted to a zero-thickness film
-    of the substrate material."""
+def _stack_wavevectors(stack: LayerStack, eta, omega: float):
+    """(eps, wavevectors, d) of the three layers, two-layer stacks promoted to
+    a zero-thickness film of the substrate material."""
     mats = [layer.material for layer in stack.layers]
     if len(mats) == 2:
-        return (mats[0], mats[1], mats[1]), 0.0
-    return tuple(mats), stack.layers[1].thickness
-
-
-def _stack_permittivities(stack: LayerStack, omega: float):
-    mats, d = _three_layer_eps(stack)
-    eps = tuple(permittivity(m, omega, stack.temperature) for m in mats)
-    return eps, d
-
-
-def _film_quotient(r1, r2, h2, d):
-    """(R1 + R2 e^{2i h2 d}) / (1 + R1 R2 e^{2i h2 d}) with resonance guard."""
-    phase = np.exp(2j * h2 * d)
-    den = 1.0 + r1 * r2 * phase
-    if np.any(np.abs(den) < _DENOMINATOR_GUARD):
-        raise ResonanceError("scattering denominator below guard threshold")
-    return (r1 + r2 * phase) / den
+        mats, d = (mats[0], mats[1], mats[1]), 0.0
+    else:
+        d = stack.layers[1].thickness
+    eps = [permittivity(m, omega, stack.temperature) for m in mats]
+    return eps, [layer_wavevectors(eta, omega, e) for e in eps], d
 
 
 def scattering_coefficients(stack: LayerStack, eta, omega: float):
@@ -233,47 +211,24 @@ def scattering_coefficients(stack: LayerStack, eta, omega: float):
     coefficients; B_N the extraordinary family and TM-family coefficients.
     Signs: B_M = +quotient, B_N = -quotient (see module docstring).
     """
-    (eps1, eps2, eps3), d = _stack_permittivities(stack, omega)
-    wv1 = layer_wavevectors(eta, omega, eps1)
-    wv2 = layer_wavevectors(eta, omega, eps2)
-    wv3 = layer_wavevectors(eta, omega, eps3)
-
-    r1_h = interface_rh(wv1.h1, wv2.h1)
-    r2_h = interface_rh(wv2.h1, wv3.h1)
-    b_m = _film_quotient(r1_h, r2_h, wv2.h1, d)
-
+    (eps1, eps2, eps3), (wv1, wv2, wv3), d = _stack_wavevectors(stack, eta, omega)
+    b_m = generalized_r_te(interface_rh(wv1.h1, wv2.h1), interface_rh(wv2.h1, wv3.h1),
+                           wv2.h1, d)
     k = omega / CONSTANTS.c
-    k1 = _decaying_sqrt(k**2 * eps1.eps_t)
-    k2 = _decaying_sqrt(k**2 * eps2.eps_t)
-    k3 = _decaying_sqrt(k**2 * eps3.eps_t)
-    r1_v = interface_rv(wv1.h2, wv2.h2, k1, k2)
-    r2_v = interface_rv(wv2.h2, wv3.h2, k2, k3)
-    b_n = -_film_quotient(r1_v, r2_v, wv2.h2, d)
-
+    k1, k2, k3 = (_decaying_sqrt(k**2 * e.eps_t) for e in (eps1, eps2, eps3))
+    b_n = -generalized_r_te(interface_rv(wv1.h2, wv2.h2, k1, k2),
+                            interface_rv(wv2.h2, wv3.h2, k2, k3), wv2.h2, d)
     return b_m, b_n
 
 
 def te_reflection(stack: LayerStack, eta, omega: float):
-    """Generalized TE reflection coefficient of the stack at `eta`."""
-    (eps1, eps2, eps3), d = _stack_permittivities(stack, omega)
-    h1 = layer_wavevectors(eta, omega, eps1).h1
-    h2 = layer_wavevectors(eta, omega, eps2).h1
-    h3 = layer_wavevectors(eta, omega, eps3).h1
-    return generalized_r_te(fresnel_te(h1, h2), fresnel_te(h2, h3), h2, d)
+    """Generalized TE reflection coefficient of the stack at `eta` (= -B_M,
+    computed without the TM family)."""
+    _, (wv1, wv2, wv3), d = _stack_wavevectors(stack, eta, omega)
+    h1, h2, h3 = wv1.h1, wv2.h1, wv3.h1
+    return -generalized_r_te(interface_rh(h1, h2), interface_rh(h2, h3), h2, d)
 
 
 def tm_reflection(stack: LayerStack, eta, omega: float):
-    """Generalized TM-family reflection coefficient of the stack (built from
-    the extraordinary wavevectors and interface_rv, composed like the TE film
-    coefficient)."""
-    (eps1, eps2, eps3), d = _stack_permittivities(stack, omega)
-    wv1 = layer_wavevectors(eta, omega, eps1)
-    wv2 = layer_wavevectors(eta, omega, eps2)
-    wv3 = layer_wavevectors(eta, omega, eps3)
-    k = omega / CONSTANTS.c
-    k1 = _decaying_sqrt(k**2 * eps1.eps_t)
-    k2 = _decaying_sqrt(k**2 * eps2.eps_t)
-    k3 = _decaying_sqrt(k**2 * eps3.eps_t)
-    r12 = interface_rv(wv1.h2, wv2.h2, k1, k2)
-    r23 = interface_rv(wv2.h2, wv3.h2, k2, k3)
-    return _film_quotient(r12, r23, wv2.h2, d)
+    """Generalized TM-family reflection coefficient of the stack (= -B_N)."""
+    return -scattering_coefficients(stack, eta, omega)[1]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -112,28 +112,16 @@ class SweepTable:
         return len(next(iter(self.columns.values())))
 
 
-def _film_critical_temperature(stack: LayerStack) -> float:
+def _critical_temperatures(stack: LayerStack) -> list[float]:
+    """Tc of each superconducting layer below the vacuum, top to bottom."""
+    tcs = []
     for layer in stack.layers[1:]:
         m = layer.material
         if isinstance(m, IsotropicSuperconductor):
-            return m.params.Tc
-        if isinstance(m, UniaxialSuperconductor):
-            return m.transverse.Tc
-    raise ConfigError("reduced-temperature sweep requires a superconducting layer")
-
-
-def _stack_regime(stack: LayerStack, T: float) -> str:
-    """Row status annotation: flags superconducting layers driven normal."""
-    for layer in stack.layers[1:]:
-        m = layer.material
-        tc = None
-        if isinstance(m, IsotropicSuperconductor):
-            tc = m.params.Tc
+            tcs.append(m.params.Tc)
         elif isinstance(m, UniaxialSuperconductor):
-            tc = m.transverse.Tc
-        if tc is not None and T >= tc:
-            return "normal-state film"
-    return "ok"
+            tcs.append(m.transverse.Tc)
+    return tcs
 
 
 def screening_factor(stack: LayerStack, z: float,
@@ -152,6 +140,7 @@ def _evaluate_row(spec_axis: str, value: float, config: RunConfig,
                   tau0: float | None):
     """One grid point -> (row dict, status).  Pure in its inputs."""
     stack, z, T = config.stack, config.z, config.stack.temperature
+    tcs = _critical_temperatures(stack)
     if spec_axis == "distance_z":
         z = float(value)
     elif spec_axis == "thickness_d":
@@ -159,7 +148,9 @@ def _evaluate_row(spec_axis: str, value: float, config: RunConfig,
     elif spec_axis == "temperature_T":
         T = float(value)
     else:  # reduced_T_over_Tc
-        T = float(value) * _film_critical_temperature(stack)
+        if not tcs:
+            raise ConfigError("reduced-temperature sweep requires a superconducting layer")
+        T = float(value) * tcs[0]
     result = spin_flip_rate(stack, z, config.transition, T, config.settings)
     row = {
         "gamma_total_per_s": result.gamma_total,
@@ -168,7 +159,8 @@ def _evaluate_row(spec_axis: str, value: float, config: RunConfig,
     }
     if spec_axis == "thickness_d" and tau0 is not None:
         row["screening_factor"] = (result.tau - tau0) / tau0
-    return row, _stack_regime(stack, T)
+    # Row status: flags superconducting layers driven normal.
+    return row, "normal-state film" if any(T >= tc for tc in tcs) else "ok"
 
 
 _AXIS_COLUMN = {
@@ -262,12 +254,19 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _positive(mapping: dict, key: str, context: str) -> float:
+def _finite(mapping: dict, key: str, context: str) -> float:
     value = _require(mapping, key, context)
     try:
         value = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{context}.{key} must be a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{context}.{key} must be finite")
+    return value
+
+
+def _positive(mapping: dict, key: str, context: str) -> float:
+    value = _finite(mapping, key, context)
     if value <= 0:
         raise ConfigError(f"{context}.{key} must be positive")
     return value
@@ -329,13 +328,13 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
             raise ConfigError(f"stack references unknown material {name!r}")
         interior = 0 < i < len(layers_raw) - 1
         if interior:
-            thickness = float(_require(lr, "thickness", f"stack.layers[{i}]"))
+            thickness = _finite(lr, "thickness", f"stack.layers[{i}]")
             if thickness < 0:
                 raise ConfigError(f"stack.layers[{i}].thickness must be >= 0")
         else:
             thickness = math.inf
         layers.append(Layer(registry[name], thickness))
-    temperature = float(_require(stack_raw, "temperature", "stack"))
+    temperature = _finite(stack_raw, "temperature", "stack")
     try:
         stack = LayerStack(tuple(layers), temperature)
     except DomainError as exc:
@@ -359,15 +358,13 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
 
     settings = DEFAULT_SETTINGS
     if "quadrature" in raw:
-        q = raw["quadrature"]
+        q = {**asdict(DEFAULT_SETTINGS), **raw["quadrature"]}
         try:
             settings = QuadratureSettings(
-                rel_tol=float(q.get("rel_tol", DEFAULT_SETTINGS.rel_tol)),
-                abs_floor=float(q.get("abs_floor", DEFAULT_SETTINGS.abs_floor)),
-                max_refinements=int(q.get("max_refinements",
-                                          DEFAULT_SETTINGS.max_refinements)),
-                tail_threshold=float(q.get("tail_threshold",
-                                           DEFAULT_SETTINGS.tail_threshold)))
+                rel_tol=_finite(q, "rel_tol", "quadrature"),
+                abs_floor=_finite(q, "abs_floor", "quadrature"),
+                max_refinements=int(_finite(q, "max_refinements", "quadrature")),
+                tail_threshold=_finite(q, "tail_threshold", "quadrature"))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -376,9 +373,9 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
         s = raw["sweep"]
         sweep = SweepSpec(
             axis=str(_require(s, "axis", "sweep")),
-            minimum=float(_require(s, "min", "sweep")),
-            maximum=float(_require(s, "max", "sweep")),
-            points=int(_require(s, "points", "sweep")),
+            minimum=_finite(s, "min", "sweep"),
+            maximum=_finite(s, "max", "sweep"),
+            points=int(_finite(s, "points", "sweep")),
             spacing=str(s.get("spacing", "linear")))
 
     config = RunConfig(stack=stack, z=z, transition=transition,

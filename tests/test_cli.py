@@ -4,6 +4,7 @@ import pytest
 
 from spinflip.cli import main
 from spinflip.errors import QuadratureError
+from spinflip.quadrature import QuadratureSettings
 
 
 def write_config(tmp_path, name="cfg.json", sweep=None, **overrides):
@@ -50,6 +51,45 @@ class TestRateCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"z": 1e-5}))
         assert main(["rate", "--config", str(bad)]) == 1
+
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, z=float("nan"))
+        assert main(["rate", "--config", str(cfg)]) == 1
+        assert "z must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_bad_tol_is_usage_error(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path)
+        assert main(["rate", "--config", str(cfg), "--tol", tol]) == 1
+        assert "tolerance must be positive" in capsys.readouterr().err
+
+    def test_tol_keeps_other_quadrature_fields(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, quadrature={"abs_floor": 1e-30,
+                                                 "max_refinements": 7,
+                                                 "tail_threshold": 1e-10})
+        import spinflip.cli as cli_mod
+        seen = []
+        real = cli_mod.spin_flip_rate
+
+        def spy(stack, z, transition, T, settings):
+            seen.append(settings)
+            return real(stack, z, transition, T, settings)
+
+        monkeypatch.setattr(cli_mod, "spin_flip_rate", spy)
+        assert main(["rate", "--config", str(cfg), "--tol", "1e-6", "--quiet"]) == 0
+        assert seen == [QuadratureSettings(rel_tol=1e-6, abs_floor=1e-30,
+                                           max_refinements=7, tail_threshold=1e-10)]
+
+    def test_photon_energy_far_above_thermal(self, tmp_path, capsys):
+        # h f / kB T ~ 3e4: the thermal occupation underflows to exactly 0
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["stack"]["temperature"] = 1e-9
+        cfg.write_text(json.dumps(raw))
+        assert main(["rate", "--config", str(cfg), "--quiet"]) == 0
+        fields = dict(line.split("=", 1)
+                      for line in capsys.readouterr().out.strip().splitlines())
+        assert float(fields["n_th"]) == 0.0
 
 
 class TestSweepCommands:
@@ -122,6 +162,10 @@ class TestReproduceCommand:
 
     def test_unknown_figure(self, capsys):
         assert main(["reproduce", "fig9", "--out", "."]) == 1
+
+    def test_bad_tol_is_usage_error(self, tmp_path, capsys):
+        assert main(["reproduce", "fig3", "--out", str(tmp_path), "--tol", "nan"]) == 1
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestUsage:

@@ -78,6 +78,11 @@ class TestThermalPhotonNumber:
         f = CONSTANTS.kB * T * math.log(2) / CONSTANTS.h
         assert thermal_photon_number(f, T) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("frequency,temperature", [(560e3, 1e-9), (1e15, 4.2)])
+    def test_large_argument_underflows_to_zero(self, frequency, temperature):
+        # h f / kB T above ~709.8 overflows exp; the occupation is 0
+        assert thermal_photon_number(frequency, temperature) == 0.0
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             thermal_photon_number(0.0, 1.0)

@@ -80,6 +80,9 @@ class TestEngine:
             QuadratureSettings(max_refinements=0)
         with pytest.raises(DomainError):
             QuadratureSettings(abs_floor=-1.0)
+        for field in ("rel_tol", "abs_floor", "max_refinements", "tail_threshold"):
+            with pytest.raises(DomainError):
+                QuadratureSettings(**{field: math.nan})
 
     def test_tail_threshold_extends_truncation(self):
         z = 1e-5

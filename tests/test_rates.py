@@ -154,6 +154,13 @@ class TestOrientation:
         b = gamma_anisotropic(bscco_stack, 10e-6)
         assert a.gamma_field == pytest.approx(b.gamma_field, rel=1e-9)
 
+    def test_perpendicular_is_scaled_isotropic_route(self, niobium_stack):
+        # both are the M channel alone: weights 2 (preset, perpendicular)
+        # and 1/pi (isotropic route) on the same kernel
+        perp = gamma_general(niobium_stack, 10e-6, orientation=SpinOrientation.PERPENDICULAR)
+        iso = gamma_isotropic(niobium_stack, 10e-6)
+        assert perp.gamma_field == pytest.approx(2 * math.pi * iso.gamma_field, rel=1e-14)
+
     def test_zero_matrix_elements_zero_rate(self, niobium_stack):
         silent = TransitionSpec(frequency=560e3, coupling_mode="explicit",
                                 matrix_elements=(0, 0, 0))

@@ -13,9 +13,8 @@ from spinflip.materials import (COPPER, NIOBIUM, VACUUM, DrudeMetal,
                                 UniaxialSuperconductor)
 from spinflip.stratified import (Layer, LayerStack, fresnel_te,
                                  generalized_r_te, interface_rh, interface_rv,
-                                 interface_rv_general, layer_wavevectors,
-                                 scattering_coefficients, te_reflection,
-                                 tm_reflection)
+                                 layer_wavevectors, scattering_coefficients,
+                                 te_reflection, tm_reflection)
 
 OMEGA = 2 * math.pi * 560e3
 K0 = OMEGA / CONSTANTS.c
@@ -31,6 +30,17 @@ wavenumbers = st.builds(
     st.floats(1e-3, 1e7, **finite),
     st.floats(1e-3, 1e7, **finite),
 )
+
+
+def interface_rv_general(h_f, h_f1, k_f, k_f1, w1=1.0, w2=1.0):
+    """Weighted TM-family interface coefficient (X - 1)/(X + 1) with
+    X = h_f [(w1 - w2) h_f1^2 + w2 k_f1^2] / (h_f1 [(w1 - w2) h_f^2 + w2 k_f^2]).
+
+    Reduces algebraically to interface_rv at w1 = w2 = 1; the reference for
+    that identity."""
+    x = (h_f * ((w1 - w2) * h_f1**2 + w2 * k_f1**2)) / (
+        h_f1 * ((w1 - w2) * h_f**2 + w2 * k_f**2))
+    return (x - 1.0) / (x + 1.0)
 
 
 def stack(film_material, d, substrate=COPPER, T=4.2):
@@ -201,6 +211,15 @@ class TestScatteringCoefficients:
                                    rtol=1e-10)
         np.testing.assert_allclose(b_n, -tm_reflection(s, self.eta_grid, OMEGA),
                                    rtol=1e-10)
+
+    def test_te_reflection_is_exactly_minus_b_m(self):
+        # the rate kernel takes M from te_reflection when the TM family has
+        # zero weight and from -B_M otherwise; both must be the same numbers
+        from spinflip.materials import BSCCO
+        for s in (stack(NIOBIUM, 1e-6), stack(BSCCO, 2.5e-6),
+                  LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)):
+            b_m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
+            np.testing.assert_array_equal(te_reflection(s, self.eta_grid, OMEGA), -b_m)
 
     def test_zero_thickness_layer_elision(self):
         s3 = stack(NIOBIUM, 0.0)

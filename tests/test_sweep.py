@@ -256,6 +256,21 @@ class TestParseConfig:
         lambda raw: raw.update(sweep={"axis": "distance_z", "min": 1.0,
                                       "max": 0.1, "points": 5}),
         lambda raw: raw.update(transition={"frequency": -5.0}),
+        lambda raw: raw.update(z=math.nan),
+        lambda raw: raw.update(z=math.inf),
+        lambda raw: raw["stack"].update(temperature="warm"),
+        lambda raw: raw["stack"].update(temperature=None),
+        lambda raw: raw["stack"].update(temperature=math.nan),
+        lambda raw: raw["stack"]["layers"][1].update(thickness="thin"),
+        lambda raw: raw["stack"]["layers"][1].update(thickness=None),
+        lambda raw: raw.update(sweep={"axis": "distance_z", "min": "a",
+                                      "max": 1e-4, "points": 5}),
+        lambda raw: raw.update(sweep={"axis": "distance_z", "min": 1e-6,
+                                      "max": None, "points": 5}),
+        lambda raw: raw.update(sweep={"axis": "distance_z", "min": 1e-6,
+                                      "max": 1e-4, "points": "many"}),
+        lambda raw: raw.update(quadrature={"rel_tol": "tight"}),
+        lambda raw: raw.update(quadrature={"rel_tol": math.nan}),
     ])
     def test_invalid_configs_rejected(self, mutate):
         raw = nb_config()
