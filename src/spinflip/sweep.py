@@ -16,7 +16,9 @@ example):
         "temperature": 4.2
       },
       "z": 10e-6,
-      "transition": {"frequency": 560e3, "label": "..."},     # optional
+      "transition": {"frequency": 560e3, "label": "...",      # optional
+                     "matrix_elements": [mx, my, mz]},        # optional;
+                                  # each a number or a [re, im] pair
       "quadrature": {"rel_tol": 1e-8, ...},                   # optional
       "sweep": {"axis": "distance_z" | "thickness_d" |
                         "temperature_T" | "reduced_T_over_Tc",
@@ -248,6 +250,12 @@ def emit_csv(table: SweepTable, path) -> None:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    return value
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"missing {key!r} in {context}")
@@ -272,7 +280,22 @@ def _positive(mapping: dict, key: str, context: str) -> float:
     return value
 
 
+def _optional_positive(mapping: dict, key: str, context: str) -> float | None:
+    return None if mapping.get(key) is None else _positive(mapping, key, context)
+
+
+def _complex(value, context: str) -> complex:
+    """A finite complex number given as a number or a [re, im] pair."""
+    parts = value if isinstance(value, list) else [value]
+    if not (1 <= len(parts) <= 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+            for x in parts)):
+        raise ConfigError(f"{context} must be a finite number or a [re, im] pair")
+    return complex(*parts)
+
+
 def _two_fluid(params: dict, context: str) -> TwoFluidParams:
+    params = _object(params, context)
     return TwoFluidParams(
         lambda0=_positive(params, "lambda0", context),
         Tc=_positive(params, "Tc", context),
@@ -284,8 +307,8 @@ def _two_fluid(params: dict, context: str) -> TwoFluidParams:
 def _parse_material(entry: dict) -> MaterialModel:
     label = str(_require(entry, "label", "material"))
     variant = _require(entry, "variant", f"material {label!r}")
-    params = entry.get("parameters", {})
     ctx = f"material {label!r}"
+    params = _object(entry.get("parameters", {}), f"{ctx} parameters")
     if variant == "vacuum":
         return Vacuum(label=label)
     if variant == "drude_metal":
@@ -293,15 +316,16 @@ def _parse_material(entry: dict) -> MaterialModel:
     if variant == "isotropic_sc":
         return IsotropicSuperconductor(
             params=_two_fluid(params, ctx), label=label,
-            first_critical_field=params.get("first_critical_field"),
-            gap_frequency=params.get("gap_frequency"))
+            first_critical_field=_optional_positive(params, "first_critical_field", ctx),
+            gap_frequency=_optional_positive(params, "gap_frequency", ctx))
     if variant == "uniaxial_sc":
         return UniaxialSuperconductor(
-            transverse=_two_fluid(_require(params, "transverse", ctx), ctx),
-            longitudinal=_two_fluid(_require(params, "longitudinal", ctx), ctx),
+            transverse=_two_fluid(_require(params, "transverse", ctx), f"{ctx} transverse"),
+            longitudinal=_two_fluid(_require(params, "longitudinal", ctx),
+                                    f"{ctx} longitudinal"),
             label=label,
-            first_critical_field=params.get("first_critical_field"),
-            gap_frequency=params.get("gap_frequency"))
+            first_critical_field=_optional_positive(params, "first_critical_field", ctx),
+            gap_frequency=_optional_positive(params, "gap_frequency", ctx))
     raise ConfigError(f"unknown material variant {variant!r} for {label!r}")
 
 
@@ -313,18 +337,25 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
         raise ConfigError("configuration must be a JSON object")
 
     registry = {m.label: m for m in material_presets()}
-    for entry in raw.get("materials", []):
-        m = _parse_material(entry)
+    materials_raw = raw.get("materials", [])
+    if not isinstance(materials_raw, list):
+        raise ConfigError("materials must be a list")
+    for i, entry in enumerate(materials_raw):
+        try:
+            m = _parse_material(_object(entry, f"materials[{i}]"))
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         registry[m.label] = m
 
-    stack_raw = _require(raw, "stack", "configuration")
+    stack_raw = _object(_require(raw, "stack", "configuration"), "stack")
     layers_raw = _require(stack_raw, "layers", "stack")
     if not isinstance(layers_raw, list) or len(layers_raw) < 2:
         raise ConfigError("stack.layers must list at least 2 layers")
     layers = []
     for i, lr in enumerate(layers_raw):
+        lr = _object(lr, f"stack.layers[{i}]")
         name = _require(lr, "material", f"stack.layers[{i}]")
-        if name not in registry:
+        if not isinstance(name, str) or name not in registry:
             raise ConfigError(f"stack references unknown material {name!r}")
         interior = 0 < i < len(layers_raw) - 1
         if interior:
@@ -344,13 +375,17 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
 
     transition = RB87_CLOCK_TRANSITION
     if "transition" in raw:
-        tr = raw["transition"]
+        tr = _object(raw["transition"], "transition")
         trkw = {"frequency": _positive(tr, "frequency", "transition"),
                 "label": str(tr.get("label", ""))}
         if "matrix_elements" in tr:
+            elements = tr["matrix_elements"]
+            if not isinstance(elements, list):
+                raise ConfigError("transition.matrix_elements must be a list")
             trkw["coupling_mode"] = "explicit"
-            trkw["matrix_elements"] = tuple(complex(*xy) if isinstance(xy, list) else complex(xy)
-                                            for xy in tr["matrix_elements"])
+            trkw["matrix_elements"] = tuple(
+                _complex(xy, f"transition.matrix_elements[{i}]")
+                for i, xy in enumerate(elements))
         try:
             transition = TransitionSpec(**trkw)
         except DomainError as exc:
@@ -358,7 +393,7 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
 
     settings = DEFAULT_SETTINGS
     if "quadrature" in raw:
-        q = {**asdict(DEFAULT_SETTINGS), **raw["quadrature"]}
+        q = {**asdict(DEFAULT_SETTINGS), **_object(raw["quadrature"], "quadrature")}
         try:
             settings = QuadratureSettings(
                 rel_tol=_finite(q, "rel_tol", "quadrature"),
@@ -370,7 +405,7 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
 
     sweep = None
     if "sweep" in raw:
-        s = raw["sweep"]
+        s = _object(raw["sweep"], "sweep")
         sweep = SweepSpec(
             axis=str(_require(s, "axis", "sweep")),
             minimum=_finite(s, "min", "sweep"),

@@ -52,6 +52,21 @@ class TestRateCommand:
         bad.write_text(json.dumps({"z": 1e-5}))
         assert main(["rate", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("overrides", [
+        {"quadrature": 5},
+        {"transition": {"frequency": 1e6, "matrix_elements": [["a", 0], 0, 0]}},
+    ])
+    def test_malformed_section_is_usage_error(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["rate", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_rate_is_computation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, transition={"frequency": 1e15})
+        with pytest.warns(UserWarning, match="quasi-static"):
+            assert main(["rate", "--config", str(cfg), "--quiet"]) == 2
+        assert "negative field rate" in capsys.readouterr().err
+
     def test_non_finite_value_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, z=float("nan"))
         assert main(["rate", "--config", str(cfg)]) == 1

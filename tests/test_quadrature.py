@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinflip import quadrature
 from spinflip.errors import DomainError, QuadratureError
 from spinflip.quadrature import (QuadratureSettings, integrate_semi_infinite)
 
@@ -34,6 +35,40 @@ class TestAnalyticMoments:
         assert value == pytest.approx(riemann(f, z), rel=1e-6)
 
 
+class TestKronrodRule:
+    def test_embedded_gauss_rule_is_gauss_legendre_10(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(quadrature._KRONROD_NODES[1::2], nodes, rtol=0, atol=2e-16)
+        np.testing.assert_allclose(quadrature._GAUSS_WEIGHTS, weights, rtol=0, atol=2e-16)
+
+    @pytest.mark.parametrize("nodes, weights, degree", [
+        (slice(None), quadrature._KRONROD_WEIGHTS, 31),
+        (slice(0, None, 2), quadrature._REST_WEIGHTS, 11),
+    ])
+    def test_rule_exact_through_its_degree(self, nodes, weights, degree):
+        x = quadrature._KRONROD_NODES[nodes]
+        assert np.all(np.diff(quadrature._KRONROD_NODES) > 0)
+        assert x.size == weights.size
+        assert math.fsum(weights) == pytest.approx(2.0, abs=1e-15)
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert float(weights @ x**k) == pytest.approx(exact, abs=1e-14), k
+
+    def test_one_integrand_call_per_panel(self):
+        z = 1e-5
+        calls = []
+
+        def f(eta):
+            calls.append(eta.size)
+            return np.abs(eta * 2 * z - 1.3) * np.exp(-2 * eta * z)
+
+        _, diag = integrate_semi_infinite(f, z)
+        assert diag.refinements > 0
+        assert len(calls) == diag.panels + diag.refinements
+        assert set(calls) == {21}
+        assert diag.evaluations == sum(calls)
+
+
 class TestEngine:
     def test_oscillatory_integrand(self):
         z = 1e-5
@@ -47,7 +82,7 @@ class TestEngine:
         assert diag.truncation_eta * 2 * z >= 40.0
         assert diag.est_error <= 1e-8
         assert diag.panels >= 2
-        assert diag.evaluations >= 31 * diag.panels
+        assert diag.evaluations == 21 * (diag.panels + diag.refinements)
 
     def test_zero_integrand(self):
         value, diag = integrate_semi_infinite(lambda eta: np.zeros_like(eta), 1e-5)

@@ -5,7 +5,7 @@ import pytest
 
 from spinflip.constants import CONSTANTS, RB87_CLOCK_TRANSITION, TransitionSpec, rate_prefactor
 from spinflip.errors import DomainError, GrazingSingularityError
-from spinflip.materials import (COPPER, NIOBIUM, VACUUM, DrudeMetal,
+from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
                                 IsotropicSuperconductor, TwoFluidParams)
 from spinflip.quadrature import QuadratureSettings
 from spinflip.rates import (PATH_CALIBRATION_RATIO, SpinOrientation,
@@ -70,6 +70,15 @@ class TestIsotropicRate:
         with pytest.warns(UserWarning, match="quasi-static"):
             gamma_isotropic(copper_stack, 10.0)
 
+    @pytest.mark.filterwarnings("ignore:.*quasi-static:UserWarning")
+    @pytest.mark.parametrize("z, frequency", [
+        (10e-6, 1e15),   # 0.3 um wavelength: the kernel gives -4.6e-7 1/s
+        (1.0, 560e3),    # the kernel gives -1.4e-36 1/s
+    ])
+    def test_negative_rate_is_domain_error(self, niobium_stack, z, frequency):
+        with pytest.raises(DomainError, match="negative field rate.*quasi-static"):
+            spin_flip_rate(niobium_stack, z, TransitionSpec(frequency=frequency))
+
     def test_distance_decay(self, niobium_stack):
         zs = np.geomspace(1e-6, 1e-4, 8)
         gammas = [gamma_isotropic(niobium_stack, z).gamma_field for z in zs]
@@ -109,6 +118,21 @@ class TestAnisotropicRate:
             z = 10 ** rng.uniform(-6, -4)
             assert gamma_anisotropic(s, z).gamma_field >= 0
             assert gamma_isotropic(s, z).gamma_field >= 0
+
+
+class TestNearMetalAccuracy:
+    @pytest.mark.parametrize("film, d, z, T", [
+        # The integrand peaks at small u = 2 eta z, between the Gauss nodes
+        # of the first panel; |K21 - G10| alone as the error estimate
+        # stopped 9.5e-8 and 1.1e-8 away from the converged rate.
+        (BSCCO, 1.1367124191224407e-07, 3.9049753802193675e-07, 189.16829505828946),
+        (NIOBIUM, 2.4029521023469546e-07, 1.2677749460686655e-06, 201.66802937103276),
+    ], ids=["bscco", "niobium"])
+    def test_near_metal_rate_meets_tolerance(self, film, d, z, T):
+        s = LayerStack((Layer(VACUUM), Layer(film, d), Layer(COPPER)), T)
+        tight = QuadratureSettings(rel_tol=1e-12, max_refinements=1000)
+        assert spin_flip_rate(s, z).gamma_field == pytest.approx(
+            spin_flip_rate(s, z, settings=tight).gamma_field, rel=1e-8, abs=0)
 
 
 class TestDoubleCurlIntegrand:

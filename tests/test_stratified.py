@@ -10,7 +10,7 @@ from spinflip.errors import (DegenerateInterfaceError, DomainError,
                              ResonanceError, SingularMaterialError)
 from spinflip.materials import (COPPER, NIOBIUM, VACUUM, DrudeMetal,
                                 PermittivityTensor, TwoFluidParams,
-                                UniaxialSuperconductor)
+                                UniaxialSuperconductor, permittivity)
 from spinflip.stratified import (Layer, LayerStack, fresnel_te,
                                  generalized_r_te, interface_rh, interface_rv,
                                  layer_wavevectors, scattering_coefficients,
@@ -81,6 +81,18 @@ class TestLayerWavevectors:
         eps = PermittivityTensor(2.0 + 1.0j, 2.0 + 1.0j)
         wv = layer_wavevectors(1e5, OMEGA, eps)
         assert wv.h1 == wv.h2
+
+    def test_isotropic_h2_is_h1(self):
+        eta = np.linspace(0.0, 1e7, 50)
+        eps = permittivity(COPPER, OMEGA, 4.2)
+        assert eps.is_isotropic
+        wv = layer_wavevectors(eta, OMEGA, eps)
+        assert wv.h2 is wv.h1
+        # Same value as the extraordinary formula written out in full.
+        h2 = np.sqrt(eta**2 * (1.0 - eps.eps_t / eps.eps_z)
+                     + (OMEGA / CONSTANTS.c) ** 2 * eps.eps_t - eta**2 + 0j)
+        h2 = np.where(h2.imag < 0, -h2, h2)
+        np.testing.assert_allclose(wv.h2, h2, rtol=1e-15)
 
     def test_vacuum_normal_incidence(self):
         wv = layer_wavevectors(0.0, OMEGA, PermittivityTensor(1.0, 1.0))
@@ -188,7 +200,6 @@ class TestScatteringCoefficients:
         b_m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
         bare = LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)
         h1 = layer_wavevectors(self.eta_grid, OMEGA, PermittivityTensor(1, 1)).h1
-        from spinflip.materials import permittivity
         h3 = layer_wavevectors(self.eta_grid, OMEGA, permittivity(COPPER, OMEGA, 4.2)).h1
         np.testing.assert_allclose(b_m, -fresnel_te(h1, h3), rtol=1e-12, atol=1e-12)
 
@@ -196,7 +207,6 @@ class TestScatteringCoefficients:
         # layer 3 identical to layer 2: R2 = 0, so B_M = R1
         metal = DrudeMetal(1e6)
         s = stack(metal, 3e-6, substrate=metal)
-        from spinflip.materials import permittivity
         b_m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
         h1 = layer_wavevectors(self.eta_grid, OMEGA, PermittivityTensor(1, 1)).h1
         h2 = layer_wavevectors(self.eta_grid, OMEGA, permittivity(metal, OMEGA, 4.2)).h1

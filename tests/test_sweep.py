@@ -243,6 +243,13 @@ class TestParseConfig:
         assert config.settings.rel_tol == 1e-6
         assert config.transition.frequency == 1e6
 
+    def test_matrix_elements(self):
+        raw = nb_config(transition={"frequency": 1e6,
+                                    "matrix_elements": [0.25, [0, 0.25], 0]})
+        config, _ = parse_config(raw)
+        assert config.transition.coupling_mode == "explicit"
+        assert config.transition.matrix_elements == (0.25, 0.25j, 0.0)
+
     @pytest.mark.parametrize("mutate", [
         lambda raw: raw.pop("stack"),
         lambda raw: raw.pop("z"),
@@ -271,6 +278,39 @@ class TestParseConfig:
                                       "max": 1e-4, "points": "many"}),
         lambda raw: raw.update(quadrature={"rel_tol": "tight"}),
         lambda raw: raw.update(quadrature={"rel_tol": math.nan}),
+        lambda raw: raw.update(stack=5),
+        lambda raw: raw.update(quadrature=5),
+        lambda raw: raw.update(transition=5),
+        lambda raw: raw.update(transition=[560e3]),
+        lambda raw: raw.update(sweep="distance_z"),
+        lambda raw: raw.update(materials=5),
+        lambda raw: raw.update(materials=[5]),
+        lambda raw: raw.update(materials=[{"label": "m", "variant": "drude_metal",
+                                           "parameters": 5}]),
+        lambda raw: raw["stack"]["layers"].__setitem__(1, 5),
+        lambda raw: raw["stack"]["layers"][2].update(material=["copper"]),
+        lambda raw: raw.update(materials=[{
+            "label": "m", "variant": "isotropic_sc",
+            "parameters": {"lambda0": 5e-8, "Tc": 9.0, "sigma_normal": 1e6,
+                           "alpha": 4, "first_critical_field": "high"}}]),
+        lambda raw: raw.update(materials=[{
+            "label": "m", "variant": "uniaxial_sc",
+            "parameters": {
+                "transverse": {"lambda0": 3e-7, "Tc": 80.0, "sigma_normal": 1e6,
+                               "alpha": 1},
+                "longitudinal": {"lambda0": 1e-4, "Tc": 70.0, "sigma_normal": 1e3,
+                                 "alpha": 1}}}]),
+        lambda raw: raw.update(transition={"frequency": 1e6,
+                                           "matrix_elements": ["a", 0, 0]}),
+        lambda raw: raw.update(transition={"frequency": 1e6,
+                                           "matrix_elements": [["a", 0], 0, 0]}),
+        lambda raw: raw.update(transition={"frequency": 1e6,
+                                           "matrix_elements": [[1, 0, 0], 0, 0]}),
+        lambda raw: raw.update(transition={"frequency": 1e6,
+                                           "matrix_elements": [math.nan, 0, 0]}),
+        lambda raw: raw.update(transition={"frequency": 1e6, "matrix_elements": 5}),
+        lambda raw: raw.update(transition={"frequency": 1e6,
+                                           "matrix_elements": [0.25, 0]}),
     ])
     def test_invalid_configs_rejected(self, mutate):
         raw = nb_config()
