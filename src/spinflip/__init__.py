@@ -18,7 +18,7 @@ from .quadrature import (QuadratureDiagnostics, QuadratureSettings,
                          integrate_semi_infinite)
 from .rates import (PATH_CALIBRATION_RATIO, RateResult, SpinOrientation,
                     double_curl_integrand, gamma_anisotropic, gamma_general,
-                    gamma_isotropic, isotropic_path_ratio, spin_flip_rate)
+                    gamma_isotropic, spin_flip_rate)
 from .stratified import (Layer, LayerStack, LayerWavevectors, fresnel_te,
                          generalized_r_te, interface_rh, interface_rv,
                          layer_wavevectors, scattering_coefficients,

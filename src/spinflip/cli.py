@@ -6,7 +6,8 @@ Subcommands:
 * ``sweep``       run the sweep in a config file, write CSV
 * ``screening``   thickness sweep of the screening factor S(d), write CSV
 * ``materials``   list built-in material models and validity metadata
-* ``reproduce``   run the canonical figure configs (fig2..fig5)
+* ``reproduce``   run the canonical figure configs (fig2..fig5; all four
+                  when none is named)
 
 Exit codes: 0 success, 1 usage/configuration error, 2 computation error.
 """
@@ -15,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 
 from . import __version__
 from .errors import ConfigError, SpinflipError
-from .figures import FIGURES, reproduce
+from .figures import FIGURES, figure_curves, reproduce
 from .materials import (DrudeMetal, IsotropicSuperconductor,
                         UniaxialSuperconductor, Vacuum, material_presets)
 from .rates import spin_flip_rate
@@ -58,14 +60,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_tolerance, default=None,
                        help="override quadrature relative tolerance")
         p.add_argument("--quiet", action="store_true",
-                       help="suppress validity notes")
+                       help="suppress validity notes and warnings")
 
     common(sub.add_parser("rate", help="single rate/lifetime evaluation"), False)
     common(sub.add_parser("sweep", help="run the configured sweep"), True)
     common(sub.add_parser("screening", help="thickness sweep of S(d)"), True)
     sub.add_parser("materials", help="list built-in materials")
-    rep = sub.add_parser("reproduce", help="reproduce a canonical figure")
-    rep.add_argument("figure", choices=FIGURES)
+    rep = sub.add_parser("reproduce", help="reproduce the canonical figures")
+    # No argparse choices: they reject an empty nargs="*" list on Python 3.11;
+    # figure_curves rejects an unknown name instead.
+    rep.add_argument("figures", nargs="*", metavar="FIGURE",
+                     help=f"one of {', '.join(FIGURES)}; all of them when none is named")
     rep.add_argument("--out", default=".", help="output directory")
     rep.add_argument("--tol", type=_tolerance, default=None)
     rep.add_argument("--quiet", action="store_true")
@@ -145,11 +150,23 @@ def _cmd_materials() -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    written = reproduce(args.figure, args.out, rel_tol=args.tol)
-    if not args.quiet:
-        for path in written:
-            print(path)
+    names = args.figures or FIGURES
+    for name in names:
+        figure_curves(name)  # an unknown name fails before any figure runs
+    for name in names:
+        for path in reproduce(name, args.out, rel_tol=args.tol):
+            if not args.quiet:
+                print(path)
     return 0
+
+
+_COMMANDS = {
+    "rate": _cmd_rate,
+    "sweep": lambda args: _cmd_table(args, None),
+    "screening": lambda args: _cmd_table(args, "thickness_d"),
+    "materials": lambda args: _cmd_materials(),
+    "reproduce": _cmd_reproduce,
+}
 
 
 def main(argv=None) -> int:
@@ -161,17 +178,11 @@ def main(argv=None) -> int:
         return USAGE_ERROR
 
     try:
-        if args.command == "rate":
-            return _cmd_rate(args)
-        if args.command == "sweep":
-            return _cmd_table(args, None)
-        if args.command == "screening":
-            return _cmd_table(args, "thickness_d")
-        if args.command == "materials":
-            return _cmd_materials()
-        if args.command == "reproduce":
-            return _cmd_reproduce(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        with warnings.catch_warnings():
+            if getattr(args, "quiet", False):
+                # The quasi-static validity warning is a validity note too.
+                warnings.simplefilter("ignore", UserWarning)
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

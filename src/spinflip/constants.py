@@ -3,7 +3,8 @@
 All quantities in this package are strict SI (m, s, K, Hz, S/m, T).  The
 constants are CODATA 2018 values hard-coded to full published precision; the
 electron g-factor is fixed at exactly 2 so that rate prefactors are
-reproducible to the digit.
+reproducible to the digit.  Every formula reads the one CONSTANTS instance;
+none takes other values.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ class Constants:
     muB: float = 9.2740100783e-24    # Bohr magneton (J/T)
     gS: float = 2.0                  # electron g-factor, exactly 2 here
 
-    def __post_init__(self):
-        for name in ("mu0", "eps0", "hbar", "h", "kB", "c", "muB", "gS"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"constant {name} must be positive")
-
 
 CONSTANTS = Constants()
 
@@ -49,29 +45,18 @@ CONSTANTS = Constants()
 class TransitionSpec:
     """Magnetic dipole transition driving the spin flip.
 
-    coupling_mode selects how the spin matrix elements enter the rate:
-
-    * ``"preset"`` -- the built-in weights for the Rb-87 ground-state
-      transition |2,2> -> |2,1>; the rate formulas already absorb the
-      matrix elements, so none may be supplied.
-    * ``"explicit"`` -- ``matrix_elements`` holds the complex 3-vector
-      <f|S|i> in hbar units and the general contraction is used.
+    ``matrix_elements`` is the complex 3-vector <f|S|i> in hbar units, which
+    sets the rate's channel weights.  None means the Rb-87 ground-state
+    transition |2,2> -> |2,1>, whose weights are (1/4)^2 per channel.
     """
 
     frequency: float                 # transition frequency (Hz)
     label: str = ""
-    coupling_mode: str = "preset"
     matrix_elements: tuple[complex, complex, complex] | None = None
 
     def __post_init__(self):
         if self.frequency <= 0:
             raise DomainError("transition frequency must be positive")
-        if self.coupling_mode not in ("preset", "explicit"):
-            raise DomainError(f"unknown coupling_mode {self.coupling_mode!r}")
-        if self.coupling_mode == "preset" and self.matrix_elements is not None:
-            raise DomainError("preset coupling already absorbs the matrix elements")
-        if self.coupling_mode == "explicit" and self.matrix_elements is None:
-            raise DomainError("explicit coupling requires matrix_elements")
         if self.matrix_elements is not None and len(self.matrix_elements) != 3:
             raise DomainError("matrix_elements must be a 3-vector")
 
@@ -85,15 +70,14 @@ class TransitionSpec:
 RB87_CLOCK_TRANSITION = TransitionSpec(frequency=560e3, label="Rb-87 |2,2> -> |2,1>")
 
 
-def rate_prefactor(constants: Constants = CONSTANTS) -> float:
+def rate_prefactor() -> float:
     """Common prefactor of the layered-medium spin-flip rate formulas,
     mu0 * (muB * gS)**2 / (8 * hbar), in SI units."""
-    c = constants
+    c = CONSTANTS
     return c.mu0 * (c.muB * c.gS) ** 2 / (8.0 * c.hbar)
 
 
-def thermal_photon_number(frequency: float, T: float,
-                          constants: Constants = CONSTANTS) -> float:
+def thermal_photon_number(frequency: float, T: float) -> float:
     """Planck occupation of the field mode at `frequency` and temperature `T`.
 
     Returns exactly 0 at T = 0.  Uses expm1 so the small-argument regime
@@ -106,7 +90,7 @@ def thermal_photon_number(frequency: float, T: float,
         raise DomainError("temperature must be non-negative")
     if T == 0:
         return 0.0
-    x = constants.h * frequency / (constants.kB * T)
+    x = CONSTANTS.h * frequency / (CONSTANTS.kB * T)
     try:
         return 1.0 / math.expm1(x)
     except OverflowError:

@@ -10,24 +10,24 @@ with P = mu0 (muB gS)^2 / (8 hbar), k1 = omega/c and (M, N) the film
 responses of the TE-like and TM-like families: the negatives of the
 scattering_coefficients amplitudes, i.e. r_TE / r_TM in the isotropic limit.
 With this passive-response sign the integrand, a magnetic noise spectral
-density, is non-negative for passive media.  The routes differ only in the
-channel weights (w_M, w_N):
+density, is non-negative for passive media.  _channel_weights turns the
+transition's spin matrix elements (the Rb-87 preset if it has none) and the
+spin orientation into (w_M, w_N), (3, 1) for the preset; every route uses it:
 
-* gamma_anisotropic -- (3, 1), the scattering-coefficient rate (uniaxial
-  film allowed);
-* gamma_isotropic -- (3 / PATH_CALIBRATION_RATIO, 0) for stacks of isotropic
-  layers: the M channel scaled by 1/(3 pi), which is the layered-medium form
-  P * integral K^2 dK/(2 pi)^2 * e^{-2 K z}/2 * Im r_TE(K);
-* gamma_general -- weights from the spin matrix elements and orientation.
+* gamma_anisotropic / gamma_general -- (w_M, w_N): the scattering-coefficient
+  rate (uniaxial film allowed), random or fixed orientation;
+* gamma_isotropic -- (w_M / PATH_CALIBRATION_RATIO, 0) for stacks of
+  isotropic layers, for the preset the layered-medium form
+  P * integral K^2 dK/(2 pi)^2 * e^{-2 K z}/2 * Im r_TE(K).
 
 On isotropic stacks gamma_anisotropic / gamma_isotropic is therefore 3*pi up
-to the near-field-small N channel (measurable via isotropic_path_ratio);
-which of the two published normalisations is absolute is not yet settled.
+to the near-field-small N channel; which of the two published normalisations
+is absolute is not yet settled.
 
 Rates are "field" rates at zero temperature of the field; thermal
-occupation multiplies them by (n_th + 1).  A zero rate (lossless stack) has
-tau = inf; a negative one raises DomainError, since it only arises where the
-quasi-static kernel does not hold.
+occupation multiplies them by (n_th + 1).  A zero rate (lossless stack or
+zero matrix elements) has tau = inf; a negative one raises DomainError,
+since it only arises where the quasi-static kernel does not hold.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "spin_flip_rate",
     "double_curl_integrand",
     "rate_integrand_anisotropic",
-    "isotropic_path_ratio",
 ]
 
 # gamma_anisotropic / gamma_isotropic on isotropic stacks (the two published
@@ -67,9 +66,8 @@ __all__ = [
 # route's result into the other's.
 PATH_CALIBRATION_RATIO = 3.0 * math.pi
 
-# Effective squared spin matrix element per coupling channel (hbar units) that
-# makes the general contraction reproduce gamma_anisotropic for the built-in
-# transition preset: (1/4)^2 per channel.
+# Squared spin matrix element per coupling channel (hbar units) of the
+# built-in Rb-87 transition preset: (1/4)^2 per channel.
 PRESET_SPIN_WEIGHT = 1.0 / 16.0
 
 # Warn when the atom height is no longer tiny against the transition
@@ -109,6 +107,24 @@ def _result(gamma_field: float, transition: TransitionSpec, T: float,
     gamma_total = gamma_field * (n + 1.0)
     tau = 1.0 / gamma_total if gamma_total > 0 else math.inf
     return RateResult(gamma_field, n, gamma_total, tau, diag)
+
+
+def _channel_weights(transition: TransitionSpec,
+                     orientation: SpinOrientation = SpinOrientation.RANDOM):
+    """Kernel weights (w_M, w_N) = (16 (w_par + 2 w_perp), 16 w_par) of the
+    orientation's channels, w_par = |mx|^2 + |my|^2 and w_perp = |mz|^2 in
+    hbar units; 16 rate_prefactor() = mu0 2 (muB gS)^2/hbar."""
+    if transition.matrix_elements is None:
+        w_par = w_perp = PRESET_SPIN_WEIGHT
+    else:
+        mx, my, mz = transition.matrix_elements
+        w_par = abs(mx) ** 2 + abs(my) ** 2
+        w_perp = abs(mz) ** 2
+    if orientation is SpinOrientation.PARALLEL:
+        w_perp = 0.0
+    elif orientation is SpinOrientation.PERPENDICULAR:
+        w_par = 0.0
+    return 16.0 * (w_par + 2.0 * w_perp), 16.0 * w_par
 
 
 def _family_responses(stack: LayerStack, eta, omega: float):
@@ -164,26 +180,28 @@ def gamma_isotropic(stack: LayerStack, z: float,
                     transition: TransitionSpec = RB87_CLOCK_TRANSITION,
                     T: float | None = None,
                     settings: QuadratureSettings = DEFAULT_SETTINGS) -> RateResult:
-    """Spin-flip rate above a stack of isotropic layers."""
+    """Spin-flip rate above a stack of isotropic layers: the M channel of
+    gamma_anisotropic divided by PATH_CALIBRATION_RATIO."""
     if stack.is_anisotropic:
         raise DomainError("stack contains a uniaxial layer; use gamma_anisotropic")
-    return _gamma(stack, z, transition, T, settings, 3.0 / PATH_CALIBRATION_RATIO, 0.0)
+    w_m, _ = _channel_weights(transition)
+    return _gamma(stack, z, transition, T, settings, w_m / PATH_CALIBRATION_RATIO, 0.0)
 
 
 def rate_integrand_anisotropic(stack: LayerStack, eta, z: float, omega: float):
-    """Integrand of the anisotropic-route rate (before the global prefactor):
-    e^{-2 eta z}/(8 pi) * Im[3 eta^2 M + k1^2 N]."""
-    return _rate_integrand(stack, eta, z, omega, 3.0, 1.0)
+    """Integrand of the anisotropic-route rate for the preset transition
+    (before the global prefactor): e^{-2 eta z}/(8 pi) * Im[3 eta^2 M + k1^2 N]."""
+    return _rate_integrand(stack, eta, z, omega, *_channel_weights(RB87_CLOCK_TRANSITION))
 
 
 def gamma_anisotropic(stack: LayerStack, z: float,
                       transition: TransitionSpec = RB87_CLOCK_TRANSITION,
                       T: float | None = None,
                       settings: QuadratureSettings = DEFAULT_SETTINGS) -> RateResult:
-    """Spin-flip rate via the scattering-coefficient route (uniaxial film
-    allowed; isotropic stacks are accepted and reproduce gamma_isotropic up
-    to PATH_CALIBRATION_RATIO)."""
-    return _gamma(stack, z, transition, T, settings, 3.0, 1.0)
+    """Spin-flip rate via the scattering-coefficient route, random spin
+    orientation (uniaxial film allowed; isotropic stacks are accepted and
+    reproduce gamma_isotropic up to PATH_CALIBRATION_RATIO)."""
+    return _gamma(stack, z, transition, T, settings, *_channel_weights(transition))
 
 
 def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
@@ -208,21 +226,6 @@ def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
     return 1j * np.exp(2j * h * z) / (4.0 * math.pi) * bracket
 
 
-def _orientation_weights(transition: TransitionSpec, orientation: SpinOrientation):
-    """(parallel, perpendicular) channel weights |<f|S|i>|^2 in hbar units."""
-    if transition.coupling_mode == "preset":
-        w_par = w_perp = PRESET_SPIN_WEIGHT
-    else:
-        mx, my, mz = transition.matrix_elements
-        w_par = abs(mx) ** 2 + abs(my) ** 2
-        w_perp = abs(mz) ** 2
-    if orientation is SpinOrientation.PARALLEL:
-        return w_par, 0.0
-    if orientation is SpinOrientation.PERPENDICULAR:
-        return 0.0, w_perp
-    return w_par, w_perp
-
-
 def gamma_general(stack: LayerStack, z: float,
                   transition: TransitionSpec = RB87_CLOCK_TRANSITION,
                   T: float | None = None,
@@ -239,13 +242,10 @@ def gamma_general(stack: LayerStack, z: float,
         Im C_rr = integral e^{-2 eta z}/(8 pi) Im[eta^2 M + k1^2 N] d eta
         Im C_zz = integral e^{-2 eta z}/(8 pi) Im[2 eta^2 M]        d eta.
 
-    With the preset weights and RANDOM orientation (the channel sum) this is
-    identical to gamma_anisotropic.
+    With RANDOM orientation (the channel sum) this is gamma_anisotropic.
     """
-    w_par, w_perp = _orientation_weights(transition, orientation)
-    # mu0 2 (muB gS)^2/hbar = 16 rate_prefactor()
     return _gamma(stack, z, transition, T, settings,
-                  16.0 * (w_par + 2.0 * w_perp), 16.0 * w_par)
+                  *_channel_weights(transition, orientation))
 
 
 def spin_flip_rate(stack: LayerStack, z: float,
@@ -253,18 +253,9 @@ def spin_flip_rate(stack: LayerStack, z: float,
                    T: float | None = None,
                    settings: QuadratureSettings = DEFAULT_SETTINGS) -> RateResult:
     """Rate via the route appropriate to the stack: the scattering route if
-    any layer is uniaxial, the isotropic route otherwise."""
+    any layer is uniaxial, the isotropic route (M channel only) otherwise.
+    Both weigh the channels by the transition's matrix elements."""
     if stack.is_anisotropic:
         return gamma_anisotropic(stack, z, transition, T, settings)
     return gamma_isotropic(stack, z, transition, T, settings)
 
-
-def isotropic_path_ratio(stack: LayerStack, z: float,
-                         transition: TransitionSpec = RB87_CLOCK_TRANSITION,
-                         T: float | None = None,
-                         settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Measured gamma_anisotropic / gamma_isotropic on an isotropic stack
-    (the route calibration constant; expected PATH_CALIBRATION_RATIO)."""
-    gd = gamma_anisotropic(stack, z, transition, T, settings).gamma_field
-    gs = gamma_isotropic(stack, z, transition, T, settings).gamma_field
-    return gd / gs

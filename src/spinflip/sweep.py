@@ -19,7 +19,7 @@ example):
       "transition": {"frequency": 560e3, "label": "...",      # optional
                      "matrix_elements": [mx, my, mz]},        # optional;
                                   # each a number or a [re, im] pair
-      "quadrature": {"rel_tol": 1e-8, ...},                   # optional
+      "quadrature": {"rel_tol": 1e-8, "max_refinements": 60}, # optional
       "sweep": {"axis": "distance_z" | "thickness_d" |
                         "temperature_T" | "reduced_T_over_Tc",
                 "min": ..., "max": ..., "points": ...,
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -262,15 +263,24 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _real(value, context: str) -> float:
+    """A finite JSON number (int or float; bool is not a number) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context} must be a number")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond floats
+        raise ConfigError(f"{context} must be finite")
+    return float(value)
+
+
 def _finite(mapping: dict, key: str, context: str) -> float:
-    value = _require(mapping, key, context)
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{context}.{key} must be a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{context}.{key} must be finite")
-    return value
+    return _real(_require(mapping, key, context), f"{context}.{key}")
+
+
+def _whole(mapping: dict, key: str, context: str) -> int:
+    value = _finite(mapping, key, context)
+    if not value.is_integer():
+        raise ConfigError(f"{context}.{key} must be a whole number")
+    return int(value)
 
 
 def _positive(mapping: dict, key: str, context: str) -> float:
@@ -287,11 +297,9 @@ def _optional_positive(mapping: dict, key: str, context: str) -> float | None:
 def _complex(value, context: str) -> complex:
     """A finite complex number given as a number or a [re, im] pair."""
     parts = value if isinstance(value, list) else [value]
-    if not (1 <= len(parts) <= 2 and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-            for x in parts)):
+    if not 1 <= len(parts) <= 2:
         raise ConfigError(f"{context} must be a finite number or a [re, im] pair")
-    return complex(*parts)
+    return complex(*(_real(x, context) for x in parts))
 
 
 def _two_fluid(params: dict, context: str) -> TwoFluidParams:
@@ -382,7 +390,6 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
             elements = tr["matrix_elements"]
             if not isinstance(elements, list):
                 raise ConfigError("transition.matrix_elements must be a list")
-            trkw["coupling_mode"] = "explicit"
             trkw["matrix_elements"] = tuple(
                 _complex(xy, f"transition.matrix_elements[{i}]")
                 for i, xy in enumerate(elements))
@@ -393,13 +400,17 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
 
     settings = DEFAULT_SETTINGS
     if "quadrature" in raw:
-        q = {**asdict(DEFAULT_SETTINGS), **_object(raw["quadrature"], "quadrature")}
+        q = _object(raw["quadrature"], "quadrature")
+        defaults = asdict(DEFAULT_SETTINGS)
+        unknown = q.keys() - defaults.keys()
+        if unknown:
+            raise ConfigError(f"unknown quadrature key(s) {', '.join(map(repr, unknown))}; "
+                              f"expected {' or '.join(defaults)}")
+        q = {**defaults, **q}
         try:
             settings = QuadratureSettings(
                 rel_tol=_finite(q, "rel_tol", "quadrature"),
-                abs_floor=_finite(q, "abs_floor", "quadrature"),
-                max_refinements=int(_finite(q, "max_refinements", "quadrature")),
-                tail_threshold=_finite(q, "tail_threshold", "quadrature"))
+                max_refinements=_whole(q, "max_refinements", "quadrature"))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -410,7 +421,7 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
             axis=str(_require(s, "axis", "sweep")),
             minimum=_finite(s, "min", "sweep"),
             maximum=_finite(s, "max", "sweep"),
-            points=int(_finite(s, "points", "sweep")),
+            points=_whole(s, "points", "sweep"),
             spacing=str(s.get("spacing", "linear")))
 
     config = RunConfig(stack=stack, z=z, transition=transition,

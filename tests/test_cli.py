@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 
@@ -7,10 +9,10 @@ from spinflip.errors import QuadratureError
 from spinflip.quadrature import QuadratureSettings
 
 
-def write_config(tmp_path, name="cfg.json", sweep=None, **overrides):
+def write_config(tmp_path, name="cfg.json", sweep=None, film="niobium", **overrides):
     raw = {
         "stack": {"layers": [{"material": "vacuum"},
-                             {"material": "niobium", "thickness": 1e-6},
+                             {"material": film, "thickness": 1e-6},
                              {"material": "copper"}],
                   "temperature": 4.2},
         "z": 1e-5,
@@ -63,9 +65,22 @@ class TestRateCommand:
 
     def test_negative_rate_is_computation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, transition={"frequency": 1e15})
-        with pytest.warns(UserWarning, match="quasi-static"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["rate", "--config", str(cfg), "--quiet"]) == 2
+        assert not caught  # --quiet silences the quasi-static warning
         assert "negative field rate" in capsys.readouterr().err
+
+    def test_quasi_static_warning_without_quiet(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, transition={"frequency": 1e15})
+        with pytest.warns(UserWarning, match="quasi-static"):
+            assert main(["rate", "--config", str(cfg)]) == 2
+        assert "negative field rate" in capsys.readouterr().err
+
+    def test_unknown_quadrature_key_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, quadrature={"rel_tl": 1e-3})
+        assert main(["rate", "--config", str(cfg)]) == 1
+        assert "rel_tl" in capsys.readouterr().err
 
     def test_non_finite_value_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, z=float("nan"))
@@ -79,9 +94,7 @@ class TestRateCommand:
         assert "tolerance must be positive" in capsys.readouterr().err
 
     def test_tol_keeps_other_quadrature_fields(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, quadrature={"abs_floor": 1e-30,
-                                                 "max_refinements": 7,
-                                                 "tail_threshold": 1e-10})
+        cfg = write_config(tmp_path, quadrature={"max_refinements": 7})
         import spinflip.cli as cli_mod
         seen = []
         real = cli_mod.spin_flip_rate
@@ -92,8 +105,7 @@ class TestRateCommand:
 
         monkeypatch.setattr(cli_mod, "spin_flip_rate", spy)
         assert main(["rate", "--config", str(cfg), "--tol", "1e-6", "--quiet"]) == 0
-        assert seen == [QuadratureSettings(rel_tol=1e-6, abs_floor=1e-30,
-                                           max_refinements=7, tail_threshold=1e-10)]
+        assert seen == [QuadratureSettings(rel_tol=1e-6, max_refinements=7)]
 
     def test_photon_energy_far_above_thermal(self, tmp_path, capsys):
         # h f / kB T ~ 3e4: the thermal occupation underflows to exactly 0
@@ -105,6 +117,56 @@ class TestRateCommand:
         fields = dict(line.split("=", 1)
                       for line in capsys.readouterr().out.strip().splitlines())
         assert float(fields["n_th"]) == 0.0
+
+
+def rate_lines(tmp_path, capsys, film, elements=None):
+    """Output lines of `spinflip rate` on a film-on-copper stack, with the
+    given transition.matrix_elements (None: no transition section)."""
+    overrides = {}
+    if elements is not None:
+        overrides["transition"] = {"frequency": 560e3, "matrix_elements": elements}
+    cfg = write_config(tmp_path, film=film, **overrides)
+    assert main(["rate", "--config", str(cfg), "--quiet"]) == 0
+    return capsys.readouterr().out.strip().splitlines()
+
+
+def fields_of(lines):
+    return {k: float(v) for k, v in (line.split("=", 1) for line in lines)}
+
+
+class TestMatrixElements:
+    @pytest.mark.parametrize("film", ["niobium", "bscco"])
+    def test_preset_weights_print_the_preset_rate(self, tmp_path, capsys, film):
+        # (1/4, 0, 1/4) has the preset's weights (1/16, 1/16)
+        assert (rate_lines(tmp_path, capsys, film, [0.25, 0, 0.25])
+                == rate_lines(tmp_path, capsys, film))
+
+    @pytest.mark.parametrize("film", ["niobium", "bscco"])
+    def test_zero_elements_give_infinite_lifetime(self, tmp_path, capsys, film):
+        fields = fields_of(rate_lines(tmp_path, capsys, film, [0, 0, 0]))
+        assert fields["gamma_field_per_s"] == 0.0
+        assert math.isinf(fields["tau_s"])
+
+    @pytest.mark.parametrize("film", ["niobium", "bscco"])
+    def test_doubled_elements_quadruple_the_rate(self, tmp_path, capsys, film):
+        preset = fields_of(rate_lines(tmp_path, capsys, film))
+        doubled = fields_of(rate_lines(tmp_path, capsys, film, [0.5, 0, 0.5]))
+        assert doubled["gamma_field_per_s"] == pytest.approx(
+            4 * preset["gamma_field_per_s"], rel=1e-14, abs=0)
+
+    def test_sweep_rows_honour_elements(self, tmp_path):
+        sweep = {"axis": "distance_z", "min": 1e-6, "max": 1e-4, "points": 3}
+        taus = []
+        for elements in (None, [0.5, 0, 0.5]):
+            extra = {} if elements is None else {
+                "transition": {"frequency": 560e3, "matrix_elements": elements}}
+            cfg = write_config(tmp_path, sweep=sweep, **extra)
+            out = tmp_path / "out.csv"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+            rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+            taus.append([float(r.split(",")[2]) for r in rows])
+        # n_th is the same, so tau scales as 1/4 of the preset's
+        assert taus[1] == pytest.approx([t / 4 for t in taus[0]], rel=1e-14)
 
 
 class TestSweepCommands:
@@ -177,6 +239,23 @@ class TestReproduceCommand:
 
     def test_unknown_figure(self, capsys):
         assert main(["reproduce", "fig9", "--out", "."]) == 1
+
+    def test_two_figures(self, tmp_path, capsys):
+        assert main(["reproduce", "fig3", "fig5", "--out", str(tmp_path),
+                     "--tol", "1e-5", "--quiet"]) == 0
+        names = {p.name.split("_")[0] for p in tmp_path.glob("*.csv")}
+        assert names == {"fig3", "fig5"}
+
+    def test_no_figure_runs_all_four(self, tmp_path, capsys):
+        assert main(["reproduce", "--out", str(tmp_path), "--tol", "1e-5"]) == 0
+        names = {p.name.split("_")[0] for p in tmp_path.glob("*.csv")}
+        assert names == {"fig2", "fig3", "fig4", "fig5"}
+        assert len(capsys.readouterr().out.splitlines()) == 12
+
+    def test_bad_name_among_good_ones_runs_nothing(self, tmp_path, capsys):
+        assert main(["reproduce", "fig3", "fig9", "--out", str(tmp_path)]) == 1
+        assert "fig9" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_bad_tol_is_usage_error(self, tmp_path, capsys):
         assert main(["reproduce", "fig3", "--out", str(tmp_path), "--tol", "nan"]) == 1

@@ -113,17 +113,7 @@ class TestEngine:
             QuadratureSettings(rel_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureSettings(max_refinements=0)
-        with pytest.raises(DomainError):
-            QuadratureSettings(abs_floor=-1.0)
-        for field in ("rel_tol", "abs_floor", "max_refinements", "tail_threshold"):
+        for field in ("rel_tol", "max_refinements"):
             with pytest.raises(DomainError):
                 QuadratureSettings(**{field: math.nan})
 
-    def test_tail_threshold_extends_truncation(self):
-        z = 1e-5
-        tight = QuadratureSettings(tail_threshold=1e-40)
-        _, diag_tight = integrate_semi_infinite(
-            lambda eta: np.exp(-2 * eta * z), z, tight)
-        _, diag_default = integrate_semi_infinite(
-            lambda eta: np.exp(-2 * eta * z), z)
-        assert diag_tight.truncation_eta > diag_default.truncation_eta

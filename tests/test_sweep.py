@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinflip.errors import ConfigError, SpinflipError
 from spinflip.materials import COPPER, DrudeMetal, NIOBIUM, VACUUM
@@ -22,6 +24,28 @@ def nb_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+# Paths to every numeric field of a config with all optional sections.
+NUMERIC_FIELDS = [
+    ("stack", "temperature"),
+    ("stack", "layers", 1, "thickness"),
+    ("z",),
+    ("transition", "frequency"),
+    ("transition", "matrix_elements", 0),
+    ("quadrature", "rel_tol"),
+    ("quadrature", "max_refinements"),
+    ("sweep", "min"),
+    ("sweep", "max"),
+    ("sweep", "points"),
+]
+
+# Any value json.load can return (NaN and infinities included).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
 
 
 class TestSweepSpec:
@@ -247,7 +271,6 @@ class TestParseConfig:
         raw = nb_config(transition={"frequency": 1e6,
                                     "matrix_elements": [0.25, [0, 0.25], 0]})
         config, _ = parse_config(raw)
-        assert config.transition.coupling_mode == "explicit"
         assert config.transition.matrix_elements == (0.25, 0.25j, 0.0)
 
     @pytest.mark.parametrize("mutate", [
@@ -311,6 +334,18 @@ class TestParseConfig:
         lambda raw: raw.update(transition={"frequency": 1e6, "matrix_elements": 5}),
         lambda raw: raw.update(transition={"frequency": 1e6,
                                            "matrix_elements": [0.25, 0]}),
+        lambda raw: raw.update(quadrature={"rel_tl": 1e-3}),
+        lambda raw: raw.update(quadrature={"tail_threshold": 1e-12}),
+        lambda raw: raw.update(quadrature={"abs_floor": 0.0}),
+        lambda raw: raw.update(z="1e-5"),
+        lambda raw: raw.update(z=True),
+        lambda raw: raw.update(z=10**400),
+        lambda raw: raw["stack"].update(temperature=False),
+        lambda raw: raw.update(quadrature={"max_refinements": 7.9}),
+        lambda raw: raw.update(sweep={"axis": "distance_z", "min": 1e-6,
+                                      "max": 1e-4, "points": 5.5}),
+        lambda raw: raw.update(transition={"frequency": 1e6,
+                                           "matrix_elements": [True, 0, 0]}),
     ])
     def test_invalid_configs_rejected(self, mutate):
         raw = nb_config()
@@ -321,3 +356,26 @@ class TestParseConfig:
     def test_not_a_mapping(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2, 3])
+
+    def test_whole_number_fields(self):
+        config, spec = parse_config(nb_config(
+            quadrature={"max_refinements": 7.0},
+            sweep={"axis": "distance_z", "min": 1e-6, "max": 1e-4, "points": 5.0}))
+        assert config.settings.max_refinements == 7 and spec.points == 5
+
+    @given(path=st.sampled_from(NUMERIC_FIELDS), value=JSON_VALUES)
+    def test_any_json_value_in_a_numeric_field(self, path, value):
+        raw = nb_config(
+            transition={"frequency": 560e3, "matrix_elements": [0.25, 0, 0.25]},
+            quadrature={"rel_tol": 1e-8, "max_refinements": 60},
+            sweep={"axis": "distance_z", "min": 1e-6, "max": 1e-4, "points": 3})
+        *parents, last = path
+        target = raw
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        try:
+            config, _ = parse_config(raw)
+        except ConfigError:
+            return
+        assert isinstance(config, RunConfig)
