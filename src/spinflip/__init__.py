@@ -6,8 +6,9 @@ __version__ = "0.1.0"
 from .constants import (CONSTANTS, Constants, RB87_CLOCK_TRANSITION,
                         TransitionSpec, rate_prefactor, thermal_photon_number)
 from .errors import (ConfigError, DegenerateInterfaceError, DomainError,
-                     GrazingSingularityError, QuadratureError, ResonanceError,
-                     SingularMaterialError, SpinflipError)
+                     GrazingSingularityError, QuadratureError,
+                     QuasiStaticWarning, ResonanceError, SingularMaterialError,
+                     SpinflipError)
 from .materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
                         IsotropicSuperconductor, MaterialModel,
                         PermittivityTensor, TwoFluidParams,

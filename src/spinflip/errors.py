@@ -1,7 +1,8 @@
 """Exception hierarchy for spinflip.
 
 Every error raised by this package derives from SpinflipError so callers can
-distinguish physics/usage problems from programming bugs.
+distinguish physics/usage problems from programming bugs.  The one warning
+category, QuasiStaticWarning, is a UserWarning.
 """
 
 
@@ -52,3 +53,8 @@ class QuadratureError(SpinflipError):
 
 class ConfigError(SpinflipError, ValueError):
     """A run configuration or sweep specification failed validation."""
+
+
+class QuasiStaticWarning(UserWarning):
+    """The atom height is not small against the transition wavelength, so
+    the quasi-static rate kernel degrades."""

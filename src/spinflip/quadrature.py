@@ -18,8 +18,21 @@ the same blind spot: near metals the integrand peaks at small u, and on
 51,200 seeded near-metal rates that estimate let 3 rates miss 1e-8 (by up
 to 9.5e-8), against none with the R11 term, for 6% more refinements there.
 
-Integrands must accept an ndarray of eta values and return an ndarray; each
-panel is one vectorized call.
+The initial panels are fixed: [2e-9, 0.25] and then octaves up to U.  Near
+metals the integrand's structure sits at small u (the atom is well inside
+the skin depth delta, so the reflection coefficients change over
+eta ~ 1/delta while the kernel decays over eta ~ 1/z), and [2e-9, 0.25]
+spans eight decades of u.  That panel is therefore graded toward u = 0 at
+the fixed edges 0.25 * 4^-k, k = 3, 2, 1.  Without the grading every
+refinement of a near-metal rate was a bisection of that one panel (2.9 per
+rate on the benchmark's near-metal stream, 0 with it), and on some random
+passive stacks its estimate stayed below the tolerance while the value was
+off by up to 1.7e-6.
+
+Integrands must accept an ndarray of eta values and return an ndarray of the
+same shape.  The four graded panels are one 84-point call, each other
+initial panel one 21-point call, and a split evaluates both halves in one
+42-point call.
 """
 
 from __future__ import annotations
@@ -58,19 +71,32 @@ _REST_HALF_WEIGHTS = (
 _KRONROD_NODES = np.array([-x for x in _KRONROD_HALF_NODES[:-1]]
                           + list(_KRONROD_HALF_NODES[::-1]))
 _KRONROD_WEIGHTS = np.array(_KRONROD_HALF_WEIGHTS[:-1] + _KRONROD_HALF_WEIGHTS[::-1])
+_NODES = _KRONROD_NODES.size
 _GAUSS_WEIGHTS = np.array(_GAUSS_HALF_WEIGHTS + _GAUSS_HALF_WEIGHTS[::-1])
 _REST_WEIGHTS = np.array(_REST_HALF_WEIGHTS[:-1] + _REST_HALF_WEIGHTS[::-1])
+# The three rules as the columns K21, G10, R11 of one matrix on all 21 nodes.
+_RULES = np.zeros((_NODES, 3))
+_RULES[:, 0] = _KRONROD_WEIGHTS
+_RULES[1::2, 1] = _GAUSS_WEIGHTS
+_RULES[0::2, 2] = _REST_WEIGHTS
 
 # Integration starts at eta = _ETA_EPS / z rather than 0 to keep branch code
 # away from the removable eta = 0 point; the excluded mass is bounded by
 # max|f| * _ETA_EPS / z and is far below any useful tolerance.
 _ETA_EPS = 1e-9
 
-_INITIAL_EDGES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 # Truncation point in u.  The envelope u^4 e^{-u} covers integrands growing
 # up to ~u^3 under the exponential; its tail beyond U = 60, relative to its
 # full integral Gamma(5) = 24, is 5.06e-21, far below any useful rel_tol.
 _U = 60.0
+
+# Initial panels in u as (lower edges, upper edges), one integrand call each:
+# [2e-9, 0.25] graded toward u = 0 at 0.25 * 4^-k (k = 3, 2, 1), then the
+# octaves from 0.25 up to _U.
+_GRADED_EDGES = (2.0 * _ETA_EPS, 0.25 / 64, 0.25 / 16, 0.25 / 4, 0.25)
+_OCTAVE_EDGES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, _U)
+_INITIAL_CALLS = ((_GRADED_EDGES[:-1], _GRADED_EDGES[1:]),) + tuple(
+    ((a,), (b,)) for a, b in zip(_OCTAVE_EDGES[:-1], _OCTAVE_EDGES[1:]))
 
 
 @dataclass(frozen=True)
@@ -98,17 +124,20 @@ class QuadratureDiagnostics:
     panels: int             # final panel count
 
 
-def _panel(g, a: float, b: float):
-    """Evaluate one panel: returns (value_kronrod, error_estimate, evaluations)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    f = np.asarray(g(mid + half * _KRONROD_NODES), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise QuadratureError(f"integrand not finite on panel [{a}, {b}]")
-    i_kronrod = half * float(_KRONROD_WEIGHTS @ f)
-    i_gauss = half * float(_GAUSS_WEIGHTS @ f[1::2])
-    i_rest = half * float(_REST_WEIGHTS @ f[0::2])
-    return i_kronrod, max(abs(i_kronrod - i_gauss), abs(i_kronrod - i_rest)), f.size
+def _panels(g, a, b):
+    """Evaluate the panels [a[i], b[i]] in one integrand call.  Returns one
+    (error estimate, a, b, Kronrod value) record per panel."""
+    lo = np.asarray(a, dtype=float)
+    half = 0.5 * (np.asarray(b, dtype=float) - lo)
+    u = (lo + half)[:, None] + half[:, None] * _KRONROD_NODES
+    rules = half[:, None] * (g(u.ravel()).reshape(u.shape) @ _RULES)
+    panels = []
+    for a_i, b_i, (kronrod, gauss, rest) in zip(a, b, rules.tolist()):
+        # Every K21 weight is positive: K21 is finite only if f is on all 21 nodes.
+        if not math.isfinite(kronrod):
+            raise QuadratureError(f"integrand not finite on panel [{a_i}, {b_i}]")
+        panels.append((max(abs(kronrod - gauss), abs(kronrod - rest)), a_i, b_i, kronrod))
+    return panels
 
 
 def integrate_semi_infinite(integrand, z: float,
@@ -127,15 +156,11 @@ def integrate_semi_infinite(integrand, z: float,
     def g(u):
         return np.asarray(integrand(u * scale), dtype=float) * scale
 
-    u_min = 2.0 * _ETA_EPS
-    edges = [u_min] + [e for e in _INITIAL_EDGES if u_min < e < _U] + [_U]
-
     evaluations = 0
     panels = []  # (error, a, b, value)
-    for a, b in zip(edges[:-1], edges[1:]):
-        value, err, n = _panel(g, a, b)
-        evaluations += n
-        panels.append((err, a, b, value))
+    for lo, hi in _INITIAL_CALLS:
+        panels += _panels(g, lo, hi)
+        evaluations += _NODES * len(lo)
 
     refinements = 0
     while True:
@@ -155,10 +180,8 @@ def integrate_semi_infinite(integrand, z: float,
         panels.sort(key=lambda p: p[0])
         _, a, b, _ = panels.pop()
         mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            value, err, n = _panel(g, lo, hi)
-            evaluations += n
-            panels.append((err, lo, hi, value))
+        panels += _panels(g, (a, mid), (mid, b))
+        evaluations += 2 * _NODES
         refinements += 1
 
     total = math.fsum(p[3] for p in panels)

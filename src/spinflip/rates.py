@@ -33,6 +33,8 @@ since it only arises where the quasi-static kernel does not hold.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -41,10 +43,11 @@ import numpy as np
 
 from .constants import (CONSTANTS, RB87_CLOCK_TRANSITION, TransitionSpec,
                         rate_prefactor, thermal_photon_number)
-from .errors import DomainError, GrazingSingularityError
+from .errors import DomainError, GrazingSingularityError, QuasiStaticWarning
 from .quadrature import (DEFAULT_SETTINGS, QuadratureDiagnostics,
                          QuadratureSettings, integrate_semi_infinite)
-from .stratified import LayerStack, layer_wavevectors, scattering_coefficients, te_reflection
+from .stratified import (LayerStack, StackMedia, layer_wavevectors, scattering_coefficients,
+                         stack_media, te_reflection)
 from .materials import permittivity
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "SpinOrientation",
     "PATH_CALIBRATION_RATIO",
     "PRESET_SPIN_WEIGHT",
+    "check_quasi_static",
     "gamma_isotropic",
     "gamma_anisotropic",
     "gamma_general",
@@ -90,15 +94,25 @@ class RateResult:
     diagnostics: QuadratureDiagnostics
 
 
-def _check_geometry(stack: LayerStack, z: float, transition: TransitionSpec):
-    if z <= 0:
-        raise DomainError("atom height z must be positive")
+def _caller_stacklevel() -> int:
+    """stacklevel that makes a warning issued by the calling function name
+    the first frame outside the package: the caller of the public function."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def check_quasi_static(z: float, transition: TransitionSpec):
+    """Warn (QuasiStaticWarning) if the atom height z is not small against
+    the transition wavelength: the rate formulas are quasi-static."""
     wavelength = CONSTANTS.c / transition.frequency
     if z > _QUASISTATIC_FRACTION * wavelength:
         warnings.warn(
             f"z = {z:g} m is not small against the transition wavelength "
             f"{wavelength:g} m; the quasi-static rate formulas degrade",
-            stacklevel=4)
+            QuasiStaticWarning, stacklevel=_caller_stacklevel())
 
 
 def _result(gamma_field: float, transition: TransitionSpec, T: float,
@@ -127,13 +141,13 @@ def _channel_weights(transition: TransitionSpec,
     return 16.0 * (w_par + 2.0 * w_perp), 16.0 * w_par
 
 
-def _family_responses(stack: LayerStack, eta, omega: float):
+def _family_responses(stack: LayerStack | StackMedia, eta, omega: float):
     """Passive-sign film responses (M, N) of the TE-like and TM-like families."""
     b_m, b_n = scattering_coefficients(stack, eta, omega)
     return -b_m, -b_n
 
 
-def _rate_integrand(stack: LayerStack, eta, z: float, omega: float,
+def _rate_integrand(stack: LayerStack | StackMedia, eta, z: float, omega: float,
                     w_m: float, w_n: float):
     """The one rate integrand, e^{-2 eta z}/(8 pi) * Im[w_m eta^2 M + w_n k1^2 N].
     With w_n = 0 only the M family is computed (te_reflection)."""
@@ -150,7 +164,9 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
            T: float | None, settings: QuadratureSettings,
            w_m: float, w_n: float) -> RateResult:
     """Rate with channel weights (w_m, w_n) on the prefactor rate_prefactor()."""
-    _check_geometry(stack, z, transition)
+    if z <= 0:
+        raise DomainError("atom height z must be positive")
+    check_quasi_static(z, transition)
     if T is None:
         T = stack.temperature
     stack = stack.with_temperature(T)
@@ -159,9 +175,10 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
         diag = QuadratureDiagnostics(0, 0.0, 0.0, 0, 0)
         return _result(0.0, transition, T, diag)
     omega = transition.omega
+    media = stack_media(stack, omega)
 
     def integrand(eta):
-        return _rate_integrand(stack, eta, z, omega, w_m, w_n)
+        return _rate_integrand(media, eta, z, omega, w_m, w_n)
 
     value, diag = integrate_semi_infinite(integrand, z, settings)
     gamma_field = rate_prefactor() * value
@@ -218,7 +235,7 @@ def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
     eta_arr = np.asarray(eta, dtype=float)
     k = omega / CONSTANTS.c
     h = layer_wavevectors(eta_arr, omega, permittivity(stack.layers[0].material, omega, stack.temperature)).h1
-    if np.any(h == 0):
+    if (h == 0).any():
         raise GrazingSingularityError(
             "eta equals the free-space wavenumber; integrable grazing point")
     m, n = _family_responses(stack, eta_arr, omega)

@@ -32,7 +32,11 @@ Conventions, fixed once for the whole package:
   conventions: fresnel_te = -interface_rh, te_reflection = -B_M (evaluated
   without the TM family) and tm_reflection = -B_N.
 
-All coefficient functions accept scalar or ndarray eta and vectorize.
+All coefficient functions accept scalar or ndarray eta and vectorize.  A
+rate sets its stack up once (stack_media: per layer one permittivity, kt^2,
+k and anisotropy, with the checks on omega and eps_z) and passes the
+StackMedia in place of the LayerStack, so a call per batch of eta does no
+per-layer set-up.
 """
 
 from __future__ import annotations
@@ -50,8 +54,11 @@ from .materials import MaterialModel, PermittivityTensor, UniaxialSuperconductor
 __all__ = [
     "Layer",
     "LayerStack",
+    "LayerMedium",
     "LayerWavevectors",
+    "StackMedia",
     "layer_wavevectors",
+    "stack_media",
     "fresnel_te",
     "generalized_r_te",
     "interface_rh",
@@ -129,32 +136,72 @@ class LayerWavevectors:
     h2: complex
 
 
+@dataclass(frozen=True)
+class LayerMedium:
+    """What the wavevectors of one layer need at one frequency, set up once
+    per rate: kt2 = (omega/c)^2 eps_t, its decaying root k (the TM-family
+    wavenumber) and the anisotropy 1 - eps_t/eps_z (None when isotropic)."""
+
+    kt2: complex
+    k: complex
+    anisotropy: complex | None
+
+
+@dataclass(frozen=True)
+class StackMedia:
+    """The three layers' LayerMedium and the film thickness d of a stack at
+    one frequency (a bare substrate is a zero-thickness film of itself)."""
+
+    layers: tuple[LayerMedium, LayerMedium, LayerMedium]
+    d: float
+
+
 def _decaying_sqrt(w):
     """Principal complex square root folded onto Im >= 0 (Re >= 0 on the real axis)."""
     root = np.sqrt(np.asarray(w, dtype=complex))
     return np.where(root.imag < 0, -root, root)
 
 
-def layer_wavevectors(eta, omega: float, eps: PermittivityTensor) -> LayerWavevectors:
+def _layer_medium(omega: float, eps: PermittivityTensor) -> LayerMedium:
+    """LayerMedium of a layer of permittivity `eps` at angular frequency `omega`."""
+    if omega <= 0:
+        raise DomainError("omega must be positive")
+    if eps.eps_z == 0:
+        raise SingularMaterialError("eps_z = 0 makes the extraordinary wave singular")
+    kt2 = (omega / CONSTANTS.c) ** 2 * eps.eps_t
+    anisotropy = None if eps.is_isotropic else 1.0 - eps.eps_t / eps.eps_z
+    return LayerMedium(kt2, _decaying_sqrt(kt2), anisotropy)
+
+
+def stack_media(stack: LayerStack, omega: float) -> StackMedia:
+    """StackMedia of `stack` at `omega`: one permittivity per layer."""
+    mats = [layer.material for layer in stack.layers]
+    if len(mats) == 2:
+        mats, d = (mats[0], mats[1], mats[1]), 0.0
+    else:
+        d = stack.layers[1].thickness
+    return StackMedia(tuple(_layer_medium(omega, permittivity(m, omega, stack.temperature))
+                            for m in mats), d)
+
+
+def layer_wavevectors(eta, omega: float,
+                      eps: PermittivityTensor | LayerMedium) -> LayerWavevectors:
     """z-wavenumbers of both wave families at transverse wavenumber `eta`.
 
     h1^2 = (omega/c)^2 eps_t - eta^2
     h2^2 = eta^2 (1 - eps_t/eps_z) + (omega/c)^2 eps_t - eta^2
 
-    For an isotropic permittivity the two are equal and h2 is h1.
+    For an isotropic permittivity the two are equal and h2 is h1.  `eps` may
+    also be the layer's LayerMedium at `omega`, set up once for many calls.
     """
-    if omega <= 0:
-        raise DomainError("omega must be positive")
-    if np.any(np.asarray(eta) < 0):
-        raise DomainError("eta must be non-negative")
-    if eps.eps_z == 0:
-        raise SingularMaterialError("eps_z = 0 makes the extraordinary wave singular")
+    medium = eps if isinstance(eps, LayerMedium) else _layer_medium(omega, eps)
     eta = np.asarray(eta, dtype=float)
-    kt2 = (omega / CONSTANTS.c) ** 2 * eps.eps_t
-    h1 = _decaying_sqrt(kt2 - eta**2)
-    if eps.is_isotropic:
+    if (eta < 0).any():
+        raise DomainError("eta must be non-negative")
+    h1 = _decaying_sqrt(medium.kt2 - eta**2)
+    if medium.anisotropy is None:
         return LayerWavevectors(h1, h1)
-    h2 = _decaying_sqrt(eta**2 * (1.0 - eps.eps_t / eps.eps_z) + kt2 - eta**2)
+    h2 = _decaying_sqrt(eta**2 * medium.anisotropy + medium.kt2 - eta**2)
     return LayerWavevectors(h1, h2)
 
 
@@ -170,9 +217,14 @@ def generalized_r_te(r12, r23, k2z, d: float):
     compose their interface coefficients with it."""
     if d < 0:
         raise DomainError("film thickness must be non-negative")
+    return _film(r12, r23, k2z, d)
+
+
+def _film(r12, r23, k2z, d: float):
+    """generalized_r_te for a thickness d >= 0 already checked."""
     phase = np.exp(2j * np.asarray(k2z, dtype=complex) * d)
     den = 1.0 + r12 * r23 * phase
-    if np.any(np.abs(den) < _DENOMINATOR_GUARD):
+    if (np.abs(den) < _DENOMINATOR_GUARD).any():
         raise ResonanceError("film denominator below guard threshold")
     return (r12 + r23 * phase) / den
 
@@ -180,7 +232,7 @@ def generalized_r_te(r12, r23, k2z, d: float):
 def interface_rh(h_f, h_f1):
     """TE-family interface coefficient (h_f1 - h_f)/(h_f1 + h_f) = -fresnel_te."""
     den = h_f + h_f1
-    if np.any(np.abs(den) == 0):
+    if (np.abs(den) == 0).any():
         raise DegenerateInterfaceError("h_f + h_f1 = 0")
     return (h_f1 - h_f) / den
 
@@ -191,46 +243,38 @@ def interface_rv(h_f, h_f1, k_f, k_f1):
     a = h_f * k_f1**2
     b = h_f1 * k_f**2
     den = a + b
-    if np.any(np.abs(den) == 0):
+    if (np.abs(den) == 0).any():
         raise DegenerateInterfaceError("TM interface denominator vanished")
     return (a - b) / den
 
 
-def _stack_wavevectors(stack: LayerStack, eta, omega: float):
-    """(eps, wavevectors, d) of the three layers, two-layer stacks promoted to
-    a zero-thickness film of the substrate material."""
-    mats = [layer.material for layer in stack.layers]
-    if len(mats) == 2:
-        mats, d = (mats[0], mats[1], mats[1]), 0.0
-    else:
-        d = stack.layers[1].thickness
-    eps = [permittivity(m, omega, stack.temperature) for m in mats]
-    return eps, [layer_wavevectors(eta, omega, e) for e in eps], d
+def _media(stack: LayerStack | StackMedia, omega: float) -> StackMedia:
+    return stack if isinstance(stack, StackMedia) else stack_media(stack, omega)
 
 
-def scattering_coefficients(stack: LayerStack, eta, omega: float):
+def scattering_coefficients(stack: LayerStack | StackMedia, eta, omega: float):
     """Phase-referenced film scattering amplitudes (B_M, B_N) at `eta`.
 
     B_M uses the ordinary-family wavevectors and TE-family interface
     coefficients; B_N the extraordinary family and TM-family coefficients.
-    Signs: B_M = +quotient, B_N = -quotient (see module docstring).
+    Signs: B_M = +quotient, B_N = -quotient (see module docstring).  `stack`
+    may also be its StackMedia at `omega`, set up once for many calls.
     """
-    (eps1, eps2, eps3), (wv1, wv2, wv3), d = _stack_wavevectors(stack, eta, omega)
-    b_m = generalized_r_te(interface_rh(wv1.h1, wv2.h1), interface_rh(wv2.h1, wv3.h1),
-                           wv2.h1, d)
-    k = omega / CONSTANTS.c
-    k1, k2, k3 = (_decaying_sqrt(k**2 * e.eps_t) for e in (eps1, eps2, eps3))
-    b_n = -generalized_r_te(interface_rv(wv1.h2, wv2.h2, k1, k2),
-                            interface_rv(wv2.h2, wv3.h2, k2, k3), wv2.h2, d)
+    media = _media(stack, omega)
+    m1, m2, m3 = media.layers
+    wv1, wv2, wv3 = (layer_wavevectors(eta, omega, m) for m in media.layers)
+    b_m = _film(interface_rh(wv1.h1, wv2.h1), interface_rh(wv2.h1, wv3.h1), wv2.h1, media.d)
+    b_n = -_film(interface_rv(wv1.h2, wv2.h2, m1.k, m2.k),
+                 interface_rv(wv2.h2, wv3.h2, m2.k, m3.k), wv2.h2, media.d)
     return b_m, b_n
 
 
-def te_reflection(stack: LayerStack, eta, omega: float):
+def te_reflection(stack: LayerStack | StackMedia, eta, omega: float):
     """Generalized TE reflection coefficient of the stack at `eta` (= -B_M,
-    computed without the TM family)."""
-    _, (wv1, wv2, wv3), d = _stack_wavevectors(stack, eta, omega)
-    h1, h2, h3 = wv1.h1, wv2.h1, wv3.h1
-    return -generalized_r_te(interface_rh(h1, h2), interface_rh(h2, h3), h2, d)
+    computed without the TM family).  `stack` may also be its StackMedia."""
+    media = _media(stack, omega)
+    h1, h2, h3 = (layer_wavevectors(eta, omega, m).h1 for m in media.layers)
+    return -_film(interface_rh(h1, h2), interface_rh(h2, h3), h2, media.d)
 
 
 def tm_reflection(stack: LayerStack, eta, omega: float):

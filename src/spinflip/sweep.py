@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -43,12 +44,12 @@ import numpy as np
 
 from . import __version__
 from .constants import RB87_CLOCK_TRANSITION, TransitionSpec
-from .errors import ConfigError, DomainError, SpinflipError
+from .errors import ConfigError, DomainError, QuasiStaticWarning, SpinflipError
 from .materials import (DrudeMetal, IsotropicSuperconductor, MaterialModel,
                         TwoFluidParams, UniaxialSuperconductor, Vacuum,
                         material_presets)
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .rates import spin_flip_rate
+from .rates import check_quasi_static, spin_flip_rate
 from .stratified import Layer, LayerStack
 
 __all__ = [
@@ -174,14 +175,8 @@ _AXIS_COLUMN = {
 }
 
 
-def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
-    """Evaluate the rate over the sweep grid.
-
-    Rows are independent and deterministic; per-row failures are recorded in
-    the status column and only an all-row failure aborts the run.  Thickness
-    sweeps carry the screening factor against the zero-thickness stack.
-    """
-    grid = spec.grid()
+def _evaluate_rows(spec: SweepSpec, config: RunConfig, grid):
+    """Columns of the sweep table and the number of failed rows."""
     tau0 = None
     if spec.axis == "thickness_d":
         base = spin_flip_rate(config.stack.with_film_thickness(0.0), config.z,
@@ -210,7 +205,23 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
         for name in names:
             columns[name].append(row[name])
         columns["status"].append(status)
+    return columns, failures
 
+
+def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
+    """Evaluate the rate over the sweep grid.
+
+    Rows are independent and deterministic; per-row failures are recorded in
+    the status column and only an all-row failure aborts the run.  Thickness
+    sweeps carry the screening factor against the zero-thickness stack.  The
+    quasi-static warning is issued once, for the largest z of the sweep.
+    """
+    grid = spec.grid()
+    check_quasi_static(float(grid.max()) if spec.axis == "distance_z" else config.z,
+                       config.transition)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuasiStaticWarning)
+        columns, failures = _evaluate_rows(spec, config, grid)
     if failures == len(grid):
         raise SpinflipError("every sweep row failed")
 

@@ -64,9 +64,30 @@ class TestKronrodRule:
 
         _, diag = integrate_semi_infinite(f, z)
         assert diag.refinements > 0
-        assert len(calls) == diag.panels + diag.refinements
-        assert set(calls) == {21}
-        assert diag.evaluations == sum(calls)
+        # The four graded panels of [2e-9, 0.25] share one call, each octave
+        # panel is one call and each split evaluates both halves in one call.
+        assert calls == [84] + [21] * 8 + [42] * diag.refinements
+        assert diag.panels == 12 + diag.refinements
+        assert diag.evaluations == sum(calls) == 21 * (diag.panels + diag.refinements)
+
+    def test_panels_in_one_call_equal_panels_alone(self):
+        g = lambda u: u**3 * np.exp(-u) + np.sqrt(u)
+        a, b = [2e-9, 0.25 / 64, 1.0], [0.25 / 64, 0.25, 3.0]
+        together = quadrature._panels(g, a, b)
+        alone = [quadrature._panels(g, [lo], [hi])[0] for lo, hi in zip(a, b)]
+        for (err, lo, hi, value), (err1, lo1, hi1, value1) in zip(together, alone):
+            assert (lo, hi) == (lo1, hi1)
+            assert value == pytest.approx(value1, rel=1e-15, abs=0)
+            # An estimate is a difference of two rules: its rounding is the value's.
+            assert err == pytest.approx(err1, rel=0, abs=4e-16 * abs(value))
+
+    def test_non_finite_panel_is_named(self):
+        def f(eta):
+            u = eta * 2e-5
+            return np.where((u > 0.25 / 16) & (u < 0.25 / 4), np.nan, np.exp(-u))
+
+        with pytest.raises(QuadratureError, match=r"panel \[0\.015625, 0\.0625\]"):
+            integrate_semi_infinite(f, 1e-5)
 
 
 class TestEngine:

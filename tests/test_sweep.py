@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinflip.errors import ConfigError, SpinflipError
+from spinflip.errors import ConfigError, QuasiStaticWarning, SpinflipError
 from spinflip.materials import COPPER, DrudeMetal, NIOBIUM, VACUUM
 from spinflip.rates import spin_flip_rate
 from spinflip.stratified import Layer, LayerStack
@@ -177,6 +178,22 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_mod, "spin_flip_rate", broken)
         with pytest.raises(SpinflipError):
             run_sweep(spec, config)
+
+
+    @pytest.mark.parametrize("axis, lo, hi", [
+        ("distance_z", 1e-5, 2e-5), ("temperature_T", 4.2, 6.0)])
+    def test_quasi_static_warning_once_per_sweep(self, axis, lo, hi):
+        # At 1e12 Hz every z >= 3 um is outside the quasi-static limit.
+        config, spec = parse_config(nb_config(
+            transition={"frequency": 1e12},
+            sweep={"axis": axis, "min": lo, "max": hi, "points": 5}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = run_sweep(spec, config)
+        assert table.rows == 5
+        assert [w.category for w in caught] == [QuasiStaticWarning]
+        assert caught[0].filename == __file__
+        assert f"z = {hi if axis == 'distance_z' else 1e-5:g} m" in str(caught[0].message)
 
 
 class TestEmitCsv:
