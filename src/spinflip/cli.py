@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import replace
 
 from . import __version__
 from .errors import ConfigError, SpinflipError
@@ -25,7 +24,7 @@ from .figures import FIGURES, figure_curves, reproduce
 from .materials import (DrudeMetal, IsotropicSuperconductor,
                         UniaxialSuperconductor, Vacuum, material_presets)
 from .rates import spin_flip_rate
-from .sweep import RunConfig, emit_csv, load_config, run_sweep
+from .sweep import RunConfig, emit_csv, load_config, override_tolerance, run_sweep
 
 USAGE_ERROR = 1
 COMPUTATION_ERROR = 2
@@ -53,14 +52,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"spinflip {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out):
-        p.add_argument("--config", required=True, help="JSON configuration file")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output CSV path")
+    def tol_and_quiet(p):
         p.add_argument("--tol", type=_tolerance, default=None,
                        help="override quadrature relative tolerance")
         p.add_argument("--quiet", action="store_true",
                        help="suppress validity notes and warnings")
+
+    def common(p, needs_out):
+        p.add_argument("--config", required=True, help="JSON configuration file")
+        if needs_out:
+            p.add_argument("--out", required=True, help="output CSV path")
+        tol_and_quiet(p)
 
     common(sub.add_parser("rate", help="single rate/lifetime evaluation"), False)
     common(sub.add_parser("sweep", help="run the configured sweep"), True)
@@ -72,15 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("figures", nargs="*", metavar="FIGURE",
                      help=f"one of {', '.join(FIGURES)}; all of them when none is named")
     rep.add_argument("--out", default=".", help="output directory")
-    rep.add_argument("--tol", type=_tolerance, default=None)
-    rep.add_argument("--quiet", action="store_true")
+    tol_and_quiet(rep)
     return parser
-
-
-def _override_tol(config: RunConfig, tol: float | None) -> RunConfig:
-    if tol is None:
-        return config
-    return replace(config, settings=replace(config.settings, rel_tol=tol))
 
 
 def _validity_notes(config: RunConfig, quiet: bool):
@@ -97,7 +92,7 @@ def _validity_notes(config: RunConfig, quiet: bool):
 
 def _cmd_rate(args) -> int:
     config, _ = load_config(args.config)
-    config = _override_tol(config, args.tol)
+    config = override_tolerance(config, args.tol)
     _validity_notes(config, args.quiet)
     result = spin_flip_rate(config.stack, config.z, config.transition,
                             None, config.settings)
@@ -117,7 +112,7 @@ def _cmd_table(args, want_axis: str | None) -> int:
         raise ConfigError("configuration carries no 'sweep' section")
     if want_axis is not None and spec.axis != want_axis:
         raise ConfigError(f"this subcommand requires sweep.axis = {want_axis!r}")
-    config = _override_tol(config, args.tol)
+    config = override_tolerance(config, args.tol)
     _validity_notes(config, args.quiet)
     table = run_sweep(spec, config)
     emit_csv(table, args.out)

@@ -9,6 +9,7 @@ none takes other values.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -55,10 +56,12 @@ class TransitionSpec:
     matrix_elements: tuple[complex, complex, complex] | None = None
 
     def __post_init__(self):
-        if self.frequency <= 0:
-            raise DomainError("transition frequency must be positive")
-        if self.matrix_elements is not None and len(self.matrix_elements) != 3:
-            raise DomainError("matrix_elements must be a 3-vector")
+        if not 0 < self.frequency < math.inf:
+            raise DomainError("transition frequency must be positive and finite")
+        if self.matrix_elements is not None and (
+                len(self.matrix_elements) != 3
+                or not all(cmath.isfinite(m) for m in self.matrix_elements)):
+            raise DomainError("matrix_elements must be a finite 3-vector")
 
     @property
     def omega(self) -> float:
@@ -84,10 +87,10 @@ def thermal_photon_number(frequency: float, T: float) -> float:
     (hbar*omega << kB*T, the usual case at sub-MHz transitions) is evaluated
     without cancellation.
     """
-    if frequency <= 0:
-        raise DomainError("frequency must be positive")
-    if T < 0:
-        raise DomainError("temperature must be non-negative")
+    if not 0 < frequency < math.inf:
+        raise DomainError("frequency must be positive and finite")
+    if not 0 <= T < math.inf:
+        raise DomainError("temperature must be non-negative and finite")
     if T == 0:
         return 0.0
     x = CONSTANTS.h * frequency / (CONSTANTS.kB * T)

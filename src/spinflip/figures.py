@@ -8,12 +8,11 @@ config/sweep machinery and writes one CSV per curve.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .sweep import emit_csv, parse_config, run_sweep
+from .sweep import emit_csv, override_tolerance, parse_config, run_sweep
 
 __all__ = ["FIGURES", "figure_curves", "reproduce"]
 
@@ -39,9 +38,7 @@ def reproduce(name: str, out_dir, rel_tol: float | None = None) -> list[Path]:
         config, spec = parse_config({k: v for k, v in curve.items() if k != "name"})
         if spec is None:
             raise ConfigError(f"curve {curve_name!r} carries no sweep")
-        if rel_tol is not None:
-            config = replace(config, settings=replace(config.settings, rel_tol=rel_tol))
-        table = run_sweep(spec, config)
+        table = run_sweep(spec, override_tolerance(config, rel_tol))
         path = out / f"{name}_{curve_name}.csv"
         emit_csv(table, path)
         written.append(path)

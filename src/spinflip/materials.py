@@ -61,14 +61,10 @@ class TwoFluidParams:
     alpha: float = 4.0    # exponent of the (T/Tc)^alpha carrier split
 
     def __post_init__(self):
-        if self.lambda0 <= 0:
-            raise DomainError("lambda0 must be positive")
-        if self.Tc <= 0:
-            raise DomainError("Tc must be positive")
-        if self.sigma_normal <= 0:
-            raise DomainError("sigma_normal must be positive")
-        if self.alpha <= 0:
-            raise DomainError("alpha must be positive")
+        # Written as "not (valid)" so that NaN fails every check.
+        for name in ("lambda0", "Tc", "sigma_normal", "alpha"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,8 @@ class DrudeMetal:
     label: str = "metal"
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError("sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -139,9 +135,9 @@ def lambda_of_T(lambda0: float, T: float, Tc: float, alpha: float) -> float:
 
     Only defined below Tc; strictly increasing in T.
     """
-    if lambda0 <= 0 or Tc <= 0:
+    if not (lambda0 > 0 and Tc > 0):
         raise DomainError("lambda0 and Tc must be positive")
-    if T < 0:
+    if not T >= 0:
         raise DomainError("temperature must be non-negative")
     if T >= Tc:
         raise DomainError(
@@ -152,9 +148,9 @@ def lambda_of_T(lambda0: float, T: float, Tc: float, alpha: float) -> float:
 def sigma_n_of_T(sigma_normal: float, T: float, Tc: float, alpha: float) -> float:
     """Normal-fluid conductivity sigma_n(T) = sigma_normal (T/Tc)^alpha,
     clamped to sigma_normal at and above Tc."""
-    if sigma_normal <= 0 or Tc <= 0:
+    if not (sigma_normal > 0 and Tc > 0):
         raise DomainError("sigma_normal and Tc must be positive")
-    if T < 0:
+    if not T >= 0:
         raise DomainError("temperature must be non-negative")
     if T >= Tc:
         return sigma_normal
@@ -163,7 +159,7 @@ def sigma_n_of_T(sigma_normal: float, T: float, Tc: float, alpha: float) -> floa
 
 def skin_depth(omega: float, sigma: float) -> float:
     """Skin depth sqrt(2/(omega mu0 sigma)) of a conductor."""
-    if omega <= 0 or sigma <= 0:
+    if not (omega > 0 and sigma > 0):
         raise DomainError("omega and sigma must be positive")
     return math.sqrt(2.0 / (omega * CONSTANTS.mu0 * sigma))
 
@@ -186,9 +182,9 @@ def permittivity(material: MaterialModel, omega: float, T: float) -> Permittivit
     """Relative permittivity tensor of `material` at angular frequency `omega`
     and temperature `T`.  Superconductors evaluated at T >= Tc return their
     normal-state Drude permittivity."""
-    if omega <= 0:
+    if not omega > 0:
         raise DomainError("omega must be positive")
-    if T < 0:
+    if not T >= 0:
         raise DomainError("temperature must be non-negative")
     if isinstance(material, Vacuum):
         return PermittivityTensor(1.0 + 0.0j, 1.0 + 0.0j)

@@ -164,8 +164,8 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
            T: float | None, settings: QuadratureSettings,
            w_m: float, w_n: float) -> RateResult:
     """Rate with channel weights (w_m, w_n) on the prefactor rate_prefactor()."""
-    if z <= 0:
-        raise DomainError("atom height z must be positive")
+    if not 0 < z < math.inf:
+        raise DomainError("atom height z must be positive and finite")
     check_quasi_static(z, transition)
     if T is None:
         T = stack.temperature

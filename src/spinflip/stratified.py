@@ -79,7 +79,7 @@ class Layer:
     thickness: float = math.inf
 
     def __post_init__(self):
-        if self.thickness < 0:
+        if not self.thickness >= 0:  # NaN fails too; outer layers are inf
             raise DomainError("layer thickness must be non-negative")
 
 
@@ -97,8 +97,8 @@ class LayerStack:
             raise DomainError("stack must have 2 or 3 layers")
         if not isinstance(self.layers[0].material, Vacuum):
             raise DomainError("layer 1 must be vacuum (the atom sits in it)")
-        if self.temperature < 0:
-            raise DomainError("temperature must be non-negative")
+        if not 0 <= self.temperature < math.inf:
+            raise DomainError("temperature must be non-negative and finite")
         for layer in self.layers[1:-1]:
             if not math.isfinite(layer.thickness):
                 raise DomainError("interior layers must have finite thickness")
@@ -174,14 +174,13 @@ def _layer_medium(omega: float, eps: PermittivityTensor) -> LayerMedium:
 
 
 def stack_media(stack: LayerStack, omega: float) -> StackMedia:
-    """StackMedia of `stack` at `omega`: one permittivity per layer."""
-    mats = [layer.material for layer in stack.layers]
-    if len(mats) == 2:
-        mats, d = (mats[0], mats[1], mats[1]), 0.0
-    else:
-        d = stack.layers[1].thickness
-    return StackMedia(tuple(_layer_medium(omega, permittivity(m, omega, stack.temperature))
-                            for m in mats), d)
+    """StackMedia of `stack` at `omega`: one permittivity per layer.  A bare
+    substrate's medium doubles as its zero-thickness film."""
+    media = [_layer_medium(omega, permittivity(layer.material, omega, stack.temperature))
+             for layer in stack.layers]
+    if len(media) == 2:
+        media.insert(1, media[1])
+    return StackMedia(tuple(media), stack.film_thickness)
 
 
 def layer_wavevectors(eta, omega: float,

@@ -37,7 +37,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -57,13 +57,20 @@ __all__ = [
     "SweepTable",
     "RunConfig",
     "screening_factor",
+    "override_tolerance",
     "run_sweep",
     "emit_csv",
     "load_config",
     "parse_config",
 ]
 
-AXES = ("distance_z", "thickness_d", "temperature_T", "reduced_T_over_Tc")
+_AXIS_COLUMN = {
+    "distance_z": "z_m",
+    "thickness_d": "d_m",
+    "temperature_T": "T_K",
+    "reduced_T_over_Tc": "T_over_Tc",
+}
+AXES = tuple(_AXIS_COLUMN)
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; choose from {AXES}")
-        if not self.minimum < self.maximum:
-            raise ConfigError("sweep requires min < max")
+        if not -math.inf < self.minimum < self.maximum < math.inf:
+            raise ConfigError("sweep requires finite min < max")
         if self.points < 2:
             raise ConfigError("sweep requires at least 2 points")
         if self.spacing not in ("linear", "log"):
@@ -101,8 +108,8 @@ class RunConfig:
     echo: dict = field(default_factory=dict)   # raw input for CSV metadata
 
     def __post_init__(self):
-        if self.z <= 0:
-            raise ConfigError("z must be positive")
+        if not 0 < self.z < math.inf:
+            raise ConfigError("z must be positive and finite")
 
 
 @dataclass
@@ -118,14 +125,15 @@ class SweepTable:
 
 def _critical_temperatures(stack: LayerStack) -> list[float]:
     """Tc of each superconducting layer below the vacuum, top to bottom."""
-    tcs = []
-    for layer in stack.layers[1:]:
-        m = layer.material
-        if isinstance(m, IsotropicSuperconductor):
-            tcs.append(m.params.Tc)
-        elif isinstance(m, UniaxialSuperconductor):
-            tcs.append(m.transverse.Tc)
-    return tcs
+    materials = [layer.material for layer in stack.layers[1:]]
+    return [m.params.Tc if isinstance(m, IsotropicSuperconductor) else m.transverse.Tc
+            for m in materials
+            if isinstance(m, (IsotropicSuperconductor, UniaxialSuperconductor))]
+
+
+def _screening(tau: float, tau0: float) -> float:
+    """S(d) = (tau - tau0) / tau0, tau0 the bare-substrate lifetime."""
+    return (tau - tau0) / tau0
 
 
 def screening_factor(stack: LayerStack, z: float,
@@ -137,75 +145,14 @@ def screening_factor(stack: LayerStack, z: float,
     rate route so the ratio is route-normalization free."""
     tau_d = spin_flip_rate(stack, z, transition, T, settings).tau
     tau_0 = spin_flip_rate(stack.with_film_thickness(0.0), z, transition, T, settings).tau
-    return (tau_d - tau_0) / tau_0
+    return _screening(tau_d, tau_0)
 
 
-def _evaluate_row(spec_axis: str, value: float, config: RunConfig,
-                  tau0: float | None):
-    """One grid point -> (row dict, status).  Pure in its inputs."""
-    stack, z, T = config.stack, config.z, config.stack.temperature
-    tcs = _critical_temperatures(stack)
-    if spec_axis == "distance_z":
-        z = float(value)
-    elif spec_axis == "thickness_d":
-        stack = stack.with_film_thickness(float(value))
-    elif spec_axis == "temperature_T":
-        T = float(value)
-    else:  # reduced_T_over_Tc
-        if not tcs:
-            raise ConfigError("reduced-temperature sweep requires a superconducting layer")
-        T = float(value) * tcs[0]
-    result = spin_flip_rate(stack, z, config.transition, T, config.settings)
-    row = {
-        "gamma_total_per_s": result.gamma_total,
-        "tau_s": result.tau,
-        "n_th": result.n_th,
-    }
-    if spec_axis == "thickness_d" and tau0 is not None:
-        row["screening_factor"] = (result.tau - tau0) / tau0
-    # Row status: flags superconducting layers driven normal.
-    return row, "normal-state film" if any(T >= tc for tc in tcs) else "ok"
-
-
-_AXIS_COLUMN = {
-    "distance_z": "z_m",
-    "thickness_d": "d_m",
-    "temperature_T": "T_K",
-    "reduced_T_over_Tc": "T_over_Tc",
-}
-
-
-def _evaluate_rows(spec: SweepSpec, config: RunConfig, grid):
-    """Columns of the sweep table and the number of failed rows."""
-    tau0 = None
-    if spec.axis == "thickness_d":
-        base = spin_flip_rate(config.stack.with_film_thickness(0.0), config.z,
-                              config.transition, None, config.settings)
-        tau0 = base.tau
-
-    names = ["gamma_total_per_s", "tau_s", "n_th"]
-    if spec.axis == "thickness_d":
-        names.append("screening_factor")
-    columns: dict[str, list] = {_AXIS_COLUMN[spec.axis]: []}
-    for name in names:
-        columns[name] = []
-    columns["status"] = []
-
-    failures = 0
-    for value in grid:
-        columns[_AXIS_COLUMN[spec.axis]].append(float(value))
-        try:
-            row, status = _evaluate_row(spec.axis, value, config, tau0)
-        except SpinflipError as exc:
-            failures += 1
-            for name in names:
-                columns[name].append(math.nan)
-            columns["status"].append(f"error: {exc}")
-            continue
-        for name in names:
-            columns[name].append(row[name])
-        columns["status"].append(status)
-    return columns, failures
+def override_tolerance(config: RunConfig, rel_tol: float | None) -> RunConfig:
+    """`config` with quadrature rel_tol `rel_tol`; unchanged when it is None."""
+    if rel_tol is None:
+        return config
+    return replace(config, settings=replace(config.settings, rel_tol=rel_tol))
 
 
 def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
@@ -216,14 +163,50 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
     sweeps carry the screening factor against the zero-thickness stack.  The
     quasi-static warning is issued once, for the largest z of the sweep.
     """
-    grid = spec.grid()
-    check_quasi_static(float(grid.max()) if spec.axis == "distance_z" else config.z,
+    tcs = _critical_temperatures(config.stack)
+    if spec.axis == "reduced_T_over_Tc" and not tcs:
+        raise ConfigError("reduced-temperature sweep requires a superconducting layer")
+    thickness = spec.axis == "thickness_d"
+    grid = [float(value) for value in spec.grid()]
+    check_quasi_static(max(grid) if spec.axis == "distance_z" else config.z,
                        config.transition)
+    names = ["gamma_total_per_s", "tau_s", "n_th"]
+    if thickness:
+        names.append("screening_factor")
+    columns = {_AXIS_COLUMN[spec.axis]: grid, **{name: [] for name in names}, "status": []}
+    stack, z, T = config.stack, config.z, config.stack.temperature
+    causes = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuasiStaticWarning)
-        columns, failures = _evaluate_rows(spec, config, grid)
-    if failures == len(grid):
-        raise SpinflipError("every sweep row failed")
+        if thickness:
+            tau0 = spin_flip_rate(stack.with_film_thickness(0.0), z, config.transition,
+                                  None, config.settings).tau
+        for value in grid:
+            try:
+                if spec.axis == "distance_z":
+                    z = value
+                elif thickness:
+                    stack = config.stack.with_film_thickness(value)
+                elif spec.axis == "temperature_T":
+                    T = value
+                else:  # reduced_T_over_Tc
+                    T = value * tcs[0]
+                result = spin_flip_rate(stack, z, config.transition, T, config.settings)
+            except SpinflipError as exc:
+                causes.append(exc)
+                row = [math.nan] * len(names)
+                status = f"error: {exc}"
+            else:
+                row = [result.gamma_total, result.tau, result.n_th]
+                if thickness:
+                    row.append(_screening(result.tau, tau0))
+                # Flags superconducting layers driven normal.
+                status = "normal-state film" if any(T >= tc for tc in tcs) else "ok"
+            for name, v in zip(names, row):
+                columns[name].append(v)
+            columns["status"].append(status)
+    if len(causes) == len(grid):
+        raise SpinflipError(f"every sweep row failed (first row: {causes[0]})")
 
     metadata = dict(config.echo)
     metadata["sweep"] = {"axis": spec.axis, "min": spec.minimum,

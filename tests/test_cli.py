@@ -204,6 +204,15 @@ class TestSweepCommands:
                   if not l.startswith("#")][0]
         assert "screening_factor" in header
 
+    def test_reduced_temperature_without_superconductor(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, film="copper",
+                           sweep={"axis": "reduced_T_over_Tc", "min": 0.5, "max": 1.5,
+                                  "points": 3})
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "superconducting layer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_computation_error_exit_code(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, sweep={"axis": "distance_z", "min": 1e-6,
                                             "max": 1e-4, "points": 3})

@@ -10,7 +10,8 @@ from spinflip.constants import CONSTANTS, RB87_CLOCK_TRANSITION, TransitionSpec,
 from spinflip.errors import DomainError, GrazingSingularityError, QuasiStaticWarning
 from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
                                 IsotropicSuperconductor, TwoFluidParams,
-                                UniaxialSuperconductor)
+                                UniaxialSuperconductor, lambda_of_T, sigma_n_of_T,
+                                skin_depth)
 from spinflip.quadrature import QuadratureSettings
 from spinflip.rates import (PATH_CALIBRATION_RATIO, SpinOrientation,
                             double_curl_integrand, gamma_anisotropic,
@@ -239,6 +240,17 @@ class TestOrientation:
         iso = gamma_isotropic(niobium_stack, 10e-6)
         assert perp.gamma_field == pytest.approx(2 * math.pi * iso.gamma_field, rel=1e-14, abs=0)
 
+    def test_tm_channel_grows_with_height(self, niobium_stack):
+        # Gamma_par/Gamma_perp - 1/2 = N/(2M) is the TM-like channel's share.
+        # It vanishes to rounding at atom-chip heights but not at 1 cm, far
+        # below the quasi-static warning height (5.35 m at 560 kHz).
+        def tm_share(z):
+            par = gamma_general(niobium_stack, z, orientation=SpinOrientation.PARALLEL)
+            perp = gamma_general(niobium_stack, z, orientation=SpinOrientation.PERPENDICULAR)
+            return par.gamma_field / perp.gamma_field - 0.5
+        assert abs(tm_share(10e-6)) <= 1e-12
+        assert tm_share(1e-2) >= 1e-7
+
     def test_zero_matrix_elements_zero_rate(self, niobium_stack):
         silent = TransitionSpec(frequency=560e3, matrix_elements=(0, 0, 0))
         result = gamma_general(niobium_stack, 10e-6, transition=silent)
@@ -278,7 +290,7 @@ class TestCallSites:
     # patch of the module attribute (as the benchmark's tracer does) sees
     # every coefficient, wavevector and permittivity call of the rate.
     def test_patched_module_names_see_every_call(self, monkeypatch, niobium_stack,
-                                                 bscco_stack):
+                                                 bscco_stack, copper_stack):
         counts = Counter()
         for module, name in ((spinflip.rates, "te_reflection"),
                              (spinflip.rates, "scattering_coefficients"),
@@ -288,10 +300,55 @@ class TestCallSites:
                 counts[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        for stack, coefficients in ((niobium_stack, "te_reflection"),
-                                    (bscco_stack, "scattering_coefficients")):
+        # A bare substrate's medium doubles as its zero-thickness film: one
+        # permittivity call fewer.
+        for stack, coefficients, permittivities in (
+                (niobium_stack, "te_reflection", 3),
+                (bscco_stack, "scattering_coefficients", 3),
+                (copper_stack, "te_reflection", 2)):
             counts.clear()
             diag = spin_flip_rate(stack, 10e-6).diagnostics
             calls = 9 + diag.refinements  # integrand calls
             assert counts == {coefficients: calls, "layer_wavevectors": 3 * calls,
-                              "permittivity": 3}
+                              "permittivity": permittivities}
+
+
+NB_STACK = LayerStack((Layer(VACUUM), Layer(NIOBIUM, 1e-6), Layer(COPPER)), 4.2)
+
+
+class TestNonFiniteInputs:
+    # A non-finite input fails at its check, not later as a RuntimeWarning,
+    # a misleading "integrand not finite", a bare ZeroDivisionError or a NaN.
+    @pytest.mark.parametrize("make", [
+        lambda: spin_flip_rate(NB_STACK, math.nan),
+        lambda: spin_flip_rate(NB_STACK, math.inf),
+        lambda: spin_flip_rate(NB_STACK, 10e-6, T=math.inf),
+        lambda: spin_flip_rate(NB_STACK, 10e-6, T=math.nan),
+        lambda: TransitionSpec(560e3, matrix_elements=(math.nan, 0, 0)),
+        lambda: TransitionSpec(560e3, matrix_elements=(complex(0, math.inf), 0, 0)),
+        lambda: TransitionSpec(math.nan),
+        lambda: TransitionSpec(math.inf),
+        lambda: LayerStack((Layer(VACUUM), Layer(COPPER)), math.nan),
+        lambda: LayerStack((Layer(VACUUM), Layer(COPPER)), math.inf),
+        lambda: Layer(NIOBIUM, math.nan),
+        lambda: DrudeMetal(math.nan),
+        lambda: DrudeMetal(math.inf),
+        lambda: TwoFluidParams(math.nan, 8.3, 1e7),
+        lambda: TwoFluidParams(35e-9, math.nan, 1e7),
+        lambda: TwoFluidParams(35e-9, 8.3, math.inf),
+        lambda: TwoFluidParams(35e-9, 8.3, 1e7, alpha=math.nan),
+        lambda: lambda_of_T(35e-9, math.nan, 8.3, 4.0),
+        lambda: sigma_n_of_T(1e7, math.nan, 8.3, 4.0),
+        lambda: skin_depth(math.nan, 1e7),
+    ], ids=["z-nan", "z-inf", "T-inf", "T-nan", "element-nan", "element-inf",
+            "frequency-nan", "frequency-inf", "stack-T-nan", "stack-T-inf",
+            "thickness-nan", "sigma-nan", "sigma-inf", "lambda0-nan", "Tc-nan",
+            "sigma_normal-inf", "alpha-nan", "lambda_of_T-nan", "sigma_n_of_T-nan",
+            "skin_depth-nan"])
+    def test_raises_domain_error(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_outer_layers_stay_semi_infinite(self):
+        assert Layer(COPPER).thickness == math.inf
+        assert LayerStack((Layer(VACUUM), Layer(COPPER, math.inf)), 4.2).film_thickness == 0.0

@@ -67,6 +67,10 @@ class TestSweepSpec:
             SweepSpec("distance_z", 0.0, 1.0, 5, "log")
         with pytest.raises(ConfigError):
             SweepSpec("distance_z", 0.0, 1.0, 5, "cubic")
+        with pytest.raises(ConfigError):
+            SweepSpec("distance_z", 1e-6, math.inf, 5)
+        with pytest.raises(ConfigError):
+            SweepSpec("distance_z", math.nan, 1.0, 5)
 
 
 class TestScreeningFactor:
@@ -176,9 +180,20 @@ class TestRunSweep:
             raise SpinflipError("synthetic failure")
 
         monkeypatch.setattr(sweep_mod, "spin_flip_rate", broken)
-        with pytest.raises(SpinflipError):
+        with pytest.raises(SpinflipError, match="synthetic failure"):
             run_sweep(spec, config)
 
+    def test_reduced_temperature_without_superconductor(self, monkeypatch):
+        raw = nb_config(sweep={"axis": "reduced_T_over_Tc", "min": 0.5, "max": 1.5,
+                               "points": 3})
+        raw["stack"]["layers"] = [{"material": "vacuum"}, {"material": "copper"}]
+        config, spec = parse_config(raw)
+        import spinflip.sweep as sweep_mod
+        calls = []
+        monkeypatch.setattr(sweep_mod, "spin_flip_rate", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="superconducting layer"):
+            run_sweep(spec, config)
+        assert calls == []
 
     @pytest.mark.parametrize("axis, lo, hi", [
         ("distance_z", 1e-5, 2e-5), ("temperature_T", 4.2, 6.0)])
