@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -56,12 +57,12 @@ class TransitionSpec:
     matrix_elements: tuple[complex, complex, complex] | None = None
 
     def __post_init__(self):
-        if not 0 < self.frequency < math.inf:
-            raise DomainError("transition frequency must be positive and finite")
-        if self.matrix_elements is not None and (
-                len(self.matrix_elements) != 3
-                or not all(cmath.isfinite(m) for m in self.matrix_elements)):
-            raise DomainError("matrix_elements must be a finite 3-vector")
+        if not (isinstance(self.frequency, numbers.Real) and 0 < self.frequency < math.inf):
+            raise DomainError("transition frequency must be a positive finite number")
+        m = self.matrix_elements
+        if m is not None and not (hasattr(m, "__len__") and len(m) == 3 and all(
+                isinstance(x, numbers.Complex) and cmath.isfinite(x) for x in m)):
+            raise DomainError("matrix_elements must be a finite 3-vector of numbers")
 
     @property
     def omega(self) -> float:

@@ -90,13 +90,21 @@ _ETA_EPS = 1e-9
 # full integral Gamma(5) = 24, is 5.06e-21, far below any useful rel_tol.
 _U = 60.0
 
-# Initial panels in u as (lower edges, upper edges), one integrand call each:
+
+def _panel_set(a, b):
+    """Panels [a[i], b[i]] as (a, b, flat Kronrod nodes, half-width column)."""
+    lo = np.asarray(a, dtype=float)
+    half = 0.5 * (np.asarray(b, dtype=float) - lo)[:, None]
+    return a, b, ((lo[:, None] + half) + half * _KRONROD_NODES).ravel(), half
+
+
+# Initial panels in u, one integrand call per panel set, built once:
 # [2e-9, 0.25] graded toward u = 0 at 0.25 * 4^-k (k = 3, 2, 1), then the
 # octaves from 0.25 up to _U.
 _GRADED_EDGES = (2.0 * _ETA_EPS, 0.25 / 64, 0.25 / 16, 0.25 / 4, 0.25)
 _OCTAVE_EDGES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, _U)
-_INITIAL_CALLS = ((_GRADED_EDGES[:-1], _GRADED_EDGES[1:]),) + tuple(
-    ((a,), (b,)) for a, b in zip(_OCTAVE_EDGES[:-1], _OCTAVE_EDGES[1:]))
+_INITIAL_CALLS = (_panel_set(_GRADED_EDGES[:-1], _GRADED_EDGES[1:]),) + tuple(
+    _panel_set((a,), (b,)) for a, b in zip(_OCTAVE_EDGES[:-1], _OCTAVE_EDGES[1:]))
 
 
 @dataclass(frozen=True)
@@ -124,13 +132,10 @@ class QuadratureDiagnostics:
     panels: int             # final panel count
 
 
-def _panels(g, a, b):
-    """Evaluate the panels [a[i], b[i]] in one integrand call.  Returns one
+def _panels(g, a, b, u, half):
+    """Evaluate a _panel_set in one integrand call.  Returns one
     (error estimate, a, b, Kronrod value) record per panel."""
-    lo = np.asarray(a, dtype=float)
-    half = 0.5 * (np.asarray(b, dtype=float) - lo)
-    u = (lo + half)[:, None] + half[:, None] * _KRONROD_NODES
-    rules = half[:, None] * (g(u.ravel()).reshape(u.shape) @ _RULES)
+    rules = half * (g(u).reshape(-1, _NODES) @ _RULES)
     panels = []
     for a_i, b_i, (kronrod, gauss, rest) in zip(a, b, rules.tolist()):
         # Every K21 weight is positive: K21 is finite only if f is on all 21 nodes.
@@ -158,9 +163,9 @@ def integrate_semi_infinite(integrand, z: float,
 
     evaluations = 0
     panels = []  # (error, a, b, value)
-    for lo, hi in _INITIAL_CALLS:
-        panels += _panels(g, lo, hi)
-        evaluations += _NODES * len(lo)
+    for a, b, u, half in _INITIAL_CALLS:
+        panels += _panels(g, a, b, u, half)
+        evaluations += u.size
 
     refinements = 0
     while True:
@@ -180,7 +185,7 @@ def integrate_semi_infinite(integrand, z: float,
         panels.sort(key=lambda p: p[0])
         _, a, b, _ = panels.pop()
         mid = 0.5 * (a + b)
-        panels += _panels(g, (a, mid), (mid, b))
+        panels += _panels(g, *_panel_set((a, mid), (mid, b)))
         evaluations += 2 * _NODES
         refinements += 1
 

@@ -27,7 +27,8 @@ is absolute is not yet settled.
 Rates are "field" rates at zero temperature of the field; thermal
 occupation multiplies them by (n_th + 1).  A zero rate (lossless stack or
 zero matrix elements) has tau = inf; a negative one raises DomainError,
-since it only arises where the quasi-static kernel does not hold.
+since it only arises where the quasi-static kernel does not hold, and so
+does a rate whose arithmetic overflows double precision.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ import numpy as np
 
 from .constants import (CONSTANTS, RB87_CLOCK_TRANSITION, TransitionSpec,
                         rate_prefactor, thermal_photon_number)
-from .errors import DomainError, GrazingSingularityError, QuasiStaticWarning
+from .errors import (DomainError, GrazingSingularityError, QuasiStaticWarning,
+                     SpinflipError)
 from .quadrature import (DEFAULT_SETTINGS, QuadratureDiagnostics,
                          QuadratureSettings, integrate_semi_infinite)
 from .stratified import (LayerStack, StackMedia, layer_wavevectors, scattering_coefficients,
@@ -119,6 +121,8 @@ def _result(gamma_field: float, transition: TransitionSpec, T: float,
             diag: QuadratureDiagnostics) -> RateResult:
     n = thermal_photon_number(transition.frequency, T)
     gamma_total = gamma_field * (n + 1.0)
+    if not gamma_total < math.inf:  # n_th overflowed: T far beyond any model
+        raise OverflowError(f"thermal occupation {n:g} at T = {T:g} K")
     tau = 1.0 / gamma_total if gamma_total > 0 else math.inf
     return RateResult(gamma_field, n, gamma_total, tau, diag)
 
@@ -141,20 +145,15 @@ def _channel_weights(transition: TransitionSpec,
     return 16.0 * (w_par + 2.0 * w_perp), 16.0 * w_par
 
 
-def _family_responses(stack: LayerStack | StackMedia, eta, omega: float):
-    """Passive-sign film responses (M, N) of the TE-like and TM-like families."""
-    b_m, b_n = scattering_coefficients(stack, eta, omega)
-    return -b_m, -b_n
-
-
 def _rate_integrand(stack: LayerStack | StackMedia, eta, z: float, omega: float,
                     w_m: float, w_n: float):
-    """The one rate integrand, e^{-2 eta z}/(8 pi) * Im[w_m eta^2 M + w_n k1^2 N].
-    With w_n = 0 only the M family is computed (te_reflection)."""
+    """The one rate integrand, e^{-2 eta z}/(8 pi) * Im[w_m eta^2 M + w_n k1^2 N],
+    with (M, N) = -(B_M, B_N) the passive-sign film responses.  With w_n = 0
+    only the M family is computed (te_reflection)."""
     if w_n == 0.0:
         m, n = te_reflection(stack, eta, omega), 0.0
     else:
-        m, n = _family_responses(stack, eta, omega)
+        m, n = (-b for b in scattering_coefficients(stack, eta, omega))
     k1 = omega / CONSTANTS.c
     eta = np.asarray(eta, dtype=float)
     return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (w_m * eta**2 * m + w_n * k1**2 * n).imag
@@ -162,35 +161,47 @@ def _rate_integrand(stack: LayerStack | StackMedia, eta, z: float, omega: float,
 
 def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
            T: float | None, settings: QuadratureSettings,
-           w_m: float, w_n: float) -> RateResult:
-    """Rate with channel weights (w_m, w_n) on the prefactor rate_prefactor()."""
+           orientation: SpinOrientation = SpinOrientation.RANDOM,
+           m_only: bool = False) -> RateResult:
+    """Rate of the orientation's channels on the prefactor rate_prefactor();
+    with `m_only`, the M channel alone divided by PATH_CALIBRATION_RATIO.
+    Inputs so extreme that the arithmetic overflows give a DomainError."""
     if not 0 < z < math.inf:
         raise DomainError("atom height z must be positive and finite")
     check_quasi_static(z, transition)
     if T is None:
         T = stack.temperature
     stack = stack.with_temperature(T)
-    if w_m == 0.0 and w_n == 0.0:
-        # Zero matrix elements: no coupling, no integral to run.
-        diag = QuadratureDiagnostics(0, 0.0, 0.0, 0, 0)
-        return _result(0.0, transition, T, diag)
-    omega = transition.omega
-    media = stack_media(stack, omega)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            w_m, w_n = _channel_weights(transition, orientation)
+            if m_only:
+                w_m, w_n = w_m / PATH_CALIBRATION_RATIO, 0.0
+            if w_m == 0.0 and w_n == 0.0:
+                # Zero matrix elements: no coupling, no integral to run.
+                return _result(0.0, transition, T, QuadratureDiagnostics(0, 0.0, 0.0, 0, 0))
+            omega = transition.omega
+            media = stack_media(stack, omega)
 
-    def integrand(eta):
-        return _rate_integrand(media, eta, z, omega, w_m, w_n)
+            def integrand(eta):
+                return _rate_integrand(media, eta, z, omega, w_m, w_n)
 
-    value, diag = integrate_semi_infinite(integrand, z, settings)
-    gamma_field = rate_prefactor() * value
-    if gamma_field < 0:
-        # A passive stack has a non-negative noise spectrum; a negative
-        # rate means the kernel was evaluated where it no longer holds.
-        raise DomainError(
-            f"negative field rate {gamma_field:.3e} 1/s at z = {z:g} m: the "
-            f"quasi-static rate kernel does not hold here (it needs z far below "
-            f"the transition wavelength {CONSTANTS.c / transition.frequency:g} m "
-            f"and a rate well above rounding)")
-    return _result(gamma_field, transition, T, diag)
+            value, diag = integrate_semi_infinite(integrand, z, settings)
+            gamma_field = rate_prefactor() * value
+            if gamma_field < 0:
+                # A passive stack has a non-negative noise spectrum; a negative
+                # rate means the kernel was evaluated where it no longer holds.
+                raise DomainError(
+                    f"negative field rate {gamma_field:.3e} 1/s at z = {z:g} m: the "
+                    f"quasi-static rate kernel does not hold here (it needs z far below "
+                    f"the transition wavelength {CONSTANTS.c / transition.frequency:g} m "
+                    f"and a rate well above rounding)")
+            return _result(gamma_field, transition, T, diag)
+    except SpinflipError:
+        raise
+    except ArithmeticError as exc:  # overflow, or 0/0 and inf - inf after one
+        raise DomainError(f"the rate at z = {z:g} m overflows double precision "
+                          f"({exc}); an input is far outside its physical range") from exc
 
 
 def gamma_isotropic(stack: LayerStack, z: float,
@@ -201,8 +212,7 @@ def gamma_isotropic(stack: LayerStack, z: float,
     gamma_anisotropic divided by PATH_CALIBRATION_RATIO."""
     if stack.is_anisotropic:
         raise DomainError("stack contains a uniaxial layer; use gamma_anisotropic")
-    w_m, _ = _channel_weights(transition)
-    return _gamma(stack, z, transition, T, settings, w_m / PATH_CALIBRATION_RATIO, 0.0)
+    return _gamma(stack, z, transition, T, settings, m_only=True)
 
 
 def rate_integrand_anisotropic(stack: LayerStack, eta, z: float, omega: float):
@@ -218,7 +228,7 @@ def gamma_anisotropic(stack: LayerStack, z: float,
     """Spin-flip rate via the scattering-coefficient route, random spin
     orientation (uniaxial film allowed; isotropic stacks are accepted and
     reproduce gamma_isotropic up to PATH_CALIBRATION_RATIO)."""
-    return _gamma(stack, z, transition, T, settings, *_channel_weights(transition))
+    return _gamma(stack, z, transition, T, settings)
 
 
 def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
@@ -238,7 +248,7 @@ def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
     if (h == 0).any():
         raise GrazingSingularityError(
             "eta equals the free-space wavenumber; integrable grazing point")
-    m, n = _family_responses(stack, eta_arr, omega)
+    m, n = (-b for b in scattering_coefficients(stack, eta_arr, omega))
     bracket = m * (eta_arr**3 / h - h * eta_arr / 2.0) + n * eta_arr * k**2 / (2.0 * h)
     return 1j * np.exp(2j * h * z) / (4.0 * math.pi) * bracket
 
@@ -261,8 +271,7 @@ def gamma_general(stack: LayerStack, z: float,
 
     With RANDOM orientation (the channel sum) this is gamma_anisotropic.
     """
-    return _gamma(stack, z, transition, T, settings,
-                  *_channel_weights(transition, orientation))
+    return _gamma(stack, z, transition, T, settings, orientation)
 
 
 def spin_flip_rate(stack: LayerStack, z: float,

@@ -4,8 +4,8 @@ Conventions, fixed once for the whole package:
 
 * Layers are ordered top (atom side, always vacuum) to bottom (substrate).
   The first and last layers are semi-infinite; a three-layer stack has one
-  interior film of thickness d.  Two-layer stacks (bare substrate) are
-  handled as three-layer stacks with a zero-thickness film.
+  interior film of thickness d.  A two-layer stack (bare substrate) is one
+  interface, not a three-layer stack with a zero-thickness film.
 * The atom height z is measured from the TOP interface of the film.
 * z-wavenumbers use the decaying branch: principal square root post-selected
   to Im >= 0 (and Re >= 0 on the real axis), so every propagation factor
@@ -35,8 +35,8 @@ Conventions, fixed once for the whole package:
 All coefficient functions accept scalar or ndarray eta and vectorize.  A
 rate sets its stack up once (stack_media: per layer one permittivity, kt^2,
 k and anisotropy, with the checks on omega and eps_z) and passes the
-StackMedia in place of the LayerStack, so a call per batch of eta does no
-per-layer set-up.
+StackMedia, which holds them as arrays on a leading layer axis, in place of
+the LayerStack: one layer_wavevectors call then covers every layer.
 """
 
 from __future__ import annotations
@@ -149,10 +149,13 @@ class LayerMedium:
 
 @dataclass(frozen=True)
 class StackMedia:
-    """The three layers' LayerMedium and the film thickness d of a stack at
-    one frequency (a bare substrate is a zero-thickness film of itself)."""
+    """A stack's LayerMedium fields at one frequency as arrays on a leading
+    layer axis (anisotropy 0 for an isotropic layer, and None when no layer
+    is uniaxial), and the film thickness d (0 for a bare substrate)."""
 
-    layers: tuple[LayerMedium, LayerMedium, LayerMedium]
+    kt2: np.ndarray
+    k: np.ndarray
+    anisotropy: np.ndarray | None
     d: float
 
 
@@ -174,33 +177,36 @@ def _layer_medium(omega: float, eps: PermittivityTensor) -> LayerMedium:
 
 
 def stack_media(stack: LayerStack, omega: float) -> StackMedia:
-    """StackMedia of `stack` at `omega`: one permittivity per layer.  A bare
-    substrate's medium doubles as its zero-thickness film."""
+    """StackMedia of `stack` at `omega`: one permittivity per layer."""
     media = [_layer_medium(omega, permittivity(layer.material, omega, stack.temperature))
              for layer in stack.layers]
-    if len(media) == 2:
-        media.insert(1, media[1])
-    return StackMedia(tuple(media), stack.film_thickness)
+    kt2, k, anisotropy = np.array([(m.kt2, m.k, m.anisotropy or 0) for m in media]).T
+    uniaxial = any(m.anisotropy is not None for m in media)
+    return StackMedia(kt2, k, anisotropy if uniaxial else None, stack.film_thickness)
 
 
 def layer_wavevectors(eta, omega: float,
-                      eps: PermittivityTensor | LayerMedium) -> LayerWavevectors:
+                      eps: PermittivityTensor | LayerMedium | StackMedia) -> LayerWavevectors:
     """z-wavenumbers of both wave families at transverse wavenumber `eta`.
 
     h1^2 = (omega/c)^2 eps_t - eta^2
     h2^2 = eta^2 (1 - eps_t/eps_z) + (omega/c)^2 eps_t - eta^2
 
     For an isotropic permittivity the two are equal and h2 is h1.  `eps` may
-    also be the layer's LayerMedium at `omega`, set up once for many calls.
+    also be the layer's LayerMedium at `omega`, set up once for many calls,
+    or a stack's StackMedia, which gives every layer's h1 and h2 in one call:
+    the layer axis comes first and eta's axes follow.
     """
-    medium = eps if isinstance(eps, LayerMedium) else _layer_medium(omega, eps)
+    medium = eps if isinstance(eps, (LayerMedium, StackMedia)) else _layer_medium(omega, eps)
     eta = np.asarray(eta, dtype=float)
     if (eta < 0).any():
         raise DomainError("eta must be non-negative")
-    h1 = _decaying_sqrt(medium.kt2 - eta**2)
+    shape = np.shape(medium.kt2) + (1,) * eta.ndim
+    kt2, eta2 = np.reshape(medium.kt2, shape), eta**2
+    h1 = _decaying_sqrt(kt2 - eta2)
     if medium.anisotropy is None:
         return LayerWavevectors(h1, h1)
-    h2 = _decaying_sqrt(eta**2 * medium.anisotropy + medium.kt2 - eta**2)
+    h2 = _decaying_sqrt(eta2 * np.reshape(medium.anisotropy, shape) + kt2 - eta2)
     return LayerWavevectors(h1, h2)
 
 
@@ -251,6 +257,11 @@ def _media(stack: LayerStack | StackMedia, omega: float) -> StackMedia:
     return stack if isinstance(stack, StackMedia) else stack_media(stack, omega)
 
 
+def _stack_quotient(r, h, d: float):
+    """One interface's coefficient r[0], or the film formula over layer h[1]."""
+    return r[0] if len(r) == 1 else _film(r[0], r[1], h[1], d)
+
+
 def scattering_coefficients(stack: LayerStack | StackMedia, eta, omega: float):
     """Phase-referenced film scattering amplitudes (B_M, B_N) at `eta`.
 
@@ -260,11 +271,11 @@ def scattering_coefficients(stack: LayerStack | StackMedia, eta, omega: float):
     may also be its StackMedia at `omega`, set up once for many calls.
     """
     media = _media(stack, omega)
-    m1, m2, m3 = media.layers
-    wv1, wv2, wv3 = (layer_wavevectors(eta, omega, m) for m in media.layers)
-    b_m = _film(interface_rh(wv1.h1, wv2.h1), interface_rh(wv2.h1, wv3.h1), wv2.h1, media.d)
-    b_n = -_film(interface_rv(wv1.h2, wv2.h2, m1.k, m2.k),
-                 interface_rv(wv2.h2, wv3.h2, m2.k, m3.k), wv2.h2, media.d)
+    wv = layer_wavevectors(eta, omega, media)
+    b_m = _stack_quotient(interface_rh(wv.h1[:-1], wv.h1[1:]), wv.h1, media.d)
+    k = np.reshape(media.k, np.shape(media.k) + (1,) * (wv.h2.ndim - 1))
+    b_n = -_stack_quotient(interface_rv(wv.h2[:-1], wv.h2[1:], k[:-1], k[1:]),
+                           wv.h2, media.d)
     return b_m, b_n
 
 
@@ -272,8 +283,8 @@ def te_reflection(stack: LayerStack | StackMedia, eta, omega: float):
     """Generalized TE reflection coefficient of the stack at `eta` (= -B_M,
     computed without the TM family).  `stack` may also be its StackMedia."""
     media = _media(stack, omega)
-    h1, h2, h3 = (layer_wavevectors(eta, omega, m).h1 for m in media.layers)
-    return -_film(interface_rh(h1, h2), interface_rh(h2, h3), h2, media.d)
+    h = layer_wavevectors(eta, omega, media).h1
+    return -_stack_quotient(interface_rh(h[:-1], h[1:]), h, media.d)
 
 
 def tm_reflection(stack: LayerStack, eta, omega: float):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -84,10 +85,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; choose from {AXES}")
-        if not -math.inf < self.minimum < self.maximum < math.inf:
+        if not (all(isinstance(x, numbers.Real) for x in (self.minimum, self.maximum))
+                and -math.inf < self.minimum < self.maximum < math.inf):
             raise ConfigError("sweep requires finite min < max")
-        if self.points < 2:
-            raise ConfigError("sweep requires at least 2 points")
+        if not (isinstance(self.points, numbers.Integral) and self.points >= 2):
+            raise ConfigError("sweep requires a whole number of at least 2 points")
         if self.spacing not in ("linear", "log"):
             raise ConfigError("spacing must be 'linear' or 'log'")
         if self.spacing == "log" and self.minimum <= 0:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinflip.cli import main
 from spinflip.errors import QuadratureError
@@ -62,6 +66,19 @@ class TestRateCommand:
         cfg = write_config(tmp_path, **overrides)
         assert main(["rate", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"z": 1e-300},
+        {"transition": {"frequency": 560e3, "matrix_elements": [1e200, 0, 0]}},
+        {"materials": [{"label": "thin", "variant": "isotropic_sc", "parameters": {
+            "lambda0": 1e-300, "Tc": 8.3, "sigma_normal": 1e7, "alpha": 4}}],
+         "stack": {"layers": [{"material": "vacuum"}, {"material": "thin", "thickness": 1e-6},
+                              {"material": "copper"}], "temperature": 4.2}},
+    ], ids=["z", "matrix-element", "lambda0"])
+    def test_overflowing_input_is_computation_error(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["rate", "--config", str(cfg), "--quiet"]) == 2
+        assert "overflows double precision" in capsys.readouterr().err
 
     def test_negative_rate_is_computation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, transition={"frequency": 1e15})
@@ -280,3 +297,77 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["rate"]) == 1
+
+
+# Any value json.load can return (NaN and infinities included).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+# Paths to the fields and sections of a config that uses every section.
+# sweep.points is left out: a valid huge count is a legitimate request for
+# that many rates (parse_config's own property test covers the field).
+CONFIG_FIELDS = [
+    ("materials",), ("materials", 0), ("materials", 0, "label"),
+    ("materials", 0, "variant"), ("materials", 0, "parameters"),
+    ("materials", 0, "parameters", "sigma"),
+    ("stack",), ("stack", "layers"), ("stack", "layers", 1),
+    ("stack", "layers", 1, "material"), ("stack", "layers", 1, "thickness"),
+    ("stack", "layers", 2, "material"), ("stack", "temperature"),
+    ("z",),
+    ("transition",), ("transition", "frequency"), ("transition", "label"),
+    ("transition", "matrix_elements"), ("transition", "matrix_elements", 0),
+    ("quadrature",), ("quadrature", "rel_tol"), ("quadrature", "max_refinements"),
+    ("sweep",), ("sweep", "axis"), ("sweep", "min"), ("sweep", "max"),
+    ("sweep", "spacing"),
+]
+
+
+def full_config():
+    return {
+        "materials": [{"label": "bulk", "variant": "drude_metal",
+                       "parameters": {"sigma": 5.8e7}}],
+        "stack": {"layers": [{"material": "vacuum"},
+                             {"material": "niobium", "thickness": 1e-6},
+                             {"material": "bulk"}],
+                  "temperature": 4.2},
+        "z": 1e-5,
+        "transition": {"frequency": 560e3, "label": "clock",
+                       "matrix_elements": [0.25, 0, 0.25]},
+        "quadrature": {"rel_tol": 1e-8, "max_refinements": 60},
+        "sweep": {"axis": "distance_z", "min": 1e-6, "max": 1e-5, "points": 3,
+                  "spacing": "log"},
+    }
+
+
+class TestAnyConfigValue:
+    # Whatever JSON value a config field holds, the CLI exits 0, 1 or 2,
+    # names the error when it does not succeed, and never raises.
+    @settings(max_examples=150)
+    @given(command=st.sampled_from(["rate", "sweep"]),
+           path=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES,
+           quiet=st.booleans())
+    def test_exit_code_and_message(self, tmp_path_factory, command, path, value, quiet):
+        raw = full_config()
+        *parents, last = path
+        target = raw
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        work = tmp_path_factory.mktemp("any-config")
+        cfg = work / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        argv = [command, "--config", str(cfg)] + ["--quiet"] * quiet
+        if command == "sweep":
+            argv += ["--out", str(work / "out.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert "error:" in err.getvalue()
+        assert "Traceback" not in out.getvalue() + err.getvalue()

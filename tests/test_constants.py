@@ -114,3 +114,17 @@ class TestTransitionSpec:
             TransitionSpec(frequency=560e3, matrix_elements=(1, 0))
         spec = TransitionSpec(frequency=1e6, matrix_elements=(0.25, 0.25j, 0.0))
         assert spec.matrix_elements == (0.25, 0.25j, 0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: TransitionSpec("5e5"),
+        lambda: TransitionSpec(None),
+        lambda: TransitionSpec(560e3, matrix_elements=("a", 0, 0)),
+        lambda: TransitionSpec(560e3, matrix_elements=(None, 0, 0)),
+        lambda: TransitionSpec(560e3, matrix_elements=5),
+        lambda: TransitionSpec(560e3, matrix_elements="abc"),
+    ], ids=["frequency-str", "frequency-none", "element-str", "element-none",
+            "elements-int", "elements-str"])
+    def test_wrong_type_is_domain_error(self, make):
+        # Not a bare TypeError from the comparison or from cmath.isfinite.
+        with pytest.raises(DomainError):
+            make()

@@ -73,8 +73,9 @@ class TestKronrodRule:
     def test_panels_in_one_call_equal_panels_alone(self):
         g = lambda u: u**3 * np.exp(-u) + np.sqrt(u)
         a, b = [2e-9, 0.25 / 64, 1.0], [0.25 / 64, 0.25, 3.0]
-        together = quadrature._panels(g, a, b)
-        alone = [quadrature._panels(g, [lo], [hi])[0] for lo, hi in zip(a, b)]
+        together = quadrature._panels(g, *quadrature._panel_set(a, b))
+        alone = [quadrature._panels(g, *quadrature._panel_set([lo], [hi]))[0]
+                 for lo, hi in zip(a, b)]
         for (err, lo, hi, value), (err1, lo1, hi1, value1) in zip(together, alone):
             assert (lo, hi) == (lo1, hi1)
             assert value == pytest.approx(value1, rel=1e-15, abs=0)

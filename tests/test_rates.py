@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -300,8 +301,8 @@ class TestCallSites:
                 counts[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        # A bare substrate's medium doubles as its zero-thickness film: one
-        # permittivity call fewer.
+        # One permittivity per layer and rate; one layer_wavevectors call
+        # covers every layer of a coefficient call.
         for stack, coefficients, permittivities in (
                 (niobium_stack, "te_reflection", 3),
                 (bscco_stack, "scattering_coefficients", 3),
@@ -309,7 +310,7 @@ class TestCallSites:
             counts.clear()
             diag = spin_flip_rate(stack, 10e-6).diagnostics
             calls = 9 + diag.refinements  # integrand calls
-            assert counts == {coefficients: calls, "layer_wavevectors": 3 * calls,
+            assert counts == {coefficients: calls, "layer_wavevectors": calls,
                               "permittivity": permittivities}
 
 
@@ -352,3 +353,42 @@ class TestNonFiniteInputs:
     def test_outer_layers_stay_semi_infinite(self):
         assert Layer(COPPER).thickness == math.inf
         assert LayerStack((Layer(VACUUM), Layer(COPPER, math.inf)), 4.2).film_thickness == 0.0
+
+
+def sc_stack(**params):
+    """NB_STACK with its film's two-fluid parameters replaced."""
+    p = {"lambda0": 35e-9, "Tc": 8.3, "sigma_normal": 1e7, "alpha": 4.0, **params}
+    film = IsotropicSuperconductor(TwoFluidParams(**p))
+    return LayerStack((Layer(VACUUM), Layer(film, 1e-6), Layer(COPPER)), 4.2)
+
+
+class TestOverflowingInputs:
+    # Finite inputs far outside any physical range overflow the arithmetic
+    # of the rate.  Each is a DomainError naming the overflow, not a bare
+    # OverflowError or ZeroDivisionError, a RuntimeWarning with "integrand
+    # not finite", or a silent tau = 0.
+    @pytest.mark.parametrize("make", [
+        lambda: spin_flip_rate(NB_STACK, 1e-300),
+        lambda: spin_flip_rate(NB_STACK, 10e-6, TransitionSpec(1e200)),
+        lambda: spin_flip_rate(NB_STACK, 10e-6, T=1e305),
+        lambda: spin_flip_rate(NB_STACK, 10e-6, TransitionSpec(560e3, matrix_elements=(1e200, 0, 0))),
+        lambda: gamma_general(NB_STACK, 10e-6, TransitionSpec(
+            560e3, matrix_elements=(complex(1.7e308, 1.7e308), 0, 0))),
+        lambda: spin_flip_rate(NB_STACK, 10e-6, TransitionSpec(560e3, matrix_elements=(1e148, 0, 0))),
+        lambda: spin_flip_rate(sc_stack(lambda0=1e-300), 10e-6),
+        lambda: spin_flip_rate(sc_stack(lambda0=1e300), 10e-6),
+        lambda: spin_flip_rate(sc_stack(alpha=1e-300), 10e-6),
+        lambda: spin_flip_rate(sc_stack(sigma_normal=1e308), 10e-6),
+    ], ids=["z-tiny", "frequency-huge", "T-huge", "element-huge", "element-abs-overflow",
+            "weighted-integrand-overflow", "lambda0-tiny", "lambda0-huge", "alpha-tiny",
+            "sigma_normal-huge"])
+    def test_raises_domain_error(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuasiStaticWarning)
+            with pytest.raises(DomainError, match="overflows double precision"):
+                make()
+
+    def test_extreme_inputs_that_stay_representable_still_compute(self):
+        # The guard is on the arithmetic, not on a range of inputs.
+        assert spin_flip_rate(NB_STACK, 1e-120).tau > 0
+        assert spin_flip_rate(sc_stack(alpha=1e300), 10e-6).tau > 0

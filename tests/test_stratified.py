@@ -14,7 +14,7 @@ from spinflip.materials import (COPPER, NIOBIUM, VACUUM, DrudeMetal,
 from spinflip.stratified import (Layer, LayerStack, fresnel_te,
                                  generalized_r_te, interface_rh, interface_rv,
                                  layer_wavevectors, scattering_coefficients,
-                                 te_reflection, tm_reflection)
+                                 stack_media, te_reflection, tm_reflection)
 
 OMEGA = 2 * math.pi * 560e3
 K0 = OMEGA / CONSTANTS.c
@@ -108,6 +108,31 @@ class TestLayerWavevectors:
     def test_singular_material(self):
         with pytest.raises(SingularMaterialError):
             layer_wavevectors(1e5, OMEGA, PermittivityTensor(1.0, 0.0))
+
+    @pytest.mark.parametrize("film", [NIOBIUM, "bscco", None],
+                             ids=["isotropic", "uniaxial", "bare"])
+    @pytest.mark.parametrize("eta", [3e5, np.geomspace(1e0, 1e8, 40)],
+                             ids=["scalar", "array"])
+    def test_stack_media_equals_per_layer_calls(self, film, eta):
+        from spinflip.materials import BSCCO
+        film = BSCCO if film == "bscco" else film
+        s = (LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2) if film is None
+             else stack(film, 1e-6))
+        stacked = layer_wavevectors(eta, OMEGA, stack_media(s, OMEGA))
+        assert stacked.h1.shape == (len(s.layers),) + np.shape(eta)
+        for i, layer in enumerate(s.layers):
+            alone = layer_wavevectors(eta, OMEGA, permittivity(layer.material, OMEGA, 4.2))
+            np.testing.assert_array_equal(stacked.h1[i], alone.h1)
+            np.testing.assert_array_equal(stacked.h2[i], alone.h2)
+        if film is BSCCO:
+            # Only the uniaxial film's two families differ.
+            assert not np.array_equal(stacked.h2[1], stacked.h1[1])
+        else:
+            assert stacked.h2 is stacked.h1
+
+    def test_stack_media_rejects_negative_eta(self, niobium_stack):
+        with pytest.raises(DomainError):
+            layer_wavevectors(np.array([1.0, -1.0]), OMEGA, stack_media(niobium_stack, OMEGA))
 
     @given(eps_t=passive_eps, eps_z=passive_eps, eta=st.floats(0.0, 1e8))
     def test_decaying_branch(self, eps_t, eps_z, eta):
@@ -244,6 +269,19 @@ class TestScatteringCoefficients:
         r3 = te_reflection(s3, self.eta_grid, OMEGA)
         r2 = te_reflection(s2, self.eta_grid, OMEGA)
         np.testing.assert_allclose(r3, r2, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("eta", [3e5, eta_grid], ids=["scalar", "array"])
+    def test_bare_substrate_is_exactly_a_zero_thickness_film_of_itself(self, eta):
+        # A bare substrate is one interface.  The film formula over a
+        # zero-thickness film of the substrate composes it with a zero
+        # interface coefficient, which gives the same numbers to the bit.
+        bare = LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)
+        film = stack(COPPER, 0.0)
+        np.testing.assert_array_equal(te_reflection(bare, eta, OMEGA),
+                                      te_reflection(film, eta, OMEGA))
+        for b2, b3 in zip(scattering_coefficients(bare, eta, OMEGA),
+                          scattering_coefficients(film, eta, OMEGA)):
+            np.testing.assert_array_equal(b2, b3)
 
     def test_uniaxial_film_families_differ(self):
         from spinflip.materials import BSCCO

@@ -72,6 +72,18 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             SweepSpec("distance_z", math.nan, 1.0, 5)
 
+    @pytest.mark.parametrize("args", [
+        ("distance_z", 1e-6, 1e-5, 2.5),
+        ("distance_z", 1e-6, 1e-5, 5.0),
+        ("distance_z", 1e-6, 1e-5, "5"),
+        ("distance_z", "1e-6", 1e-5, 5),
+        ("distance_z", 1e-6, None, 5),
+    ], ids=["points-fraction", "points-float", "points-str", "min-str", "max-none"])
+    def test_wrong_type_is_config_error(self, args):
+        # At construction, not as a TypeError from grid() or a comparison.
+        with pytest.raises(ConfigError):
+            SweepSpec(*args)
+
 
 class TestScreeningFactor:
     def test_zero_thickness_is_zero(self, niobium_stack):
