@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+def real_in_range(x, *, or_zero: bool = False) -> bool:
+    """True for a real number in (0, inf), or [0, inf) with `or_zero`;
+    NaN and non-numbers are never in range."""
+    return isinstance(x, numbers.Real) and (0 <= x if or_zero else 0 < x) and x < math.inf
+
+
 @dataclass(frozen=True)
 class Constants:
     """Fundamental constants (SI units)."""
@@ -57,7 +63,7 @@ class TransitionSpec:
     matrix_elements: tuple[complex, complex, complex] | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.frequency, numbers.Real) and 0 < self.frequency < math.inf):
+        if not real_in_range(self.frequency):
             raise DomainError("transition frequency must be a positive finite number")
         m = self.matrix_elements
         if m is not None and not (hasattr(m, "__len__") and len(m) == 3 and all(

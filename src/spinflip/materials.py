@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, real_in_range
 from .errors import DomainError
 
 __all__ = [
@@ -61,9 +61,9 @@ class TwoFluidParams:
     alpha: float = 4.0    # exponent of the (T/Tc)^alpha carrier split
 
     def __post_init__(self):
-        # Written as "not (valid)" so that NaN fails every check.
+        # Written as "not (valid)" so that NaN and non-numbers fail every check.
         for name in ("lambda0", "Tc", "sigma_normal", "alpha"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not real_in_range(getattr(self, name)):
                 raise DomainError(f"{name} must be positive and finite")
 
 
@@ -92,7 +92,7 @@ class DrudeMetal:
     label: str = "metal"
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
+        if not real_in_range(self.sigma):
             raise DomainError("sigma must be positive and finite")
 
 

@@ -189,8 +189,6 @@ def integrate_semi_infinite(integrand, z: float,
         evaluations += 2 * _NODES
         refinements += 1
 
-    total = math.fsum(p[3] for p in panels)
-    err_total = math.fsum(p[0] for p in panels)
     diag = QuadratureDiagnostics(
         evaluations=evaluations, truncation_eta=_U * scale,
         est_error=err_total / abs(total) if total else 0.0,

@@ -150,13 +150,14 @@ def _rate_integrand(stack: LayerStack | StackMedia, eta, z: float, omega: float,
     """The one rate integrand, e^{-2 eta z}/(8 pi) * Im[w_m eta^2 M + w_n k1^2 N],
     with (M, N) = -(B_M, B_N) the passive-sign film responses.  With w_n = 0
     only the M family is computed (te_reflection)."""
-    if w_n == 0.0:
-        m, n = te_reflection(stack, eta, omega), 0.0
-    else:
-        m, n = (-b for b in scattering_coefficients(stack, eta, omega))
-    k1 = omega / CONSTANTS.c
     eta = np.asarray(eta, dtype=float)
-    return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (w_m * eta**2 * m + w_n * k1**2 * n).imag
+    if w_n == 0.0:
+        return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (
+            w_m * eta**2 * te_reflection(stack, eta, omega).imag)
+    # One real negation, folded into the constant, for (M, N) = -(B_M, B_N).
+    b_m, b_n = scattering_coefficients(stack, eta, omega)
+    k1 = omega / CONSTANTS.c
+    return np.exp(-2.0 * eta * z) / (-8.0 * math.pi) * (w_m * eta**2 * b_m + w_n * k1**2 * b_n).imag
 
 
 def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,

@@ -42,11 +42,12 @@ the LayerStack: one layer_wavevectors call then covers every layer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, real_in_range
 from .errors import (DegenerateInterfaceError, DomainError, ResonanceError,
                      SingularMaterialError)
 from .materials import MaterialModel, PermittivityTensor, UniaxialSuperconductor, Vacuum, permittivity
@@ -79,7 +80,8 @@ class Layer:
     thickness: float = math.inf
 
     def __post_init__(self):
-        if not self.thickness >= 0:  # NaN fails too; outer layers are inf
+        # NaN and non-numbers fail too; outer layers are inf
+        if not (isinstance(self.thickness, numbers.Real) and self.thickness >= 0):
             raise DomainError("layer thickness must be non-negative")
 
 
@@ -97,7 +99,7 @@ class LayerStack:
             raise DomainError("stack must have 2 or 3 layers")
         if not isinstance(self.layers[0].material, Vacuum):
             raise DomainError("layer 1 must be vacuum (the atom sits in it)")
-        if not 0 <= self.temperature < math.inf:
+        if not real_in_range(self.temperature, or_zero=True):
             raise DomainError("temperature must be non-negative and finite")
         for layer in self.layers[1:-1]:
             if not math.isfinite(layer.thickness):
@@ -161,28 +163,37 @@ class StackMedia:
 
 def _decaying_sqrt(w):
     """Principal complex square root folded onto Im >= 0 (Re >= 0 on the real axis)."""
-    root = np.sqrt(np.asarray(w, dtype=complex))
-    return np.where(root.imag < 0, -root, root)
+    root = np.asarray(np.sqrt(np.asarray(w, dtype=complex)))  # 0-d stays writable
+    return np.negative(root, out=root, where=root.imag < 0)
 
 
-def _layer_medium(omega: float, eps: PermittivityTensor) -> LayerMedium:
-    """LayerMedium of a layer of permittivity `eps` at angular frequency `omega`."""
+def _medium_terms(omega: float, eps: PermittivityTensor):
+    """(kt2, anisotropy) of a layer of permittivity `eps` at angular
+    frequency `omega`, on Python scalars; anisotropy None when isotropic."""
     if omega <= 0:
         raise DomainError("omega must be positive")
     if eps.eps_z == 0:
         raise SingularMaterialError("eps_z = 0 makes the extraordinary wave singular")
     kt2 = (omega / CONSTANTS.c) ** 2 * eps.eps_t
-    anisotropy = None if eps.is_isotropic else 1.0 - eps.eps_t / eps.eps_z
+    return kt2, None if eps.is_isotropic else 1.0 - eps.eps_t / eps.eps_z
+
+
+def _layer_medium(omega: float, eps: PermittivityTensor) -> LayerMedium:
+    """LayerMedium of a layer of permittivity `eps` at angular frequency `omega`."""
+    kt2, anisotropy = _medium_terms(omega, eps)
     return LayerMedium(kt2, _decaying_sqrt(kt2), anisotropy)
 
 
 def stack_media(stack: LayerStack, omega: float) -> StackMedia:
-    """StackMedia of `stack` at `omega`: one permittivity per layer."""
-    media = [_layer_medium(omega, permittivity(layer.material, omega, stack.temperature))
-             for layer in stack.layers]
-    kt2, k, anisotropy = np.array([(m.kt2, m.k, m.anisotropy or 0) for m in media]).T
-    uniaxial = any(m.anisotropy is not None for m in media)
-    return StackMedia(kt2, k, anisotropy if uniaxial else None, stack.film_thickness)
+    """StackMedia of `stack` at `omega`: one permittivity per layer, and each
+    field built as one typed array."""
+    kt2, anisotropy = zip(*(
+        _medium_terms(omega, permittivity(layer.material, omega, stack.temperature))
+        for layer in stack.layers))
+    kt2 = np.array(kt2, dtype=complex)
+    uniaxial = any(a is not None for a in anisotropy)
+    anisotropy = np.array([a or 0 for a in anisotropy], dtype=complex) if uniaxial else None
+    return StackMedia(kt2, _decaying_sqrt(kt2), anisotropy, stack.film_thickness)
 
 
 def layer_wavevectors(eta, omega: float,
@@ -199,7 +210,7 @@ def layer_wavevectors(eta, omega: float,
     """
     medium = eps if isinstance(eps, (LayerMedium, StackMedia)) else _layer_medium(omega, eps)
     eta = np.asarray(eta, dtype=float)
-    if (eta < 0).any():
+    if np.count_nonzero(eta < 0):
         raise DomainError("eta must be non-negative")
     shape = np.shape(medium.kt2) + (1,) * eta.ndim
     kt2, eta2 = np.reshape(medium.kt2, shape), eta**2
@@ -228,16 +239,19 @@ def generalized_r_te(r12, r23, k2z, d: float):
 def _film(r12, r23, k2z, d: float):
     """generalized_r_te for a thickness d >= 0 already checked."""
     phase = np.exp(2j * np.asarray(k2z, dtype=complex) * d)
-    den = 1.0 + r12 * r23 * phase
-    if (np.abs(den) < _DENOMINATOR_GUARD).any():
+    den = r12 * r23 * phase
+    den += 1.0
+    if np.count_nonzero(np.abs(den) < _DENOMINATOR_GUARD):
         raise ResonanceError("film denominator below guard threshold")
-    return (r12 + r23 * phase) / den
+    num = r23 * phase + r12
+    num /= den  # num and den both span the broadcast of r12, r23 and phase
+    return num
 
 
 def interface_rh(h_f, h_f1):
     """TE-family interface coefficient (h_f1 - h_f)/(h_f1 + h_f) = -fresnel_te."""
     den = h_f + h_f1
-    if (np.abs(den) == 0).any():
+    if np.count_nonzero(den) < np.size(den):
         raise DegenerateInterfaceError("h_f + h_f1 = 0")
     return (h_f1 - h_f) / den
 
@@ -248,7 +262,7 @@ def interface_rv(h_f, h_f1, k_f, k_f1):
     a = h_f * k_f1**2
     b = h_f1 * k_f**2
     den = a + b
-    if (np.abs(den) == 0).any():
+    if np.count_nonzero(den) < np.size(den):
         raise DegenerateInterfaceError("TM interface denominator vanished")
     return (a - b) / den
 

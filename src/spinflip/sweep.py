@@ -44,7 +44,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .constants import RB87_CLOCK_TRANSITION, TransitionSpec
+from .constants import RB87_CLOCK_TRANSITION, TransitionSpec, real_in_range
 from .errors import ConfigError, DomainError, QuasiStaticWarning, SpinflipError
 from .materials import (DrudeMetal, IsotropicSuperconductor, MaterialModel,
                         TwoFluidParams, UniaxialSuperconductor, Vacuum,
@@ -72,6 +72,8 @@ _AXIS_COLUMN = {
     "reduced_T_over_Tc": "T_over_Tc",
 }
 AXES = tuple(_AXIS_COLUMN)
+# Largest sweep.points: a bigger grid is a mistake, not a run to queue.
+MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ class SweepSpec:
         if not (all(isinstance(x, numbers.Real) for x in (self.minimum, self.maximum))
                 and -math.inf < self.minimum < self.maximum < math.inf):
             raise ConfigError("sweep requires finite min < max")
-        if not (isinstance(self.points, numbers.Integral) and self.points >= 2):
-            raise ConfigError("sweep requires a whole number of at least 2 points")
+        if not (isinstance(self.points, numbers.Integral) and 2 <= self.points <= MAX_POINTS):
+            raise ConfigError(f"sweep requires a whole number of 2 to {MAX_POINTS} points")
         if self.spacing not in ("linear", "log"):
             raise ConfigError("spacing must be 'linear' or 'log'")
         if self.spacing == "log" and self.minimum <= 0:
@@ -110,7 +112,7 @@ class RunConfig:
     echo: dict = field(default_factory=dict)   # raw input for CSV metadata
 
     def __post_init__(self):
-        if not 0 < self.z < math.inf:
+        if not real_in_range(self.z):
             raise ConfigError("z must be positive and finite")
 
 

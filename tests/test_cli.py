@@ -230,6 +230,23 @@ class TestSweepCommands:
         assert "superconducting layer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", [1e15, 1e9])
+    def test_huge_point_count_is_usage_error(self, tmp_path, monkeypatch, capsys, points):
+        cfg = write_config(tmp_path, sweep={"axis": "distance_z", "min": 1e-6,
+                                            "max": 1e-4, "points": points})
+        import spinflip.cli as cli_mod
+
+        def never(*args, **kwargs):  # the count must be refused before any grid or rate
+            raise AssertionError("run_sweep reached")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", never)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "points" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
     def test_computation_error_exit_code(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, sweep={"axis": "distance_z", "min": 1e-6,
                                             "max": 1e-4, "points": 3})
@@ -307,8 +324,9 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 # Paths to the fields and sections of a config that uses every section.
-# sweep.points is left out: a valid huge count is a legitimate request for
-# that many rates (parse_config's own property test covers the field).
+# sweep.points is left out: any count up to sweep.MAX_POINTS is a legitimate
+# request for that many rates (parse_config's own property test covers the
+# field, and TestSweepCommands the counts above the maximum).
 CONFIG_FIELDS = [
     ("materials",), ("materials", 0), ("materials", 0, "label"),
     ("materials", 0, "variant"), ("materials", 0, "parameters"),

@@ -183,3 +183,19 @@ class TestPresets:
             UniaxialSuperconductor(
                 TwoFluidParams(300e-9, 90.0, 1e6, 1),
                 TwoFluidParams(100e-6, 80.0, 1e3, 1))
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("make", [
+        lambda: DrudeMetal("5"),
+        lambda: DrudeMetal(None),
+        lambda: TwoFluidParams("1", 8.3, 1e7),
+        lambda: TwoFluidParams(35e-9, "8.3", 1e7),
+        lambda: TwoFluidParams(35e-9, 8.3, [1e7]),
+        lambda: TwoFluidParams(35e-9, 8.3, 1e7, 4j),
+    ], ids=["sigma-str", "sigma-none", "lambda0-str", "Tc-str", "sigma_normal-list",
+            "alpha-complex"])
+    def test_wrong_type_is_domain_error(self, make):
+        # At construction, not as a TypeError from a range comparison.
+        with pytest.raises(DomainError):
+            make()

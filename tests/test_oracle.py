@@ -1,0 +1,106 @@
+"""Independent oracle for the rate: the film formulas written out on scalars
+with cmath and integrated by scipy.integrate.quad.
+
+For a seeded grid of stacks (bare Cu, and Nb, BSCCO and Cu films on Cu),
+heights and temperatures, each default-settings gamma_field of
+spin_flip_rate must match the oracle to 1e-8.  Only the permittivities and
+the rate prefactor come from the package; the wavenumbers, interface and
+film coefficients, channel weights and the integral do not.
+"""
+
+import cmath
+import math
+import random
+import warnings
+
+import pytest
+
+from spinflip.constants import CONSTANTS, RB87_CLOCK_TRANSITION, rate_prefactor
+from spinflip.materials import BSCCO, COPPER, NIOBIUM, VACUUM, permittivity
+from spinflip.rates import spin_flip_rate
+from spinflip.stratified import Layer, LayerStack
+
+integrate = pytest.importorskip("scipy.integrate")
+
+OMEGA = RB87_CLOCK_TRANSITION.omega
+K1 = OMEGA / CONSTANTS.c
+CASES = 32
+# Substituted variable u = 2 eta z, split where the integrand changes scale
+# (near metals its structure sits at u ~ z / skin depth).
+EDGES = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0,
+         64.0, math.inf)
+
+
+def decaying_sqrt(w: complex) -> complex:
+    root = cmath.sqrt(w)
+    return -root if root.imag < 0 else root
+
+
+def quotient(r: list, h: list, d: float) -> complex:
+    """One interface's coefficient, or the film formula over layer h[1]."""
+    if len(r) == 1:
+        return r[0]
+    phase = cmath.exp(2j * h[1] * d)
+    return (r[0] + r[1] * phase) / (1 + r[0] * r[1] * phase)
+
+
+def oracle_gamma_field(stack: LayerStack, z: float) -> float:
+    eps = [permittivity(layer.material, OMEGA, stack.temperature) for layer in stack.layers]
+    kt2 = [K1**2 * e.eps_t for e in eps]
+    anisotropy = [1 - e.eps_t / e.eps_z for e in eps]
+    d = stack.film_thickness
+    # Rb-87 preset, (1/4)^2 per spin channel: (w_M, w_N) = (3, 1); an
+    # isotropic stack keeps w_M / (3 pi) alone.
+    w_m, w_n = (3.0, 1.0) if stack.is_anisotropic else (1.0 / math.pi, 0.0)
+    interfaces = range(len(eps) - 1)
+
+    def integrand(eta: float) -> float:
+        h1 = [decaying_sqrt(k - eta**2) for k in kt2]
+        r_h = [(h1[i + 1] - h1[i]) / (h1[i + 1] + h1[i]) for i in interfaces]
+        value = -w_m * eta**2 * quotient(r_h, h1, d)  # M = -B_M
+        if w_n:
+            h2 = [decaying_sqrt(eta**2 * a + k - eta**2) for k, a in zip(kt2, anisotropy)]
+            r_v = [(h2[i] * kt2[i + 1] - h2[i + 1] * kt2[i])
+                   / (h2[i] * kt2[i + 1] + h2[i + 1] * kt2[i]) for i in interfaces]
+            value += w_n * K1**2 * quotient(r_v, h2, d)  # N = -B_N
+        return math.exp(-2 * eta * z) / (8 * math.pi) * value.imag
+
+    scale = 1 / (2 * z)
+    pieces = []
+    with warnings.catch_warnings():
+        # quad warns when roundoff stops it short of epsrel; the error
+        # estimate is checked below.
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for a, b in zip(EDGES[:-1], EDGES[1:]):
+            pieces.append(integrate.quad(lambda u: integrand(u * scale) * scale, a, b,
+                                         epsabs=0, epsrel=1e-12, limit=200))
+    total = math.fsum(p[0] for p in pieces)
+    assert math.fsum(p[1] for p in pieces) <= 1e-10 * abs(total)
+    return rate_prefactor() * total
+
+
+def grid():
+    rng = random.Random("oracle")
+    films = (None, NIOBIUM, BSCCO, COPPER)
+    for i in range(CASES):
+        film = films[i % len(films)]
+        T = rng.uniform(0.2, 100.0)
+        z = math.exp(rng.uniform(math.log(1e-7), math.log(1e-4)))
+        if film is None:
+            yield LayerStack((Layer(VACUUM), Layer(COPPER)), T), z
+        else:
+            d = math.exp(rng.uniform(math.log(1e-9), math.log(1e-5)))
+            yield LayerStack((Layer(VACUUM), Layer(film, d), Layer(COPPER)), T), z
+
+
+def case_id(case) -> str:
+    stack, z = case
+    film = stack.layers[1].material.label if len(stack.layers) == 3 else "bare"
+    return f"{film}-d{stack.film_thickness:.1e}-z{z:.1e}-T{stack.temperature:.0f}"
+
+
+@pytest.mark.parametrize("stack, z", list(grid()), ids=map(case_id, grid()))
+def test_gamma_field_matches_quad(stack, z):
+    want = oracle_gamma_field(stack, z)
+    got = spin_flip_rate(stack, z).gamma_field
+    assert got == pytest.approx(want, rel=1e-8, abs=0)

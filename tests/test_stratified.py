@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spinflip.constants import CONSTANTS
 from spinflip.errors import (DegenerateInterfaceError, DomainError,
                              ResonanceError, SingularMaterialError)
-from spinflip.materials import (COPPER, NIOBIUM, VACUUM, DrudeMetal,
+from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
                                 PermittivityTensor, TwoFluidParams,
                                 UniaxialSuperconductor, permittivity)
 from spinflip.stratified import (Layer, LayerStack, fresnel_te,
@@ -57,6 +57,17 @@ class TestLayerStack:
             LayerStack((Layer(VACUUM), Layer(COPPER)), -1.0)
         with pytest.raises(DomainError):
             LayerStack((Layer(VACUUM), Layer(NIOBIUM), Layer(COPPER)), 4.2)  # inf film
+
+    @pytest.mark.parametrize("make", [
+        lambda: Layer(NIOBIUM, "1e-6"),
+        lambda: Layer(NIOBIUM, 1e-6j),
+        lambda: LayerStack((Layer(VACUUM), Layer(COPPER)), "4"),
+        lambda: LayerStack((Layer(VACUUM), Layer(COPPER)), None),
+    ], ids=["thickness-str", "thickness-complex", "temperature-str", "temperature-none"])
+    def test_wrong_type_is_domain_error(self, make):
+        # At construction, not as a TypeError from a range comparison.
+        with pytest.raises(DomainError):
+            make()
 
     def test_film_thickness(self):
         assert stack(NIOBIUM, 1e-6).film_thickness == 1e-6
@@ -298,3 +309,95 @@ class TestScatteringCoefficients:
             eta = 10 ** rng.uniform(0, 7, size=40)
             r = te_reflection(s, eta, OMEGA)
             assert np.all(r.imag >= 0)
+
+
+class TestGuards:
+    """Each guard rejects an offending entry that sits beside a NaN, with its
+    own error type and message, and lets a NaN alone through."""
+
+    def test_negative_eta_beside_nan(self, niobium_stack):
+        eta = np.array([np.nan, -1.0])
+        for eps in (permittivity(NIOBIUM, OMEGA, 4.2), stack_media(niobium_stack, OMEGA)):
+            with pytest.raises(DomainError, match="^eta must be non-negative$"):
+                layer_wavevectors(eta, OMEGA, eps)
+
+    def test_degenerate_te_interface_beside_nan(self):
+        # h_f + h_f1 = [nan, 0]
+        with pytest.raises(DegenerateInterfaceError, match=r"^h_f \+ h_f1 = 0$"):
+            interface_rh(np.array([np.nan, 1.0 + 1j]), np.array([np.nan, -1.0 - 1j]))
+
+    def test_degenerate_tm_interface_beside_nan(self):
+        # h_f k_f1^2 + h_f1 k_f^2 = [nan, 0]
+        with pytest.raises(DegenerateInterfaceError,
+                           match="^TM interface denominator vanished$"):
+            interface_rv(np.array([np.nan, 1.0]), np.array([1.0, -1.0]), 1.0, 1.0)
+
+    def test_resonant_film_beside_nan(self):
+        # 1 + r12 r23 e^{2i k2z d} = [nan, 0]
+        with pytest.raises(ResonanceError, match="^film denominator below guard threshold$"):
+            generalized_r_te(np.array([np.nan, 1j]), np.array([1.0, 1j]), 0.0, 0.0)
+
+    def test_nan_alone_passes_every_guard(self, niobium_stack):
+        nan = np.array([np.nan, np.nan])
+        with np.errstate(invalid="ignore"):  # NaN in a complex division
+            assert np.isnan(layer_wavevectors(nan, OMEGA, stack_media(niobium_stack, OMEGA)).h1).all()
+            assert np.isnan(interface_rh(nan, nan)).all()
+            assert np.isnan(interface_rv(nan, nan, 1.0, 1.0)).all()
+            assert np.isnan(generalized_r_te(nan, nan, 0.0, 0.0)).all()
+
+
+class TestInputsUnchanged:
+    """The coefficient functions compute into arrays they make themselves."""
+
+    def test_input_arrays_are_not_written(self, rng, niobium_stack):
+        a, b, c, d = (rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(4))
+        eta = np.geomspace(1.0, 1e8, 8)
+        media = stack_media(niobium_stack, OMEGA)
+        uniaxial = stack_media(stack(BSCCO, 1e-7), OMEGA)
+        inputs = [a, b, c, d, eta, media.kt2, media.k, uniaxial.kt2, uniaxial.k,
+                  uniaxial.anisotropy]
+        saved = [x.copy() for x in inputs]
+        results = [interface_rh(a, b), interface_rv(a, b, c, d),
+                   generalized_r_te(a, b, 1e5 * c, 1e-7), generalized_r_te(a, 0.0, c, 0.0)]
+        for eps in (permittivity(BSCCO, OMEGA, 40.0), media, uniaxial):
+            wv = layer_wavevectors(eta, OMEGA, eps)
+            results += [wv.h1, wv.h2]
+        for x, before in zip(inputs, saved):
+            np.testing.assert_array_equal(x, before)
+        assert not any(np.shares_memory(r, x) for r in results for x in inputs)
+
+
+class TestScalarInputs:
+    """Scalar and 0-d inputs keep their values and scalar kinds (values
+    pinned from the out-of-place formulas)."""
+
+    def test_interface_coefficients(self):
+        rh = interface_rh(1 + 2j, 3 - 1j)
+        assert type(rh) is complex and rh == complex(0.29411764705882354, -0.8235294117647058)
+        rh0 = interface_rh(np.array(1 + 2j), np.array(3 - 1j))
+        assert np.ndim(rh0) == 0 and rh0 == rh
+        rv = interface_rv(1 + 1j, 2 - 1j, 3.0, 1j)
+        assert type(rv) is complex
+        assert rv == complex(-1.0359897172236505, -0.13881748071979438)
+        rv0 = interface_rv(*map(np.array, (1 + 1j, 2 - 1j, 3.0, 1j)))
+        assert np.ndim(rv0) == 0 and rv0 == complex(-1.0359897172236505, -0.1388174807197944)
+        assert fresnel_te(1.0, 3.0) == -0.5
+
+    def test_film(self):
+        want = complex(0.7040226205212191, 0.06263382547159728)
+        assert generalized_r_te(0.3 + 0.1j, 0.5 - 0.2j, 2e5 + 3e4j, 1e-6) == want
+        film0 = generalized_r_te(*map(np.array, (0.3 + 0.1j, 0.5 - 0.2j, 2e5 + 3e4j)), 1e-6)
+        assert np.ndim(film0) == 0 and film0 == want
+
+    @pytest.mark.parametrize("eta", [3e5, np.array(3e5)], ids=["scalar", "0-d"])
+    def test_wavevectors_and_stack_coefficients(self, eta):
+        wv = layer_wavevectors(eta, OMEGA, permittivity(BSCCO, OMEGA, 40.0))
+        assert isinstance(wv.h1, np.ndarray) and wv.h1.ndim == 0 and wv.h2.ndim == 0
+        assert wv.h1 == complex(17.668192337701974, 2502566.5838264935)
+        assert wv.h2 == complex(-78847.29415308007, 100030765.00364907)
+        assert te_reflection(stack(NIOBIUM, 1e-6), eta, OMEGA) == complex(
+            -0.9785104203635796, 4.039294048587252e-11)
+        b_m, b_n = scattering_coefficients(stack(BSCCO, 1e-7, T=40.0), eta, OMEGA)
+        assert np.ndim(b_m) == 0 and np.ndim(b_n) == 0
+        assert b_m == complex(0.4947147976896544, -0.00016483480721807338)
+        assert b_n == complex(-1.0000000000000149, -1.1943282014545908e-17)

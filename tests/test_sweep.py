@@ -11,7 +11,7 @@ from spinflip.errors import ConfigError, QuasiStaticWarning, SpinflipError
 from spinflip.materials import COPPER, DrudeMetal, NIOBIUM, VACUUM
 from spinflip.rates import spin_flip_rate
 from spinflip.stratified import Layer, LayerStack
-from spinflip.sweep import (RunConfig, SweepSpec, emit_csv, parse_config,
+from spinflip.sweep import (MAX_POINTS, RunConfig, SweepSpec, emit_csv, parse_config,
                             run_sweep, screening_factor)
 
 
@@ -83,6 +83,20 @@ class TestSweepSpec:
         # At construction, not as a TypeError from grid() or a comparison.
         with pytest.raises(ConfigError):
             SweepSpec(*args)
+
+    def test_points_bounded(self):
+        # Construction only: no grid of the maximum size is built here.
+        assert SweepSpec("distance_z", 1e-6, 1e-5, MAX_POINTS).points == MAX_POINTS
+        for points in (MAX_POINTS + 1, 10**9, 10**15):
+            with pytest.raises(ConfigError, match="points"):
+                SweepSpec("distance_z", 1e-6, 1e-5, points)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("z", ["1e-5", None, 1e-5j], ids=["str", "none", "complex"])
+    def test_wrong_type_z_is_config_error(self, copper_stack, z):
+        with pytest.raises(ConfigError):
+            RunConfig(copper_stack, z)
 
 
 class TestScreeningFactor:
