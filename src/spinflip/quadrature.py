@@ -38,6 +38,7 @@ initial panel one 21-point call, and a split evaluates both halves in one
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +114,13 @@ class QuadratureSettings:
     max_refinements: int = 60      # panel-split budget
 
     def __post_init__(self):
-        # Written as "not (valid)" so that NaN fails every check.
-        if not self.rel_tol > 0:
+        # Written as "not (valid)" so that NaN and non-numbers fail too.
+        if not (isinstance(self.rel_tol, numbers.Real) and self.rel_tol > 0):
             raise DomainError("rel_tol must be positive")
-        if not self.max_refinements >= 1:
+        m = self.max_refinements
+        if not isinstance(m, numbers.Integral) or isinstance(m, bool):
+            raise DomainError("max_refinements must be a whole number")
+        if m < 1:
             raise DomainError("max_refinements must be at least 1")
 
 

@@ -7,12 +7,12 @@ family of the film,
               * Im[w_M eta^2 M(eta) + w_N k1^2 N(eta)],
 
 with P = mu0 (muB gS)^2 / (8 hbar), k1 = omega/c and (M, N) the film
-responses of the TE-like and TM-like families: the negatives of the
-scattering_coefficients amplitudes, i.e. r_TE / r_TM in the isotropic limit.
-With this passive-response sign the integrand, a magnetic noise spectral
-density, is non-negative for passive media.  _channel_weights turns the
-transition's spin matrix elements (the Rb-87 preset if it has none) and the
-spin orientation into (w_M, w_N), (3, 1) for the preset; every route uses it:
+responses of the TE-like and TM-like families that scattering_coefficients
+returns, r_TE / r_TM in the isotropic limit.  With these Fresnel signs the
+integrand, a magnetic noise spectral density, is non-negative for passive
+media.  _channel_weights turns the transition's spin matrix elements (the
+Rb-87 preset if it has none) and the spin orientation into (w_M, w_N), (3, 1)
+for the preset; every route uses it:
 
 * gamma_anisotropic / gamma_general -- (w_M, w_N): the scattering-coefficient
   rate (uniaxial film allowed), random or fixed orientation;
@@ -43,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import (CONSTANTS, RB87_CLOCK_TRANSITION, TransitionSpec,
-                        rate_prefactor, thermal_photon_number)
+                        rate_prefactor, real_in_range, thermal_photon_number)
 from .errors import (DomainError, GrazingSingularityError, QuasiStaticWarning,
                      SpinflipError)
 from .quadrature import (DEFAULT_SETTINGS, QuadratureDiagnostics,
@@ -132,6 +132,8 @@ def _channel_weights(transition: TransitionSpec,
     """Kernel weights (w_M, w_N) = (16 (w_par + 2 w_perp), 16 w_par) of the
     orientation's channels, w_par = |mx|^2 + |my|^2 and w_perp = |mz|^2 in
     hbar units; 16 rate_prefactor() = mu0 2 (muB gS)^2/hbar."""
+    if not isinstance(orientation, SpinOrientation):
+        raise DomainError(f"orientation must be a SpinOrientation, not {orientation!r}")
     if transition.matrix_elements is None:
         w_par = w_perp = PRESET_SPIN_WEIGHT
     else:
@@ -148,16 +150,15 @@ def _channel_weights(transition: TransitionSpec,
 def _rate_integrand(stack: LayerStack | StackMedia, eta, z: float, omega: float,
                     w_m: float, w_n: float):
     """The one rate integrand, e^{-2 eta z}/(8 pi) * Im[w_m eta^2 M + w_n k1^2 N],
-    with (M, N) = -(B_M, B_N) the passive-sign film responses.  With w_n = 0
-    only the M family is computed (te_reflection)."""
+    with (M, N) the film responses.  With w_n = 0 only the M family is
+    computed (te_reflection)."""
     eta = np.asarray(eta, dtype=float)
     if w_n == 0.0:
         return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (
             w_m * eta**2 * te_reflection(stack, eta, omega).imag)
-    # One real negation, folded into the constant, for (M, N) = -(B_M, B_N).
-    b_m, b_n = scattering_coefficients(stack, eta, omega)
+    m, n = scattering_coefficients(stack, eta, omega)
     k1 = omega / CONSTANTS.c
-    return np.exp(-2.0 * eta * z) / (-8.0 * math.pi) * (w_m * eta**2 * b_m + w_n * k1**2 * b_n).imag
+    return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (w_m * eta**2 * m + w_n * k1**2 * n).imag
 
 
 def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
@@ -167,7 +168,7 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
     """Rate of the orientation's channels on the prefactor rate_prefactor();
     with `m_only`, the M channel alone divided by PATH_CALIBRATION_RATIO.
     Inputs so extreme that the arithmetic overflows give a DomainError."""
-    if not 0 < z < math.inf:
+    if not real_in_range(z):
         raise DomainError("atom height z must be positive and finite")
     check_quasi_static(z, transition)
     if T is None:
@@ -249,7 +250,7 @@ def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
     if (h == 0).any():
         raise GrazingSingularityError(
             "eta equals the free-space wavenumber; integrable grazing point")
-    m, n = (-b for b in scattering_coefficients(stack, eta_arr, omega))
+    m, n = scattering_coefficients(stack, eta_arr, omega)
     bracket = m * (eta_arr**3 / h - h * eta_arr / 2.0) + n * eta_arr * k**2 / (2.0 * h)
     return 1j * np.exp(2j * h * z) / (4.0 * math.pi) * bracket
 

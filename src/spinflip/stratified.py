@@ -12,25 +12,19 @@ Conventions, fixed once for the whole package:
   exp(2i h d), exp(2i h z) has magnitude <= 1.
 * Two wave families propagate in a uniaxial layer: the ordinary family
   (h from k_t^2 = (omega/c)^2 eps_t, TE-like, "M") and the extraordinary
-  family (TM-like, "N").  Interface coefficients R_H (TE family) and R_V
-  (TM family) are signed as
+  family (TM-like, "N").  Their interface coefficients carry the usual
+  Fresnel signs of r_TE and r_TM:
 
-      R_H(h_f, h_f1)          = (h_f1 - h_f)/(h_f1 + h_f) = -r_TE
-      R_V(h_f, h_f1, k_f, k_f1) = (h_f k_f1^2 - h_f1 k_f^2)/(h_f k_f1^2 + h_f1 k_f^2)
-
-  i.e. R_H is the negative of the usual TE Fresnel coefficient while R_V has
-  the usual TM sign.
-* The film scattering amplitudes returned by scattering_coefficients are
+      fresnel_te(h_f, h_f1) = (h_f - h_f1)/(h_f + h_f1)
+      interface_rv(h_f, h_f1, k_f, k_f1) = (h_f k_f1^2 - h_f1 k_f^2)/(h_f k_f1^2 + h_f1 k_f^2)
+* The film responses (M, N) returned by scattering_coefficients are
   phase-referenced to the top interface: the raw stack formula carries a
   factor exp(-2i h1 d) from an origin at the bottom of the film, which
   diverges for evanescent waves; referencing to the top interface absorbs it
   into the atom-side factor exp(2i h1 z) and keeps every integrand decaying.
-  Signs: +quotient for the M family, -quotient for the N family, so in the
-  isotropic limit B_M = -r_TE(stack) and B_N = -r_TM(stack).
+  In the isotropic limit M = r_TE(stack) and N = r_TM(stack).
 * One film formula (generalized_r_te) composes the interface coefficients of
-  both families, and one TE interface formula (interface_rh) serves both sign
-  conventions: fresnel_te = -interface_rh, te_reflection = -B_M (evaluated
-  without the TM family) and tm_reflection = -B_N.
+  both families; te_reflection is M evaluated without the TM family.
 
 All coefficient functions accept scalar or ndarray eta and vectorize.  A
 rate sets its stack up once (stack_media: per layer one permittivity, kt^2,
@@ -55,18 +49,15 @@ from .materials import MaterialModel, PermittivityTensor, UniaxialSuperconductor
 __all__ = [
     "Layer",
     "LayerStack",
-    "LayerMedium",
     "LayerWavevectors",
     "StackMedia",
     "layer_wavevectors",
     "stack_media",
     "fresnel_te",
     "generalized_r_te",
-    "interface_rh",
     "interface_rv",
     "scattering_coefficients",
     "te_reflection",
-    "tm_reflection",
 ]
 
 _DENOMINATOR_GUARD = 1e-14
@@ -95,6 +86,8 @@ class LayerStack:
     def __post_init__(self):
         if not isinstance(self.layers, tuple):
             object.__setattr__(self, "layers", tuple(self.layers))
+        if not all(isinstance(layer, Layer) for layer in self.layers):
+            raise DomainError("every layer of a stack must be a Layer")
         if len(self.layers) not in (2, 3):
             raise DomainError("stack must have 2 or 3 layers")
         if not isinstance(self.layers[0].material, Vacuum):
@@ -139,21 +132,12 @@ class LayerWavevectors:
 
 
 @dataclass(frozen=True)
-class LayerMedium:
-    """What the wavevectors of one layer need at one frequency, set up once
-    per rate: kt2 = (omega/c)^2 eps_t, its decaying root k (the TM-family
-    wavenumber) and the anisotropy 1 - eps_t/eps_z (None when isotropic)."""
-
-    kt2: complex
-    k: complex
-    anisotropy: complex | None
-
-
-@dataclass(frozen=True)
 class StackMedia:
-    """A stack's LayerMedium fields at one frequency as arrays on a leading
-    layer axis (anisotropy 0 for an isotropic layer, and None when no layer
-    is uniaxial), and the film thickness d (0 for a bare substrate)."""
+    """What the wavevectors of a stack's layers need at one frequency, set up
+    once per rate, as arrays on a leading layer axis: kt2 = (omega/c)^2 eps_t,
+    its decaying root k (the TM-family wavenumber) and the anisotropy
+    1 - eps_t/eps_z (0 for an isotropic layer, and None when no layer is
+    uniaxial); and the film thickness d (0 for a bare substrate)."""
 
     kt2: np.ndarray
     k: np.ndarray
@@ -178,12 +162,6 @@ def _medium_terms(omega: float, eps: PermittivityTensor):
     return kt2, None if eps.is_isotropic else 1.0 - eps.eps_t / eps.eps_z
 
 
-def _layer_medium(omega: float, eps: PermittivityTensor) -> LayerMedium:
-    """LayerMedium of a layer of permittivity `eps` at angular frequency `omega`."""
-    kt2, anisotropy = _medium_terms(omega, eps)
-    return LayerMedium(kt2, _decaying_sqrt(kt2), anisotropy)
-
-
 def stack_media(stack: LayerStack, omega: float) -> StackMedia:
     """StackMedia of `stack` at `omega`: one permittivity per layer, and each
     field built as one typed array."""
@@ -196,34 +174,36 @@ def stack_media(stack: LayerStack, omega: float) -> StackMedia:
     return StackMedia(kt2, _decaying_sqrt(kt2), anisotropy, stack.film_thickness)
 
 
-def layer_wavevectors(eta, omega: float,
-                      eps: PermittivityTensor | LayerMedium | StackMedia) -> LayerWavevectors:
+def layer_wavevectors(eta, omega: float, eps: PermittivityTensor | StackMedia) -> LayerWavevectors:
     """z-wavenumbers of both wave families at transverse wavenumber `eta`.
 
     h1^2 = (omega/c)^2 eps_t - eta^2
     h2^2 = eta^2 (1 - eps_t/eps_z) + (omega/c)^2 eps_t - eta^2
 
     For an isotropic permittivity the two are equal and h2 is h1.  `eps` may
-    also be the layer's LayerMedium at `omega`, set up once for many calls,
-    or a stack's StackMedia, which gives every layer's h1 and h2 in one call:
-    the layer axis comes first and eta's axes follow.
+    also be a stack's StackMedia at `omega`, which gives every layer's h1 and
+    h2 in one call: the layer axis comes first and eta's axes follow.
     """
-    medium = eps if isinstance(eps, (LayerMedium, StackMedia)) else _layer_medium(omega, eps)
+    kt2, anisotropy = ((eps.kt2, eps.anisotropy) if isinstance(eps, StackMedia)
+                       else _medium_terms(omega, eps))
     eta = np.asarray(eta, dtype=float)
     if np.count_nonzero(eta < 0):
         raise DomainError("eta must be non-negative")
-    shape = np.shape(medium.kt2) + (1,) * eta.ndim
-    kt2, eta2 = np.reshape(medium.kt2, shape), eta**2
+    shape = np.shape(kt2) + (1,) * eta.ndim
+    kt2, eta2 = np.reshape(kt2, shape), eta**2
     h1 = _decaying_sqrt(kt2 - eta2)
-    if medium.anisotropy is None:
+    if anisotropy is None:
         return LayerWavevectors(h1, h1)
-    h2 = _decaying_sqrt(eta2 * np.reshape(medium.anisotropy, shape) + kt2 - eta2)
+    h2 = _decaying_sqrt(eta2 * np.reshape(anisotropy, shape) + kt2 - eta2)
     return LayerWavevectors(h1, h2)
 
 
 def fresnel_te(k1z, k2z):
     """TE Fresnel reflection coefficient (k1z - k2z)/(k1z + k2z)."""
-    return -interface_rh(k1z, k2z)
+    den = k1z + k2z
+    if np.count_nonzero(den) < np.size(den):
+        raise DegenerateInterfaceError("k1z + k2z = 0")
+    return (k1z - k2z) / den
 
 
 def generalized_r_te(r12, r23, k2z, d: float):
@@ -233,11 +213,6 @@ def generalized_r_te(r12, r23, k2z, d: float):
     compose their interface coefficients with it."""
     if d < 0:
         raise DomainError("film thickness must be non-negative")
-    return _film(r12, r23, k2z, d)
-
-
-def _film(r12, r23, k2z, d: float):
-    """generalized_r_te for a thickness d >= 0 already checked."""
     phase = np.exp(2j * np.asarray(k2z, dtype=complex) * d)
     den = r12 * r23 * phase
     den += 1.0
@@ -246,14 +221,6 @@ def _film(r12, r23, k2z, d: float):
     num = r23 * phase + r12
     num /= den  # num and den both span the broadcast of r12, r23 and phase
     return num
-
-
-def interface_rh(h_f, h_f1):
-    """TE-family interface coefficient (h_f1 - h_f)/(h_f1 + h_f) = -fresnel_te."""
-    den = h_f + h_f1
-    if np.count_nonzero(den) < np.size(den):
-        raise DegenerateInterfaceError("h_f + h_f1 = 0")
-    return (h_f1 - h_f) / den
 
 
 def interface_rv(h_f, h_f1, k_f, k_f1):
@@ -273,34 +240,28 @@ def _media(stack: LayerStack | StackMedia, omega: float) -> StackMedia:
 
 def _stack_quotient(r, h, d: float):
     """One interface's coefficient r[0], or the film formula over layer h[1]."""
-    return r[0] if len(r) == 1 else _film(r[0], r[1], h[1], d)
+    return r[0] if len(r) == 1 else generalized_r_te(r[0], r[1], h[1], d)
 
 
 def scattering_coefficients(stack: LayerStack | StackMedia, eta, omega: float):
-    """Phase-referenced film scattering amplitudes (B_M, B_N) at `eta`.
+    """Phase-referenced film responses (M, N) at `eta`.
 
-    B_M uses the ordinary-family wavevectors and TE-family interface
-    coefficients; B_N the extraordinary family and TM-family coefficients.
-    Signs: B_M = +quotient, B_N = -quotient (see module docstring).  `stack`
-    may also be its StackMedia at `omega`, set up once for many calls.
+    M composes the ordinary-family wavevectors with TE interface
+    coefficients, N the extraordinary family with TM ones (see module
+    docstring).  `stack` may also be its StackMedia at `omega`, set up once
+    for many calls.
     """
     media = _media(stack, omega)
     wv = layer_wavevectors(eta, omega, media)
-    b_m = _stack_quotient(interface_rh(wv.h1[:-1], wv.h1[1:]), wv.h1, media.d)
+    m = _stack_quotient(fresnel_te(wv.h1[:-1], wv.h1[1:]), wv.h1, media.d)
     k = np.reshape(media.k, np.shape(media.k) + (1,) * (wv.h2.ndim - 1))
-    b_n = -_stack_quotient(interface_rv(wv.h2[:-1], wv.h2[1:], k[:-1], k[1:]),
-                           wv.h2, media.d)
-    return b_m, b_n
+    n = _stack_quotient(interface_rv(wv.h2[:-1], wv.h2[1:], k[:-1], k[1:]), wv.h2, media.d)
+    return m, n
 
 
 def te_reflection(stack: LayerStack | StackMedia, eta, omega: float):
-    """Generalized TE reflection coefficient of the stack at `eta` (= -B_M,
-    computed without the TM family).  `stack` may also be its StackMedia."""
+    """Generalized TE reflection coefficient of the stack at `eta`: M,
+    computed without the TM family.  `stack` may also be its StackMedia."""
     media = _media(stack, omega)
     h = layer_wavevectors(eta, omega, media).h1
-    return -_stack_quotient(interface_rh(h[:-1], h[1:]), h, media.d)
-
-
-def tm_reflection(stack: LayerStack, eta, omega: float):
-    """Generalized TM-family reflection coefficient of the stack (= -B_N)."""
-    return -scattering_coefficients(stack, eta, omega)[1]
+    return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media.d)

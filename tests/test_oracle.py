@@ -56,13 +56,13 @@ def oracle_gamma_field(stack: LayerStack, z: float) -> float:
 
     def integrand(eta: float) -> float:
         h1 = [decaying_sqrt(k - eta**2) for k in kt2]
-        r_h = [(h1[i + 1] - h1[i]) / (h1[i + 1] + h1[i]) for i in interfaces]
-        value = -w_m * eta**2 * quotient(r_h, h1, d)  # M = -B_M
+        r_te = [(h1[i] - h1[i + 1]) / (h1[i] + h1[i + 1]) for i in interfaces]
+        value = w_m * eta**2 * quotient(r_te, h1, d)  # M
         if w_n:
             h2 = [decaying_sqrt(eta**2 * a + k - eta**2) for k, a in zip(kt2, anisotropy)]
             r_v = [(h2[i] * kt2[i + 1] - h2[i + 1] * kt2[i])
                    / (h2[i] * kt2[i + 1] + h2[i + 1] * kt2[i]) for i in interfaces]
-            value += w_n * K1**2 * quotient(r_v, h2, d)  # N = -B_N
+            value += w_n * K1**2 * quotient(r_v, h2, d)  # N
         return math.exp(-2 * eta * z) / (8 * math.pi) * value.imag
 
     scale = 1 / (2 * z)

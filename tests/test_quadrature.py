@@ -138,4 +138,9 @@ class TestEngine:
         for field in ("rel_tol", "max_refinements"):
             with pytest.raises(DomainError):
                 QuadratureSettings(**{field: math.nan})
+        # Wrong types fail here, not as a TypeError from a range comparison;
+        # a refinement budget is a whole number, not a float or a bool.
+        for args in (("1e-8",), (1e-8, 2.5), (1e-8, True)):
+            with pytest.raises(DomainError):
+                QuadratureSettings(*args)
 

@@ -341,11 +341,13 @@ class TestNonFiniteInputs:
         lambda: lambda_of_T(35e-9, math.nan, 8.3, 4.0),
         lambda: sigma_n_of_T(1e7, math.nan, 8.3, 4.0),
         lambda: skin_depth(math.nan, 1e7),
+        lambda: spin_flip_rate(NB_STACK, "1e-5"),
+        lambda: gamma_general(NB_STACK, 10e-6, orientation="parallel"),
     ], ids=["z-nan", "z-inf", "T-inf", "T-nan", "element-nan", "element-inf",
             "frequency-nan", "frequency-inf", "stack-T-nan", "stack-T-inf",
             "thickness-nan", "sigma-nan", "sigma-inf", "lambda0-nan", "Tc-nan",
             "sigma_normal-inf", "alpha-nan", "lambda_of_T-nan", "sigma_n_of_T-nan",
-            "skin_depth-nan"])
+            "skin_depth-nan", "z-str", "orientation-str"])
     def test_raises_domain_error(self, make):
         with pytest.raises(DomainError):
             make()

@@ -12,9 +12,9 @@ from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
                                 PermittivityTensor, TwoFluidParams,
                                 UniaxialSuperconductor, permittivity)
 from spinflip.stratified import (Layer, LayerStack, fresnel_te,
-                                 generalized_r_te, interface_rh, interface_rv,
+                                 generalized_r_te, interface_rv,
                                  layer_wavevectors, scattering_coefficients,
-                                 stack_media, te_reflection, tm_reflection)
+                                 stack_media, te_reflection)
 
 OMEGA = 2 * math.pi * 560e3
 K0 = OMEGA / CONSTANTS.c
@@ -63,7 +63,9 @@ class TestLayerStack:
         lambda: Layer(NIOBIUM, 1e-6j),
         lambda: LayerStack((Layer(VACUUM), Layer(COPPER)), "4"),
         lambda: LayerStack((Layer(VACUUM), Layer(COPPER)), None),
-    ], ids=["thickness-str", "thickness-complex", "temperature-str", "temperature-none"])
+        lambda: LayerStack((Layer(VACUUM), "copper"), 4.2),
+    ], ids=["thickness-str", "thickness-complex", "temperature-str", "temperature-none",
+            "layer-str"])
     def test_wrong_type_is_domain_error(self, make):
         # At construction, not as a TypeError from a range comparison.
         with pytest.raises(DomainError):
@@ -202,17 +204,6 @@ class TestGeneralizedReflection:
 
 
 class TestInterfaceCoefficients:
-    def test_rh_equal_media(self):
-        assert interface_rh(2.0 + 1.0j, 2.0 + 1.0j) == 0.0
-
-    @given(a=wavenumbers, b=wavenumbers)
-    def test_rh_antisymmetry(self, a, b):
-        assert interface_rh(a, b) == pytest.approx(-interface_rh(b, a), rel=1e-12)
-
-    @given(a=wavenumbers, b=wavenumbers)
-    def test_rh_is_negated_fresnel(self, a, b):
-        assert interface_rh(a, b) == pytest.approx(-fresnel_te(a, b), rel=1e-12)
-
     def test_rv_identical_media(self):
         assert interface_rv(1.0 + 1.0j, 1.0 + 1.0j, 2.0, 2.0) == 0.0
 
@@ -233,50 +224,56 @@ class TestScatteringCoefficients:
 
     def test_zero_thickness_is_single_interface(self):
         s = stack(NIOBIUM, 0.0)
-        b_m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
-        bare = LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)
+        m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
         h1 = layer_wavevectors(self.eta_grid, OMEGA, PermittivityTensor(1, 1)).h1
         h3 = layer_wavevectors(self.eta_grid, OMEGA, permittivity(COPPER, OMEGA, 4.2)).h1
-        np.testing.assert_allclose(b_m, -fresnel_te(h1, h3), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m, fresnel_te(h1, h3), rtol=1e-12, atol=1e-12)
 
     def test_transparent_back_is_single_interface(self):
-        # layer 3 identical to layer 2: R2 = 0, so B_M = R1
+        # layer 3 identical to layer 2: r23 = 0, so M = r12
         metal = DrudeMetal(1e6)
         s = stack(metal, 3e-6, substrate=metal)
-        b_m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
+        m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
         h1 = layer_wavevectors(self.eta_grid, OMEGA, PermittivityTensor(1, 1)).h1
         h2 = layer_wavevectors(self.eta_grid, OMEGA, permittivity(metal, OMEGA, 4.2)).h1
-        np.testing.assert_allclose(b_m, interface_rh(h1, h2), rtol=1e-12)
+        np.testing.assert_allclose(m, fresnel_te(h1, h2), rtol=1e-12)
 
     def test_isotropic_degeneracy(self):
-        # for an isotropic film both families collapse onto the generalized
-        # reflection coefficients: B_M = -r_TE, B_N = -r_TM
-        s = stack(DrudeMetal(1e6), 1e-6)
-        b_m, b_n = scattering_coefficients(s, self.eta_grid, OMEGA)
-        np.testing.assert_allclose(b_m, -te_reflection(s, self.eta_grid, OMEGA),
-                                   rtol=1e-10)
-        np.testing.assert_allclose(b_n, -tm_reflection(s, self.eta_grid, OMEGA),
-                                   rtol=1e-10)
+        # For an isotropic film both families are the generalized reflection
+        # coefficients, M = r_TE and N = r_TM of the stack, composed here
+        # layer by layer from the interface formulas.
+        d = 1e-6
+        s = stack(DrudeMetal(1e6), d)
+        m, n = scattering_coefficients(s, self.eta_grid, OMEGA)
+        eps = [permittivity(layer.material, OMEGA, 4.2) for layer in s.layers]
+        h1, h2, h3 = (layer_wavevectors(self.eta_grid, OMEGA, e).h2 for e in eps)
+        k1, k2, k3 = (K0 * np.sqrt(complex(e.eps_t)) for e in eps)
+        np.testing.assert_allclose(
+            m, generalized_r_te(fresnel_te(h1, h2), fresnel_te(h2, h3), h2, d), rtol=1e-10)
+        np.testing.assert_allclose(
+            n, generalized_r_te(interface_rv(h1, h2, k1, k2), interface_rv(h2, h3, k2, k3),
+                                h2, d), rtol=1e-10)
 
-    def test_te_reflection_is_exactly_minus_b_m(self):
+    def test_te_reflection_is_exactly_m(self):
         # the rate kernel takes M from te_reflection when the TM family has
-        # zero weight and from -B_M otherwise; both must be the same numbers
+        # zero weight and from scattering_coefficients otherwise; both must
+        # be the same numbers
         from spinflip.materials import BSCCO
         for s in (stack(NIOBIUM, 1e-6), stack(BSCCO, 2.5e-6),
                   LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)):
-            b_m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
-            np.testing.assert_array_equal(te_reflection(s, self.eta_grid, OMEGA), -b_m)
+            m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
+            np.testing.assert_array_equal(te_reflection(s, self.eta_grid, OMEGA), m)
 
     def test_zero_thickness_layer_elision(self):
         s3 = stack(NIOBIUM, 0.0)
         s2 = LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)
-        bm3, bn3 = scattering_coefficients(s3, self.eta_grid, OMEGA)
-        bm2, bn2 = scattering_coefficients(s2, self.eta_grid, OMEGA)
-        np.testing.assert_allclose(bm3, bm2, rtol=1e-12, atol=1e-12)
+        m3, n3 = scattering_coefficients(s3, self.eta_grid, OMEGA)
+        m2, n2 = scattering_coefficients(s2, self.eta_grid, OMEGA)
+        np.testing.assert_allclose(m3, m2, rtol=1e-12, atol=1e-12)
         # TM-family interface coefficients of a conductor-grade film sit
         # within ~1e-11 of +-1 at 560 kHz, so the d = 0 composition cancels
         # ~11 digits; agreement is conditioning-limited, not a formula error.
-        np.testing.assert_allclose(bn3, bn2, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(n3, n2, rtol=1e-12, atol=1e-9)
         r3 = te_reflection(s3, self.eta_grid, OMEGA)
         r2 = te_reflection(s2, self.eta_grid, OMEGA)
         np.testing.assert_allclose(r3, r2, rtol=1e-12, atol=1e-12)
@@ -290,14 +287,14 @@ class TestScatteringCoefficients:
         film = stack(COPPER, 0.0)
         np.testing.assert_array_equal(te_reflection(bare, eta, OMEGA),
                                       te_reflection(film, eta, OMEGA))
-        for b2, b3 in zip(scattering_coefficients(bare, eta, OMEGA),
+        for c2, c3 in zip(scattering_coefficients(bare, eta, OMEGA),
                           scattering_coefficients(film, eta, OMEGA)):
-            np.testing.assert_array_equal(b2, b3)
+            np.testing.assert_array_equal(c2, c3)
 
     def test_uniaxial_film_families_differ(self):
         from spinflip.materials import BSCCO
-        b_m, b_n = scattering_coefficients(stack(BSCCO, 1e-6), self.eta_grid, OMEGA)
-        assert not np.allclose(b_m, -b_n)
+        m, n = scattering_coefficients(stack(BSCCO, 1e-6), self.eta_grid, OMEGA)
+        assert not np.allclose(m, -n)
 
     def test_passivity_of_te_reflection(self, rng):
         # evanescent reflection off random passive lossy stacks has Im >= 0
@@ -322,9 +319,9 @@ class TestGuards:
                 layer_wavevectors(eta, OMEGA, eps)
 
     def test_degenerate_te_interface_beside_nan(self):
-        # h_f + h_f1 = [nan, 0]
-        with pytest.raises(DegenerateInterfaceError, match=r"^h_f \+ h_f1 = 0$"):
-            interface_rh(np.array([np.nan, 1.0 + 1j]), np.array([np.nan, -1.0 - 1j]))
+        # k1z + k2z = [nan, 0]
+        with pytest.raises(DegenerateInterfaceError, match=r"^k1z \+ k2z = 0$"):
+            fresnel_te(np.array([np.nan, 1.0 + 1j]), np.array([np.nan, -1.0 - 1j]))
 
     def test_degenerate_tm_interface_beside_nan(self):
         # h_f k_f1^2 + h_f1 k_f^2 = [nan, 0]
@@ -341,7 +338,7 @@ class TestGuards:
         nan = np.array([np.nan, np.nan])
         with np.errstate(invalid="ignore"):  # NaN in a complex division
             assert np.isnan(layer_wavevectors(nan, OMEGA, stack_media(niobium_stack, OMEGA)).h1).all()
-            assert np.isnan(interface_rh(nan, nan)).all()
+            assert np.isnan(fresnel_te(nan, nan)).all()
             assert np.isnan(interface_rv(nan, nan, 1.0, 1.0)).all()
             assert np.isnan(generalized_r_te(nan, nan, 0.0, 0.0)).all()
 
@@ -357,7 +354,7 @@ class TestInputsUnchanged:
         inputs = [a, b, c, d, eta, media.kt2, media.k, uniaxial.kt2, uniaxial.k,
                   uniaxial.anisotropy]
         saved = [x.copy() for x in inputs]
-        results = [interface_rh(a, b), interface_rv(a, b, c, d),
+        results = [fresnel_te(a, b), interface_rv(a, b, c, d),
                    generalized_r_te(a, b, 1e5 * c, 1e-7), generalized_r_te(a, 0.0, c, 0.0)]
         for eps in (permittivity(BSCCO, OMEGA, 40.0), media, uniaxial):
             wv = layer_wavevectors(eta, OMEGA, eps)
@@ -372,10 +369,10 @@ class TestScalarInputs:
     pinned from the out-of-place formulas)."""
 
     def test_interface_coefficients(self):
-        rh = interface_rh(1 + 2j, 3 - 1j)
-        assert type(rh) is complex and rh == complex(0.29411764705882354, -0.8235294117647058)
-        rh0 = interface_rh(np.array(1 + 2j), np.array(3 - 1j))
-        assert np.ndim(rh0) == 0 and rh0 == rh
+        te = fresnel_te(1 + 2j, 3 - 1j)
+        assert type(te) is complex and te == complex(-0.29411764705882354, 0.8235294117647058)
+        te0 = fresnel_te(np.array(1 + 2j), np.array(3 - 1j))
+        assert np.ndim(te0) == 0 and te0 == te
         rv = interface_rv(1 + 1j, 2 - 1j, 3.0, 1j)
         assert type(rv) is complex
         assert rv == complex(-1.0359897172236505, -0.13881748071979438)
@@ -397,7 +394,7 @@ class TestScalarInputs:
         assert wv.h2 == complex(-78847.29415308007, 100030765.00364907)
         assert te_reflection(stack(NIOBIUM, 1e-6), eta, OMEGA) == complex(
             -0.9785104203635796, 4.039294048587252e-11)
-        b_m, b_n = scattering_coefficients(stack(BSCCO, 1e-7, T=40.0), eta, OMEGA)
-        assert np.ndim(b_m) == 0 and np.ndim(b_n) == 0
-        assert b_m == complex(0.4947147976896544, -0.00016483480721807338)
-        assert b_n == complex(-1.0000000000000149, -1.1943282014545908e-17)
+        m, n = scattering_coefficients(stack(BSCCO, 1e-7, T=40.0), eta, OMEGA)
+        assert np.ndim(m) == 0 and np.ndim(n) == 0
+        assert m == complex(-0.4947147976896544, 0.00016483480721807338)
+        assert n == complex(1.0000000000000149, 1.1943282014545908e-17)
