@@ -19,6 +19,7 @@ import sys
 import warnings
 
 from . import __version__
+from .constants import real_in_range
 from .errors import ConfigError, SpinflipError
 from .figures import FIGURES, figure_curves, reproduce
 from .materials import (DrudeMetal, IsotropicSuperconductor,
@@ -38,10 +39,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """--tol value: a positive number ("not > 0" also rejects NaN)."""
+    """--tol value: a positive finite number."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text}")
+    if not real_in_range(value):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
     return value
 
 

@@ -61,7 +61,6 @@ class TwoFluidParams:
     alpha: float = 4.0    # exponent of the (T/Tc)^alpha carrier split
 
     def __post_init__(self):
-        # Written as "not (valid)" so that NaN and non-numbers fail every check.
         for name in ("lambda0", "Tc", "sigma_normal", "alpha"):
             if not real_in_range(getattr(self, name)):
                 raise DomainError(f"{name} must be positive and finite")
@@ -96,6 +95,15 @@ class DrudeMetal:
             raise DomainError("sigma must be positive and finite")
 
 
+def _check_validity_metadata(material) -> None:
+    """A superconductor's first critical field and gap frequency are each
+    positive and finite, or None."""
+    for name in ("first_critical_field", "gap_frequency"):
+        value = getattr(material, name)
+        if value is not None and not real_in_range(value):
+            raise DomainError(f"{name} must be positive and finite, or None")
+
+
 @dataclass(frozen=True)
 class IsotropicSuperconductor:
     """s-wave-like superconductor: one two-fluid component for all axes."""
@@ -106,6 +114,9 @@ class IsotropicSuperconductor:
     # the Meissner state, i.e. local fields below the first critical field.
     first_critical_field: float | None = None   # (T)
     gap_frequency: float | None = None          # (Hz)
+
+    def __post_init__(self):
+        _check_validity_metadata(self)
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,7 @@ class UniaxialSuperconductor:
     gap_frequency: float | None = None
 
     def __post_init__(self):
+        _check_validity_metadata(self)
         if self.transverse.Tc != self.longitudinal.Tc:
             raise DomainError("transverse and longitudinal components must share Tc")
 
@@ -135,10 +147,10 @@ def lambda_of_T(lambda0: float, T: float, Tc: float, alpha: float) -> float:
 
     Only defined below Tc; strictly increasing in T.
     """
-    if not (lambda0 > 0 and Tc > 0):
-        raise DomainError("lambda0 and Tc must be positive")
-    if not T >= 0:
-        raise DomainError("temperature must be non-negative")
+    if not (real_in_range(lambda0) and real_in_range(Tc)):
+        raise DomainError("lambda0 and Tc must be positive and finite")
+    if not real_in_range(T, or_zero=True):
+        raise DomainError("temperature must be non-negative and finite")
     if T >= Tc:
         raise DomainError(
             "penetration depth undefined at or above Tc; use the normal-state model")
@@ -148,10 +160,10 @@ def lambda_of_T(lambda0: float, T: float, Tc: float, alpha: float) -> float:
 def sigma_n_of_T(sigma_normal: float, T: float, Tc: float, alpha: float) -> float:
     """Normal-fluid conductivity sigma_n(T) = sigma_normal (T/Tc)^alpha,
     clamped to sigma_normal at and above Tc."""
-    if not (sigma_normal > 0 and Tc > 0):
-        raise DomainError("sigma_normal and Tc must be positive")
-    if not T >= 0:
-        raise DomainError("temperature must be non-negative")
+    if not (real_in_range(sigma_normal) and real_in_range(Tc)):
+        raise DomainError("sigma_normal and Tc must be positive and finite")
+    if not real_in_range(T, or_zero=True):
+        raise DomainError("temperature must be non-negative and finite")
     if T >= Tc:
         return sigma_normal
     return sigma_normal * (T / Tc) ** alpha
@@ -159,8 +171,8 @@ def sigma_n_of_T(sigma_normal: float, T: float, Tc: float, alpha: float) -> floa
 
 def skin_depth(omega: float, sigma: float) -> float:
     """Skin depth sqrt(2/(omega mu0 sigma)) of a conductor."""
-    if not (omega > 0 and sigma > 0):
-        raise DomainError("omega and sigma must be positive")
+    if not (real_in_range(omega) and real_in_range(sigma)):
+        raise DomainError("omega and sigma must be positive and finite")
     return math.sqrt(2.0 / (omega * CONSTANTS.mu0 * sigma))
 
 
@@ -182,10 +194,10 @@ def permittivity(material: MaterialModel, omega: float, T: float) -> Permittivit
     """Relative permittivity tensor of `material` at angular frequency `omega`
     and temperature `T`.  Superconductors evaluated at T >= Tc return their
     normal-state Drude permittivity."""
-    if not omega > 0:
-        raise DomainError("omega must be positive")
-    if not T >= 0:
-        raise DomainError("temperature must be non-negative")
+    if not real_in_range(omega):
+        raise DomainError("omega must be positive and finite")
+    if not real_in_range(T, or_zero=True):
+        raise DomainError("temperature must be non-negative and finite")
     if isinstance(material, Vacuum):
         return PermittivityTensor(1.0 + 0.0j, 1.0 + 0.0j)
     if isinstance(material, DrudeMetal):

@@ -38,11 +38,11 @@ initial panel one 21-point call, and a split evaluates both halves in one
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import real_in_range
 from .errors import DomainError, QuadratureError
 
 __all__ = ["QuadratureSettings", "QuadratureDiagnostics", "integrate_semi_infinite"]
@@ -114,11 +114,10 @@ class QuadratureSettings:
     max_refinements: int = 60      # panel-split budget
 
     def __post_init__(self):
-        # Written as "not (valid)" so that NaN and non-numbers fail too.
-        if not (isinstance(self.rel_tol, numbers.Real) and self.rel_tol > 0):
-            raise DomainError("rel_tol must be positive")
+        if not real_in_range(self.rel_tol):
+            raise DomainError("rel_tol must be positive and finite")
         m = self.max_refinements
-        if not isinstance(m, numbers.Integral) or isinstance(m, bool):
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
             raise DomainError("max_refinements must be a whole number")
         if m < 1:
             raise DomainError("max_refinements must be at least 1")
@@ -157,8 +156,8 @@ def integrate_semi_infinite(integrand, z: float,
     Returns (value, QuadratureDiagnostics); raises QuadratureError (carrying
     the partial value) if the refinement budget is exhausted first.
     """
-    if z <= 0:
-        raise DomainError("z must be positive")
+    if not real_in_range(z):
+        raise DomainError("z must be positive and finite")
 
     scale = 1.0 / (2.0 * z)
 

@@ -242,8 +242,8 @@ def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
     h the vacuum z-wavenumber.  Its imaginary part is the rate integrand; for
     eta >> k it reduces to rate_integrand_anisotropic with an O((k/eta)^2)
     error.  Exposed for testing and as the full-retardation option."""
-    if z <= 0:
-        raise DomainError("z must be positive")
+    if not real_in_range(z):
+        raise DomainError("z must be positive and finite")
     eta_arr = np.asarray(eta, dtype=float)
     k = omega / CONSTANTS.c
     h = layer_wavevectors(eta_arr, omega, permittivity(stack.layers[0].material, omega, stack.temperature)).h1

@@ -36,7 +36,6 @@ the LayerStack: one layer_wavevectors call then covers every layer.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +70,9 @@ class Layer:
     thickness: float = math.inf
 
     def __post_init__(self):
-        # NaN and non-numbers fail too; outer layers are inf
-        if not (isinstance(self.thickness, numbers.Real) and self.thickness >= 0):
-            raise DomainError("layer thickness must be non-negative")
+        if not (self.thickness == math.inf or real_in_range(self.thickness, or_zero=True)):
+            raise DomainError("layer thickness must be non-negative and finite, "
+                              "or inf for an outer layer")
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,8 @@ def _decaying_sqrt(w):
 def _medium_terms(omega: float, eps: PermittivityTensor):
     """(kt2, anisotropy) of a layer of permittivity `eps` at angular
     frequency `omega`, on Python scalars; anisotropy None when isotropic."""
-    if omega <= 0:
-        raise DomainError("omega must be positive")
+    if not real_in_range(omega):
+        raise DomainError("omega must be positive and finite")
     if eps.eps_z == 0:
         raise SingularMaterialError("eps_z = 0 makes the extraordinary wave singular")
     kt2 = (omega / CONSTANTS.c) ** 2 * eps.eps_t
@@ -211,8 +210,8 @@ def generalized_r_te(r12, r23, k2z, d: float):
     round-trip phase:  (r12 + r23 e^{2i k2z d}) / (1 - r21 r23 e^{2i k2z d}),
     with r21 = -r12.  The one film formula of the package: both wave families
     compose their interface coefficients with it."""
-    if d < 0:
-        raise DomainError("film thickness must be non-negative")
+    if not real_in_range(d, or_zero=True):
+        raise DomainError("film thickness must be non-negative and finite")
     phase = np.exp(2j * np.asarray(k2z, dtype=complex) * d)
     den = r12 * r23 * phase
     den += 1.0

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import sys
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
@@ -44,7 +43,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .constants import RB87_CLOCK_TRANSITION, TransitionSpec, real_in_range
+from .constants import RB87_CLOCK_TRANSITION, TransitionSpec, finite_real, real_in_range
 from .errors import ConfigError, DomainError, QuasiStaticWarning, SpinflipError
 from .materials import (DrudeMetal, IsotropicSuperconductor, MaterialModel,
                         TwoFluidParams, UniaxialSuperconductor, Vacuum,
@@ -87,8 +86,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; choose from {AXES}")
-        if not (all(isinstance(x, numbers.Real) for x in (self.minimum, self.maximum))
-                and -math.inf < self.minimum < self.maximum < math.inf):
+        if not (finite_real(self.minimum) and finite_real(self.maximum)
+                and self.minimum < self.maximum):
             raise ConfigError("sweep requires finite min < max")
         if not (isinstance(self.points, numbers.Integral) and 2 <= self.points <= MAX_POINTS):
             raise ConfigError(f"sweep requires a whole number of 2 to {MAX_POINTS} points")
@@ -118,7 +117,6 @@ class RunConfig:
 
 @dataclass
 class SweepTable:
-    axis: str
     columns: dict[str, list]      # column name (unit-annotated) -> values
     metadata: dict[str, Any]
 
@@ -216,7 +214,7 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
     metadata["sweep"] = {"axis": spec.axis, "min": spec.minimum,
                          "max": spec.maximum, "points": spec.points,
                          "spacing": spec.spacing}
-    return SweepTable(axis=spec.axis, columns=columns, metadata=metadata)
+    return SweepTable(columns=columns, metadata=metadata)
 
 
 def _format_value(v) -> str:
@@ -265,7 +263,7 @@ def _real(value, context: str) -> float:
     """A finite JSON number (int or float; bool is not a number) as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number")
-    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond floats
+    if not finite_real(value):  # NaN, inf, or an int beyond floats
         raise ConfigError(f"{context} must be finite")
     return float(value)
 
@@ -281,17 +279,6 @@ def _whole(mapping: dict, key: str, context: str) -> int:
     return int(value)
 
 
-def _positive(mapping: dict, key: str, context: str) -> float:
-    value = _finite(mapping, key, context)
-    if value <= 0:
-        raise ConfigError(f"{context}.{key} must be positive")
-    return value
-
-
-def _optional_positive(mapping: dict, key: str, context: str) -> float | None:
-    return None if mapping.get(key) is None else _positive(mapping, key, context)
-
-
 def _complex(value, context: str) -> complex:
     """A finite complex number given as a number or a [re, im] pair."""
     parts = value if isinstance(value, list) else [value]
@@ -302,12 +289,14 @@ def _complex(value, context: str) -> complex:
 
 def _two_fluid(params: dict, context: str) -> TwoFluidParams:
     params = _object(params, context)
-    return TwoFluidParams(
-        lambda0=_positive(params, "lambda0", context),
-        Tc=_positive(params, "Tc", context),
-        sigma_normal=_positive(params, "sigma_normal", context),
-        alpha=_positive(params, "alpha", context),
-    )
+    return TwoFluidParams(**{key: _finite(params, key, context)
+                             for key in ("lambda0", "Tc", "sigma_normal", "alpha")})
+
+
+def _validity_metadata(params: dict, context: str) -> dict:
+    """A superconductor's optional first_critical_field and gap_frequency."""
+    return {key: None if params.get(key) is None else _finite(params, key, context)
+            for key in ("first_critical_field", "gap_frequency")}
 
 
 def _parse_material(entry: dict) -> MaterialModel:
@@ -318,20 +307,16 @@ def _parse_material(entry: dict) -> MaterialModel:
     if variant == "vacuum":
         return Vacuum(label=label)
     if variant == "drude_metal":
-        return DrudeMetal(sigma=_positive(params, "sigma", ctx), label=label)
+        return DrudeMetal(sigma=_finite(params, "sigma", ctx), label=label)
     if variant == "isotropic_sc":
-        return IsotropicSuperconductor(
-            params=_two_fluid(params, ctx), label=label,
-            first_critical_field=_optional_positive(params, "first_critical_field", ctx),
-            gap_frequency=_optional_positive(params, "gap_frequency", ctx))
+        return IsotropicSuperconductor(params=_two_fluid(params, ctx), label=label,
+                                       **_validity_metadata(params, ctx))
     if variant == "uniaxial_sc":
         return UniaxialSuperconductor(
             transverse=_two_fluid(_require(params, "transverse", ctx), f"{ctx} transverse"),
             longitudinal=_two_fluid(_require(params, "longitudinal", ctx),
                                     f"{ctx} longitudinal"),
-            label=label,
-            first_critical_field=_optional_positive(params, "first_critical_field", ctx),
-            gap_frequency=_optional_positive(params, "gap_frequency", ctx))
+            label=label, **_validity_metadata(params, ctx))
     raise ConfigError(f"unknown material variant {variant!r} for {label!r}")
 
 
@@ -339,6 +324,15 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
     """Validate a configuration mapping; returns the run configuration and
     the sweep specification when one is present.  Raises ConfigError before
     any computation on invalid input."""
+    try:
+        return _parse(raw)
+    except DomainError as exc:  # a value out of its constructor's range
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse(raw) -> tuple[RunConfig, SweepSpec | None]:
+    """parse_config without the DomainError rewrap: it checks the JSON shape
+    of each field and leaves every range check to the constructor it feeds."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
 
@@ -347,10 +341,7 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
     if not isinstance(materials_raw, list):
         raise ConfigError("materials must be a list")
     for i, entry in enumerate(materials_raw):
-        try:
-            m = _parse_material(_object(entry, f"materials[{i}]"))
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        m = _parse_material(_object(entry, f"materials[{i}]"))
         registry[m.label] = m
 
     stack_raw = _object(_require(raw, "stack", "configuration"), "stack")
@@ -364,25 +355,15 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
         if not isinstance(name, str) or name not in registry:
             raise ConfigError(f"stack references unknown material {name!r}")
         interior = 0 < i < len(layers_raw) - 1
-        if interior:
-            thickness = _finite(lr, "thickness", f"stack.layers[{i}]")
-            if thickness < 0:
-                raise ConfigError(f"stack.layers[{i}].thickness must be >= 0")
-        else:
-            thickness = math.inf
+        thickness = _finite(lr, "thickness", f"stack.layers[{i}]") if interior else math.inf
         layers.append(Layer(registry[name], thickness))
-    temperature = _finite(stack_raw, "temperature", "stack")
-    try:
-        stack = LayerStack(tuple(layers), temperature)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    z = _positive(raw, "z", "configuration")
+    stack = LayerStack(tuple(layers), _finite(stack_raw, "temperature", "stack"))
+    z = _finite(raw, "z", "configuration")
 
     transition = RB87_CLOCK_TRANSITION
     if "transition" in raw:
         tr = _object(raw["transition"], "transition")
-        trkw = {"frequency": _positive(tr, "frequency", "transition"),
+        trkw = {"frequency": _finite(tr, "frequency", "transition"),
                 "label": str(tr.get("label", ""))}
         if "matrix_elements" in tr:
             elements = tr["matrix_elements"]
@@ -391,10 +372,7 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
             trkw["matrix_elements"] = tuple(
                 _complex(xy, f"transition.matrix_elements[{i}]")
                 for i, xy in enumerate(elements))
-        try:
-            transition = TransitionSpec(**trkw)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        transition = TransitionSpec(**trkw)
 
     settings = DEFAULT_SETTINGS
     if "quadrature" in raw:
@@ -405,12 +383,9 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
             raise ConfigError(f"unknown quadrature key(s) {', '.join(map(repr, unknown))}; "
                               f"expected {' or '.join(defaults)}")
         q = {**defaults, **q}
-        try:
-            settings = QuadratureSettings(
-                rel_tol=_finite(q, "rel_tol", "quadrature"),
-                max_refinements=_whole(q, "max_refinements", "quadrature"))
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        settings = QuadratureSettings(
+            rel_tol=_finite(q, "rel_tol", "quadrature"),
+            max_refinements=_whole(q, "max_refinements", "quadrature"))
 
     sweep = None
     if "sweep" in raw:

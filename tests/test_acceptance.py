@@ -14,6 +14,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from fit_conductivity import bscco_stack as fit_bscco_stack, fit, nb_stack as fit_nb_stack
 from spinflip.constants import CONSTANTS, RB87_CLOCK_TRANSITION, rate_prefactor
 from spinflip.figures import FIGURES, reproduce
 from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
@@ -39,7 +40,6 @@ TAU_B_4K = 5e6          # BSCCO film d = 2.5 um, z = 10 um, T = 4.2 K
 RATIO_NB_OVER_B = 2000.0
 TAU_B_77K = 95.0        # BSCCO at 77 K
 TAU_NB_77K = 1e-2       # normally conducting niobium at 77 K
-SIGMA_FIT_WINDOW = (1e4, 1e9)   # admissible normal-state conductivities (S/m)
 
 
 def report(criterion, ok, detail):
@@ -47,47 +47,12 @@ def report(criterion, ok, detail):
     return ok
 
 
-def nb_stack(d=1e-6, T=4.2, sigma=None):
-    mat = NIOBIUM
-    if sigma is not None:
-        mat = IsotropicSuperconductor(
-            TwoFluidParams(35e-9, 8.3, sigma, 4.0), label="niobium")
-    return LayerStack((Layer(VACUUM), Layer(mat, d), Layer(COPPER)), T)
+def nb_stack(d=1e-6, T=4.2):
+    return LayerStack((Layer(VACUUM), Layer(NIOBIUM, d), Layer(COPPER)), T)
 
 
-def bscco_stack(d=2.5e-6, T=4.2, sigma=None):
-    mat = BSCCO
-    if sigma is not None:
-        mat = UniaxialSuperconductor(
-            transverse=TwoFluidParams(300e-9, 90.0, sigma, 1.0),
-            longitudinal=TwoFluidParams(100e-6, 90.0, sigma / 1000, 1.0),
-            label="bscco")
-    return LayerStack((Layer(VACUUM), Layer(mat, d), Layer(COPPER)), T)
-
-
-def fit_sigma(make_stack, target_tau, T):
-    """Documented one-parameter fit: bisection on log(sigma_normal) inside
-    SIGMA_FIT_WINDOW (tau is monotone decreasing in sigma for these stacks).
-    Returns (sigma, achieved tau); clamps to the window edge if the target
-    lies outside the reachable range."""
-    lo, hi = SIGMA_FIT_WINDOW
-
-    def tau_of(sigma):
-        return spin_flip_rate(make_stack(sigma=sigma), Z_CANONICAL, T=T).tau
-
-    if tau_of(lo) <= target_tau:
-        return lo, tau_of(lo)
-    if tau_of(hi) >= target_tau:
-        return hi, tau_of(hi)
-    a, b = math.log(lo), math.log(hi)
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        if tau_of(math.exp(mid)) > target_tau:
-            a = mid
-        else:
-            b = mid
-    sigma = math.exp(0.5 * (a + b))
-    return sigma, tau_of(sigma)
+def bscco_stack(d=2.5e-6, T=4.2):
+    return LayerStack((Layer(VACUUM), Layer(BSCCO, d), Layer(COPPER)), T)
 
 
 def within_factor(value, target, factor):
@@ -222,8 +187,8 @@ class TestCriterion08BenchmarkLifetimes:
                        and within_factor(tau_b, TAU_B_4K, 30))
         ok_ratio = within_factor(ratio, RATIO_NB_OVER_B, 10)
 
-        sigma_nb, tau_nb_fit = fit_sigma(nb_stack, TAU_NB_4K, 4.2)
-        sigma_b, tau_b_fit = fit_sigma(bscco_stack, TAU_B_4K, 4.2)
+        sigma_nb, tau_nb_fit, _ = fit(fit_nb_stack, TAU_NB_4K, 4.2)
+        sigma_b, tau_b_fit, _ = fit(fit_bscco_stack, TAU_B_4K, 4.2)
         ok_fit = (within_factor(tau_nb_fit, TAU_NB_4K, 3)
                   and within_factor(tau_b_fit, TAU_B_4K, 3))
 
@@ -241,9 +206,7 @@ class TestCriterion08BenchmarkLifetimes:
 class TestCriterion09LiquidNitrogenLifetimes:
     def test_bscco_77k(self):
         tau_default = spin_flip_rate(bscco_stack(T=77.0), Z_CANONICAL).tau
-        sigma_fit, tau_fit = fit_sigma(
-            lambda sigma=None: bscco_stack(T=77.0, sigma=sigma),
-            TAU_B_77K, 77.0)
+        sigma_fit, tau_fit, _ = fit(fit_bscco_stack, TAU_B_77K, 77.0)
         ok = (within_factor(tau_default, TAU_B_77K, 30)
               and within_factor(tau_fit, TAU_B_77K, 3))
         assert report(
@@ -261,9 +224,7 @@ class TestCriterion09LiquidNitrogenLifetimes:
         "1e-2 s benchmark is ~3 orders of magnitude below the model floor"))
     def test_normal_niobium_77k(self):
         tau_default = spin_flip_rate(nb_stack(T=77.0), Z_CANONICAL).tau
-        sigma_fit, tau_fit = fit_sigma(
-            lambda sigma=None: nb_stack(T=77.0, sigma=sigma),
-            TAU_NB_77K, 77.0)
+        sigma_fit, tau_fit, _ = fit(fit_nb_stack, TAU_NB_77K, 77.0)
         ok = (within_factor(tau_default, TAU_NB_77K, 30)
               and within_factor(tau_fit, TAU_NB_77K, 3))
         assert report(

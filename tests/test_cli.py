@@ -104,7 +104,7 @@ class TestRateCommand:
         assert main(["rate", "--config", str(cfg)]) == 1
         assert "z must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e999"])
     def test_bad_tol_is_usage_error(self, tmp_path, capsys, tol):
         cfg = write_config(tmp_path)
         assert main(["rate", "--config", str(cfg), "--tol", tol]) == 1

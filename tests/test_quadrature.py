@@ -127,8 +127,9 @@ class TestEngine:
             integrate_semi_infinite(lambda eta: np.full_like(eta, np.nan), 1e-5)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            integrate_semi_infinite(lambda eta: eta, 0.0)
+        for z in (0.0, math.inf, math.nan, True):
+            with pytest.raises(DomainError):
+                integrate_semi_infinite(lambda eta: eta, z)
 
     def test_settings_validation(self):
         with pytest.raises(DomainError):

@@ -4,17 +4,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import spinflip.rates
 import spinflip.stratified
 from spinflip.constants import CONSTANTS, RB87_CLOCK_TRANSITION, TransitionSpec, rate_prefactor
-from spinflip.errors import DomainError, GrazingSingularityError, QuasiStaticWarning
+from spinflip.errors import (DomainError, GrazingSingularityError, QuasiStaticWarning,
+                             SpinflipError)
 from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
                                 IsotropicSuperconductor, TwoFluidParams,
                                 UniaxialSuperconductor, lambda_of_T, sigma_n_of_T,
                                 skin_depth)
 from spinflip.quadrature import QuadratureSettings
-from spinflip.rates import (PATH_CALIBRATION_RATIO, SpinOrientation,
+from spinflip.rates import (PATH_CALIBRATION_RATIO, RateResult, SpinOrientation,
                             double_curl_integrand, gamma_anisotropic,
                             gamma_general, gamma_isotropic,
                             rate_integrand_anisotropic, spin_flip_rate)
@@ -318,8 +321,11 @@ NB_STACK = LayerStack((Layer(VACUUM), Layer(NIOBIUM, 1e-6), Layer(COPPER)), 4.2)
 
 
 class TestNonFiniteInputs:
-    # A non-finite input fails at its check, not later as a RuntimeWarning,
-    # a misleading "integrand not finite", a bare ZeroDivisionError or a NaN.
+    # An input that is not a finite real (NaN, an infinity, a bool, an int
+    # beyond the float range, a string) or is out of its range fails at its
+    # check, not later as a RuntimeWarning, a misleading "integrand not
+    # finite" or "negative field rate", a bare OverflowError or
+    # ZeroDivisionError, or a NaN.
     @pytest.mark.parametrize("make", [
         lambda: spin_flip_rate(NB_STACK, math.nan),
         lambda: spin_flip_rate(NB_STACK, math.inf),
@@ -343,11 +349,30 @@ class TestNonFiniteInputs:
         lambda: skin_depth(math.nan, 1e7),
         lambda: spin_flip_rate(NB_STACK, "1e-5"),
         lambda: gamma_general(NB_STACK, 10e-6, orientation="parallel"),
+        lambda: spin_flip_rate(NB_STACK, True),
+        lambda: spin_flip_rate(NB_STACK, 10**400),
+        lambda: spin_flip_rate(NB_STACK, 10e-6, T=True),
+        lambda: Layer(COPPER, True),
+        lambda: spin_flip_rate(NB_STACK.with_film_thickness(10**400), 10e-6),
+        lambda: TransitionSpec(True),
+        lambda: DrudeMetal(True),
+        lambda: TransitionSpec(560e3, matrix_elements=(True, 0, 0)),
+        lambda: TransitionSpec(560e3, matrix_elements=(10**400, 0, 0)),
+        lambda: QuadratureSettings(math.inf),
+        lambda: QuadratureSettings(True),
+        lambda: IsotropicSuperconductor(NIOBIUM.params, first_critical_field=-0.14),
+        lambda: UniaxialSuperconductor(BSCCO.transverse, BSCCO.longitudinal,
+                                       gap_frequency=-7.5e12),
+        lambda: double_curl_integrand(NB_STACK, 1e5, math.nan, OMEGA),
     ], ids=["z-nan", "z-inf", "T-inf", "T-nan", "element-nan", "element-inf",
             "frequency-nan", "frequency-inf", "stack-T-nan", "stack-T-inf",
             "thickness-nan", "sigma-nan", "sigma-inf", "lambda0-nan", "Tc-nan",
             "sigma_normal-inf", "alpha-nan", "lambda_of_T-nan", "sigma_n_of_T-nan",
-            "skin_depth-nan", "z-str", "orientation-str"])
+            "skin_depth-nan", "z-str", "orientation-str", "z-bool", "z-huge-int",
+            "T-bool", "thickness-bool", "film-huge-int", "frequency-bool", "sigma-bool",
+            "element-bool", "element-huge-int", "rel_tol-inf", "rel_tol-bool",
+            "first_critical_field-negative", "gap_frequency-negative",
+            "double_curl-z-nan"])
     def test_raises_domain_error(self, make):
         with pytest.raises(DomainError):
             make()
@@ -394,3 +419,40 @@ class TestOverflowingInputs:
         # The guard is on the arithmetic, not on a range of inputs.
         assert spin_flip_rate(NB_STACK, 1e-120).tau > 0
         assert spin_flip_rate(sc_stack(alpha=1e300), 10e-6).tau > 0
+
+
+# Zero, negatives, non-finite floats, bools and ints beyond the float range.
+EDGE_VALUES = [0.0, -0.0, -1.0, -5e-324, math.nan, math.inf, -math.inf,
+               True, False, 10**400, -10**400]
+
+
+def number(lo, hi):
+    """A value in the physical range [lo, hi], a positive float from 5e-324
+    to 1.8e308, or an edge value."""
+    return st.floats(lo, hi) | st.floats(5e-324, 1.8e308) | st.sampled_from(EDGE_VALUES)
+
+
+class TestAnyInput:
+    # run_sweep records a SpinflipError as a row failure and lets any other
+    # exception abort the sweep.  That is the whole row-failure policy only
+    # if every input gives a RateResult or a SpinflipError.
+    @seed(20261018)
+    @settings(max_examples=300)
+    @given(film=st.sampled_from([None, "drude", NIOBIUM, BSCCO]),
+           sigma=number(1e2, 1e9), d=number(1e-9, 1e-5), z=number(1e-7, 1e-3),
+           T=number(0.0, 300.0), frequency=number(1e3, 1e9),
+           elements=st.none() | st.tuples(*[number(-1.0, 1.0) | st.complex_numbers(
+               max_magnitude=1.8e308, allow_infinity=False, allow_nan=False)] * 3))
+    def test_rate_or_spinflip_error(self, film, sigma, d, z, T, frequency, elements):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuasiStaticWarning)
+            try:
+                layers = (Layer(VACUUM), Layer(COPPER))
+                if film is not None:
+                    material = DrudeMetal(sigma) if film == "drude" else film
+                    layers = (Layer(VACUUM), Layer(material, d), Layer(COPPER))
+                transition = TransitionSpec(frequency, matrix_elements=elements)
+                result = spin_flip_rate(LayerStack(layers, T), z, transition)
+            except SpinflipError:
+                return
+        assert isinstance(result, RateResult) and result.gamma_field >= 0

@@ -122,6 +122,11 @@ class TestLayerWavevectors:
         with pytest.raises(SingularMaterialError):
             layer_wavevectors(1e5, OMEGA, PermittivityTensor(1.0, 0.0))
 
+    @pytest.mark.parametrize("omega", [0.0, math.nan, math.inf, True])
+    def test_omega_domain(self, omega):
+        with pytest.raises(DomainError):
+            layer_wavevectors(1e5, omega, PermittivityTensor(1.0, 1.0))
+
     @pytest.mark.parametrize("film", [NIOBIUM, "bscco", None],
                              ids=["isotropic", "uniaxial", "bare"])
     @pytest.mark.parametrize("eta", [3e5, np.geomspace(1e0, 1e8, 40)],
@@ -199,8 +204,9 @@ class TestGeneralizedReflection:
             generalized_r_te(1j, 1j, 0.0, 0.0)
 
     def test_negative_thickness(self):
-        with pytest.raises(DomainError):
-            generalized_r_te(0.1, 0.1, 1.0, -1e-9)
+        for d in (-1e-9, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                generalized_r_te(0.1, 0.1, 1.0, d)
 
 
 class TestInterfaceCoefficients:

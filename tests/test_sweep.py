@@ -78,9 +78,13 @@ class TestSweepSpec:
         ("distance_z", 1e-6, 1e-5, "5"),
         ("distance_z", "1e-6", 1e-5, 5),
         ("distance_z", 1e-6, None, 5),
-    ], ids=["points-fraction", "points-float", "points-str", "min-str", "max-none"])
+        ("thickness_d", 0, 10**400, 3),
+        ("distance_z", False, 1e-5, 3),
+    ], ids=["points-fraction", "points-float", "points-str", "min-str", "max-none",
+            "max-huge-int", "min-bool"])
     def test_wrong_type_is_config_error(self, args):
-        # At construction, not as a TypeError from grid() or a comparison.
+        # At construction, not as a TypeError from grid() or a comparison
+        # or a numpy UFuncTypeError from run_sweep.
         with pytest.raises(ConfigError):
             SweepSpec(*args)
 
