@@ -74,6 +74,8 @@ class TransitionSpec:
     def __post_init__(self):
         if not real_in_range(self.frequency):
             raise DomainError("transition frequency must be a positive finite number")
+        if not finite_real(self.omega):
+            raise DomainError(f"transition frequency {self.frequency:g} Hz: 2 pi f overflows")
         m = self.matrix_elements
         if m is not None and not (hasattr(m, "__len__") and len(m) == 3 and all(
                 isinstance(x, numbers.Complex) and not isinstance(x, bool)

@@ -50,7 +50,6 @@ from .quadrature import (DEFAULT_SETTINGS, QuadratureDiagnostics,
                          QuadratureSettings, integrate_semi_infinite)
 from .stratified import (LayerStack, StackMedia, layer_wavevectors, scattering_coefficients,
                          stack_media, te_reflection)
-from .materials import permittivity
 
 __all__ = [
     "RateResult",
@@ -147,16 +146,16 @@ def _channel_weights(transition: TransitionSpec,
     return 16.0 * (w_par + 2.0 * w_perp), 16.0 * w_par
 
 
-def _rate_integrand(stack: LayerStack | StackMedia, eta, z: float, omega: float,
+def _rate_integrand(media: StackMedia, eta, z: float, omega: float,
                     w_m: float, w_n: float):
     """The one rate integrand, e^{-2 eta z}/(8 pi) * Im[w_m eta^2 M + w_n k1^2 N],
-    with (M, N) the film responses.  With w_n = 0 only the M family is
-    computed (te_reflection)."""
+    with (M, N) the film responses of `media` at `omega`.  With w_n = 0 only
+    the M family is computed (te_reflection)."""
     eta = np.asarray(eta, dtype=float)
     if w_n == 0.0:
         return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (
-            w_m * eta**2 * te_reflection(stack, eta, omega).imag)
-    m, n = scattering_coefficients(stack, eta, omega)
+            w_m * eta**2 * te_reflection(media, eta).imag)
+    m, n = scattering_coefficients(media, eta)
     k1 = omega / CONSTANTS.c
     return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (w_m * eta**2 * m + w_n * k1**2 * n).imag
 
@@ -220,7 +219,8 @@ def gamma_isotropic(stack: LayerStack, z: float,
 def rate_integrand_anisotropic(stack: LayerStack, eta, z: float, omega: float):
     """Integrand of the anisotropic-route rate for the preset transition
     (before the global prefactor): e^{-2 eta z}/(8 pi) * Im[3 eta^2 M + k1^2 N]."""
-    return _rate_integrand(stack, eta, z, omega, *_channel_weights(RB87_CLOCK_TRANSITION))
+    return _rate_integrand(stack_media(stack, omega), eta, z, omega,
+                           *_channel_weights(RB87_CLOCK_TRANSITION))
 
 
 def gamma_anisotropic(stack: LayerStack, z: float,
@@ -246,11 +246,12 @@ def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
         raise DomainError("z must be positive and finite")
     eta_arr = np.asarray(eta, dtype=float)
     k = omega / CONSTANTS.c
-    h = layer_wavevectors(eta_arr, omega, permittivity(stack.layers[0].material, omega, stack.temperature)).h1
+    media = stack_media(stack, omega)
+    h = layer_wavevectors(eta_arr, media)[0][0]  # row 0: the vacuum
     if (h == 0).any():
         raise GrazingSingularityError(
             "eta equals the free-space wavenumber; integrable grazing point")
-    m, n = scattering_coefficients(stack, eta_arr, omega)
+    m, n = scattering_coefficients(media, eta_arr)
     bracket = m * (eta_arr**3 / h - h * eta_arr / 2.0) + n * eta_arr * k**2 / (2.0 * h)
     return 1j * np.exp(2j * h * z) / (4.0 * math.pi) * bracket
 

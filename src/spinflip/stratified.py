@@ -26,11 +26,11 @@ Conventions, fixed once for the whole package:
 * One film formula (generalized_r_te) composes the interface coefficients of
   both families; te_reflection is M evaluated without the TM family.
 
-All coefficient functions accept scalar or ndarray eta and vectorize.  A
-rate sets its stack up once (stack_media: per layer one permittivity, kt^2,
-k and anisotropy, with the checks on omega and eps_z) and passes the
-StackMedia, which holds them as arrays on a leading layer axis, in place of
-the LayerStack: one layer_wavevectors call then covers every layer.
+StackMedia, the one medium type of layer_wavevectors, scattering_coefficients
+and te_reflection, holds kt^2, k and the anisotropy of every layer on a
+leading layer axis.  media_of builds it from permittivities (stack_media from
+a LayerStack, once per rate); each function then covers every layer in one
+pass, for scalar or ndarray eta.
 """
 
 from __future__ import annotations
@@ -43,14 +43,14 @@ import numpy as np
 from .constants import CONSTANTS, real_in_range
 from .errors import (DegenerateInterfaceError, DomainError, ResonanceError,
                      SingularMaterialError)
-from .materials import MaterialModel, PermittivityTensor, UniaxialSuperconductor, Vacuum, permittivity
+from .materials import MaterialModel, UniaxialSuperconductor, Vacuum, permittivity
 
 __all__ = [
     "Layer",
     "LayerStack",
-    "LayerWavevectors",
     "StackMedia",
     "layer_wavevectors",
+    "media_of",
     "stack_media",
     "fresnel_te",
     "generalized_r_te",
@@ -123,20 +123,12 @@ class LayerStack:
 
 
 @dataclass(frozen=True)
-class LayerWavevectors:
-    """Ordinary (h1) and extraordinary (h2) z-wavenumbers in one layer."""
-
-    h1: complex
-    h2: complex
-
-
-@dataclass(frozen=True)
 class StackMedia:
-    """What the wavevectors of a stack's layers need at one frequency, set up
-    once per rate, as arrays on a leading layer axis: kt2 = (omega/c)^2 eps_t,
-    its decaying root k (the TM-family wavenumber) and the anisotropy
-    1 - eps_t/eps_z (0 for an isotropic layer, and None when no layer is
-    uniaxial); and the film thickness d (0 for a bare substrate)."""
+    """What the wavevectors of a stack's layers need at one frequency, as
+    arrays on a leading layer axis: kt2 = (omega/c)^2 eps_t, its decaying
+    root k (the TM-family wavenumber) and the anisotropy 1 - eps_t/eps_z (0
+    for an isotropic layer, and None when no layer is uniaxial); and the film
+    thickness d (0 for a bare substrate)."""
 
     kt2: np.ndarray
     k: np.ndarray
@@ -150,51 +142,49 @@ def _decaying_sqrt(w):
     return np.negative(root, out=root, where=root.imag < 0)
 
 
-def _medium_terms(omega: float, eps: PermittivityTensor):
-    """(kt2, anisotropy) of a layer of permittivity `eps` at angular
-    frequency `omega`, on Python scalars; anisotropy None when isotropic."""
+def media_of(omega: float, eps, d: float = 0.0) -> StackMedia:
+    """StackMedia at angular frequency `omega` of layers with permittivities
+    `eps` (PermittivityTensors, top to bottom; the stack coefficients need 2
+    or 3) and film thickness `d`: each field built as one typed array."""
     if not real_in_range(omega):
         raise DomainError("omega must be positive and finite")
-    if eps.eps_z == 0:
-        raise SingularMaterialError("eps_z = 0 makes the extraordinary wave singular")
-    kt2 = (omega / CONSTANTS.c) ** 2 * eps.eps_t
-    return kt2, None if eps.is_isotropic else 1.0 - eps.eps_t / eps.eps_z
+    kt2, anisotropy = [], []
+    for e in eps:
+        if e.eps_z == 0:
+            raise SingularMaterialError("eps_z = 0 makes the extraordinary wave singular")
+        kt2.append((omega / CONSTANTS.c) ** 2 * e.eps_t)
+        anisotropy.append(None if e.is_isotropic else 1.0 - e.eps_t / e.eps_z)
+    kt2 = np.array(kt2, dtype=complex)
+    anisotropy = (np.array([a or 0 for a in anisotropy], dtype=complex)
+                  if any(a is not None for a in anisotropy) else None)
+    return StackMedia(kt2, _decaying_sqrt(kt2), anisotropy, d)
 
 
 def stack_media(stack: LayerStack, omega: float) -> StackMedia:
-    """StackMedia of `stack` at `omega`: one permittivity per layer, and each
-    field built as one typed array."""
-    kt2, anisotropy = zip(*(
-        _medium_terms(omega, permittivity(layer.material, omega, stack.temperature))
-        for layer in stack.layers))
-    kt2 = np.array(kt2, dtype=complex)
-    uniaxial = any(a is not None for a in anisotropy)
-    anisotropy = np.array([a or 0 for a in anisotropy], dtype=complex) if uniaxial else None
-    return StackMedia(kt2, _decaying_sqrt(kt2), anisotropy, stack.film_thickness)
+    """StackMedia of `stack` at `omega`: one permittivity per layer."""
+    return media_of(omega, [permittivity(layer.material, omega, stack.temperature)
+                            for layer in stack.layers], stack.film_thickness)
 
 
-def layer_wavevectors(eta, omega: float, eps: PermittivityTensor | StackMedia) -> LayerWavevectors:
-    """z-wavenumbers of both wave families at transverse wavenumber `eta`.
+def layer_wavevectors(eta, media: StackMedia):
+    """z-wavenumbers (h1, h2) of both wave families in every layer of
+    `media` at transverse wavenumber `eta`:
 
     h1^2 = (omega/c)^2 eps_t - eta^2
     h2^2 = eta^2 (1 - eps_t/eps_z) + (omega/c)^2 eps_t - eta^2
 
-    For an isotropic permittivity the two are equal and h2 is h1.  `eps` may
-    also be a stack's StackMedia at `omega`, which gives every layer's h1 and
-    h2 in one call: the layer axis comes first and eta's axes follow.
+    The layer axis comes first and eta's axes follow.  When no layer is
+    uniaxial the two are equal and h2 is h1.
     """
-    kt2, anisotropy = ((eps.kt2, eps.anisotropy) if isinstance(eps, StackMedia)
-                       else _medium_terms(omega, eps))
     eta = np.asarray(eta, dtype=float)
     if np.count_nonzero(eta < 0):
         raise DomainError("eta must be non-negative")
-    shape = np.shape(kt2) + (1,) * eta.ndim
-    kt2, eta2 = np.reshape(kt2, shape), eta**2
+    shape = np.shape(media.kt2) + (1,) * eta.ndim
+    kt2, eta2 = np.reshape(media.kt2, shape), eta**2
     h1 = _decaying_sqrt(kt2 - eta2)
-    if anisotropy is None:
-        return LayerWavevectors(h1, h1)
-    h2 = _decaying_sqrt(eta2 * np.reshape(anisotropy, shape) + kt2 - eta2)
-    return LayerWavevectors(h1, h2)
+    if media.anisotropy is None:
+        return h1, h1
+    return h1, _decaying_sqrt(eta2 * np.reshape(media.anisotropy, shape) + kt2 - eta2)
 
 
 def fresnel_te(k1z, k2z):
@@ -233,34 +223,29 @@ def interface_rv(h_f, h_f1, k_f, k_f1):
     return (a - b) / den
 
 
-def _media(stack: LayerStack | StackMedia, omega: float) -> StackMedia:
-    return stack if isinstance(stack, StackMedia) else stack_media(stack, omega)
-
-
 def _stack_quotient(r, h, d: float):
     """One interface's coefficient r[0], or the film formula over layer h[1]."""
+    if not 1 <= len(r) <= 2:
+        raise DomainError("reflection coefficients need a medium of 2 or 3 layers")
     return r[0] if len(r) == 1 else generalized_r_te(r[0], r[1], h[1], d)
 
 
-def scattering_coefficients(stack: LayerStack | StackMedia, eta, omega: float):
-    """Phase-referenced film responses (M, N) at `eta`.
+def scattering_coefficients(media: StackMedia, eta):
+    """Phase-referenced film responses (M, N) of `media` at `eta`.
 
     M composes the ordinary-family wavevectors with TE interface
     coefficients, N the extraordinary family with TM ones (see module
-    docstring).  `stack` may also be its StackMedia at `omega`, set up once
-    for many calls.
+    docstring).
     """
-    media = _media(stack, omega)
-    wv = layer_wavevectors(eta, omega, media)
-    m = _stack_quotient(fresnel_te(wv.h1[:-1], wv.h1[1:]), wv.h1, media.d)
-    k = np.reshape(media.k, np.shape(media.k) + (1,) * (wv.h2.ndim - 1))
-    n = _stack_quotient(interface_rv(wv.h2[:-1], wv.h2[1:], k[:-1], k[1:]), wv.h2, media.d)
+    h1, h2 = layer_wavevectors(eta, media)
+    m = _stack_quotient(fresnel_te(h1[:-1], h1[1:]), h1, media.d)
+    k = np.reshape(media.k, np.shape(media.k) + (1,) * (h2.ndim - 1))
+    n = _stack_quotient(interface_rv(h2[:-1], h2[1:], k[:-1], k[1:]), h2, media.d)
     return m, n
 
 
-def te_reflection(stack: LayerStack | StackMedia, eta, omega: float):
-    """Generalized TE reflection coefficient of the stack at `eta`: M,
-    computed without the TM family.  `stack` may also be its StackMedia."""
-    media = _media(stack, omega)
-    h = layer_wavevectors(eta, omega, media).h1
+def te_reflection(media: StackMedia, eta):
+    """Generalized TE reflection coefficient of `media` at `eta`: M,
+    computed without the TM family."""
+    h = layer_wavevectors(eta, media)[0]
     return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media.d)

@@ -287,10 +287,19 @@ def _complex(value, context: str) -> complex:
     return complex(*(_real(x, context) for x in parts))
 
 
+def _built(place: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a range error prefixed by its place in the config."""
+    try:
+        return make(*args, **kwargs)
+    except DomainError as exc:
+        raise DomainError(f"{place}: {exc}") from exc
+
+
 def _two_fluid(params: dict, context: str) -> TwoFluidParams:
     params = _object(params, context)
-    return TwoFluidParams(**{key: _finite(params, key, context)
-                             for key in ("lambda0", "Tc", "sigma_normal", "alpha")})
+    fields = {key: _finite(params, key, context)
+              for key in ("lambda0", "Tc", "sigma_normal", "alpha")}
+    return _built(context, TwoFluidParams, **fields)
 
 
 def _validity_metadata(params: dict, context: str) -> dict:
@@ -307,12 +316,13 @@ def _parse_material(entry: dict) -> MaterialModel:
     if variant == "vacuum":
         return Vacuum(label=label)
     if variant == "drude_metal":
-        return DrudeMetal(sigma=_finite(params, "sigma", ctx), label=label)
+        return _built(ctx, DrudeMetal, sigma=_finite(params, "sigma", ctx), label=label)
     if variant == "isotropic_sc":
-        return IsotropicSuperconductor(params=_two_fluid(params, ctx), label=label,
-                                       **_validity_metadata(params, ctx))
+        return _built(ctx, IsotropicSuperconductor, params=_two_fluid(params, ctx),
+                      label=label, **_validity_metadata(params, ctx))
     if variant == "uniaxial_sc":
-        return UniaxialSuperconductor(
+        return _built(
+            ctx, UniaxialSuperconductor,
             transverse=_two_fluid(_require(params, "transverse", ctx), f"{ctx} transverse"),
             longitudinal=_two_fluid(_require(params, "longitudinal", ctx),
                                     f"{ctx} longitudinal"),
@@ -356,7 +366,7 @@ def _parse(raw) -> tuple[RunConfig, SweepSpec | None]:
             raise ConfigError(f"stack references unknown material {name!r}")
         interior = 0 < i < len(layers_raw) - 1
         thickness = _finite(lr, "thickness", f"stack.layers[{i}]") if interior else math.inf
-        layers.append(Layer(registry[name], thickness))
+        layers.append(_built(f"stack.layers[{i}]", Layer, registry[name], thickness))
     stack = LayerStack(tuple(layers), _finite(stack_raw, "temperature", "stack"))
     z = _finite(raw, "z", "configuration")
 
@@ -372,7 +382,7 @@ def _parse(raw) -> tuple[RunConfig, SweepSpec | None]:
             trkw["matrix_elements"] = tuple(
                 _complex(xy, f"transition.matrix_elements[{i}]")
                 for i, xy in enumerate(elements))
-        transition = TransitionSpec(**trkw)
+        transition = _built("transition", TransitionSpec, **trkw)
 
     settings = DEFAULT_SETTINGS
     if "quadrature" in raw:
@@ -383,7 +393,8 @@ def _parse(raw) -> tuple[RunConfig, SweepSpec | None]:
             raise ConfigError(f"unknown quadrature key(s) {', '.join(map(repr, unknown))}; "
                               f"expected {' or '.join(defaults)}")
         q = {**defaults, **q}
-        settings = QuadratureSettings(
+        settings = _built(
+            "quadrature", QuadratureSettings,
             rel_tol=_finite(q, "rel_tol", "quadrature"),
             max_refinements=_whole(q, "max_refinements", "quadrature"))
 

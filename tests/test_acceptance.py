@@ -26,8 +26,8 @@ from spinflip.rates import (SpinOrientation, double_curl_integrand,
                             gamma_anisotropic, gamma_general, gamma_isotropic,
                             rate_integrand_anisotropic, spin_flip_rate)
 from spinflip.stratified import (Layer, LayerStack, fresnel_te,
-                                 generalized_r_te, layer_wavevectors,
-                                 te_reflection)
+                                 generalized_r_te, layer_wavevectors, media_of,
+                                 stack_media, te_reflection)
 from spinflip.sweep import screening_factor
 
 OMEGA = RB87_CLOCK_TRANSITION.omega
@@ -91,9 +91,10 @@ class TestCriterion02FresnelComposition:
                 return complex(re, im)
             e2, e3 = draw(), draw()
             eta = 10 ** rng.uniform(2, 7)
-            k1z = layer_wavevectors(eta, OMEGA, PermittivityTensor(1, 1)).h1
-            k2z = layer_wavevectors(eta, OMEGA, PermittivityTensor(e2, e2)).h1
-            k3z = layer_wavevectors(eta, OMEGA, PermittivityTensor(e3, e3)).h1
+            # h1 of a one-layer StackMedia per medium, row 0
+            k1z, k2z, k3z = (
+                layer_wavevectors(eta, media_of(OMEGA, [PermittivityTensor(e, e)]))[0][0]
+                for e in (1, e2, e3))
             composed = generalized_r_te(fresnel_te(k1z, k2z),
                                         fresnel_te(k2z, k3z), k2z, 0.0)
             worst = max(worst, abs(complex(composed) - complex(fresnel_te(k1z, k3z))))
@@ -370,7 +371,7 @@ class TestCriterion13PassivitySweep:
             stack = LayerStack((Layer(VACUUM),
                                 Layer(film, 10 ** rng.uniform(-9, -5)),
                                 Layer(substrate)), T)
-            r = te_reflection(stack, eta_grid, OMEGA)
+            r = te_reflection(stack_media(stack, OMEGA), eta_grid)
             if np.any(r.imag < 0):
                 violations += 1
             z = 10 ** rng.uniform(-6, -4)

@@ -104,6 +104,28 @@ class TestRateCommand:
         assert main(["rate", "--config", str(cfg)]) == 1
         assert "z must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"materials": [{"label": "m1", "variant": "drude_metal", "parameters": {"sigma": 1e7}},
+                        {"label": "m2", "variant": "drude_metal", "parameters": {"sigma": -1}}],
+          "stack": {"layers": [{"material": "vacuum"}, {"material": "m1", "thickness": 1e-6},
+                               {"material": "m2"}], "temperature": 4.2}},
+         "material 'm2': sigma must be positive"),
+        ({"materials": [{"label": "b", "variant": "uniaxial_sc", "parameters": {
+            "transverse": {"lambda0": 3e-7, "Tc": 90, "sigma_normal": 4.5e7, "alpha": 1},
+            "longitudinal": {"lambda0": -1e-4, "Tc": 90, "sigma_normal": 4.5e4, "alpha": 1}}}]},
+         "material 'b' longitudinal: lambda0 must be positive"),
+        ({"stack": {"layers": [{"material": "vacuum"},
+                               {"material": "niobium", "thickness": -1e-6},
+                               {"material": "copper"}], "temperature": 4.2}},
+         "stack.layers[1]: layer thickness must be non-negative"),
+        ({"transition": {"frequency": 1e308}}, "transition: transition frequency 1e+308 Hz: 2 pi f overflows"),
+        ({"quadrature": {"rel_tol": -1e-8}}, "quadrature: rel_tol"),
+    ], ids=["two-materials", "uniaxial-component", "layer", "transition", "quadrature"])
+    def test_range_error_names_its_place(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["rate", "--config", str(cfg)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e999"])
     def test_bad_tol_is_usage_error(self, tmp_path, capsys, tol):
         cfg = write_config(tmp_path)

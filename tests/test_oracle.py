@@ -3,9 +3,12 @@ with cmath and integrated by scipy.integrate.quad.
 
 For a seeded grid of stacks (bare Cu, and Nb, BSCCO and Cu films on Cu),
 heights and temperatures, each default-settings gamma_field of
-spin_flip_rate must match the oracle to 1e-8.  Only the permittivities and
-the rate prefactor come from the package; the wavenumbers, interface and
-film coefficients, channel weights and the integral do not.
+spin_flip_rate must match the oracle to 1e-8.  A second grid, of
+normal-state Nb films about three heights thick, holds rates that refine
+their initial panels, so the check covers the adaptive split loop as well.
+Only the permittivities and the rate prefactor come from the package; the
+wavenumbers, interface and film coefficients, channel weights and the
+integral do not.
 """
 
 import cmath
@@ -25,6 +28,7 @@ integrate = pytest.importorskip("scipy.integrate")
 OMEGA = RB87_CLOCK_TRANSITION.omega
 K1 = OMEGA / CONSTANTS.c
 CASES = 32
+REFINING_CASES = 16
 # Substituted variable u = 2 eta z, split where the integrand changes scale
 # (near metals its structure sits at u ~ z / skin depth).
 EDGES = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0,
@@ -93,14 +97,34 @@ def grid():
             yield LayerStack((Layer(VACUUM), Layer(film, d), Layer(COPPER)), T), z
 
 
+def refining_grid():
+    """Nb films on Cu above Tc, T 10-100 K, z 1.7-3 um and d 2.5-3.5 z: 5 of
+    these 16 rates refine at the default settings."""
+    rng = random.Random("oracle-refining")
+    for _ in range(REFINING_CASES):
+        T = rng.uniform(10.0, 100.0)
+        z = rng.uniform(1.7e-6, 3e-6)
+        d = rng.uniform(2.5, 3.5) * z
+        yield LayerStack((Layer(VACUUM), Layer(NIOBIUM, d), Layer(COPPER)), T), z
+
+
 def case_id(case) -> str:
     stack, z = case
     film = stack.layers[1].material.label if len(stack.layers) == 3 else "bare"
     return f"{film}-d{stack.film_thickness:.1e}-z{z:.1e}-T{stack.temperature:.0f}"
 
 
-@pytest.mark.parametrize("stack, z", list(grid()), ids=map(case_id, grid()))
+ALL_CASES = list(grid()) + list(refining_grid())
+
+
+@pytest.mark.parametrize("stack, z", ALL_CASES, ids=map(case_id, ALL_CASES))
 def test_gamma_field_matches_quad(stack, z):
     want = oracle_gamma_field(stack, z)
     got = spin_flip_rate(stack, z).gamma_field
     assert got == pytest.approx(want, rel=1e-8, abs=0)
+
+
+def test_refining_grid_refines():
+    # Without a refining rate the oracle would not reach the split loop.
+    assert any(spin_flip_rate(stack, z).diagnostics.refinements
+               for stack, z in refining_grid())

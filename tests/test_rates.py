@@ -21,7 +21,7 @@ from spinflip.rates import (PATH_CALIBRATION_RATIO, RateResult, SpinOrientation,
                             double_curl_integrand, gamma_anisotropic,
                             gamma_general, gamma_isotropic,
                             rate_integrand_anisotropic, spin_flip_rate)
-from spinflip.stratified import Layer, LayerStack, te_reflection
+from spinflip.stratified import Layer, LayerStack, stack_media, te_reflection
 
 OMEGA = RB87_CLOCK_TRANSITION.omega
 
@@ -35,7 +35,7 @@ def riemann_gamma_isotropic(stack, z, n=2_000_000, umax=80.0):
     """Independent fixed-grid evaluation of the isotropic-route field rate."""
     u = np.linspace(2e-9, umax, n)
     eta = u / (2 * z)
-    r = te_reflection(stack, eta, OMEGA)
+    r = te_reflection(stack_media(stack, OMEGA), eta)
     integrand = eta**2 * np.exp(-2 * eta * z) / 2 * r.imag / (2 * math.pi) ** 2
     return rate_prefactor() * np.trapezoid(integrand, eta)
 
@@ -364,6 +364,7 @@ class TestNonFiniteInputs:
         lambda: UniaxialSuperconductor(BSCCO.transverse, BSCCO.longitudinal,
                                        gap_frequency=-7.5e12),
         lambda: double_curl_integrand(NB_STACK, 1e5, math.nan, OMEGA),
+        lambda: TransitionSpec(1e308),
     ], ids=["z-nan", "z-inf", "T-inf", "T-nan", "element-nan", "element-inf",
             "frequency-nan", "frequency-inf", "stack-T-nan", "stack-T-inf",
             "thickness-nan", "sigma-nan", "sigma-inf", "lambda0-nan", "Tc-nan",
@@ -372,7 +373,7 @@ class TestNonFiniteInputs:
             "T-bool", "thickness-bool", "film-huge-int", "frequency-bool", "sigma-bool",
             "element-bool", "element-huge-int", "rel_tol-inf", "rel_tol-bool",
             "first_critical_field-negative", "gap_frequency-negative",
-            "double_curl-z-nan"])
+            "double_curl-z-nan", "frequency-omega-overflow"])
     def test_raises_domain_error(self, make):
         with pytest.raises(DomainError):
             make()

@@ -13,8 +13,9 @@ from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
                                 UniaxialSuperconductor, permittivity)
 from spinflip.stratified import (Layer, LayerStack, fresnel_te,
                                  generalized_r_te, interface_rv,
-                                 layer_wavevectors, scattering_coefficients,
-                                 stack_media, te_reflection)
+                                 layer_wavevectors, media_of,
+                                 scattering_coefficients, stack_media,
+                                 te_reflection)
 
 OMEGA = 2 * math.pi * 560e3
 K0 = OMEGA / CONSTANTS.c
@@ -41,6 +42,13 @@ def interface_rv_general(h_f, h_f1, k_f, k_f1, w1=1.0, w2=1.0):
     x = (h_f * ((w1 - w2) * h_f1**2 + w2 * k_f1**2)) / (
         h_f1 * ((w1 - w2) * h_f**2 + w2 * k_f**2))
     return (x - 1.0) / (x + 1.0)
+
+
+def wavevectors(eta, eps):
+    """(h1, h2) of one layer of permittivity `eps` at OMEGA: row 0 of a
+    one-layer StackMedia."""
+    h1, h2 = layer_wavevectors(eta, media_of(OMEGA, [eps]))
+    return h1[0], h2[0]
 
 
 def stack(film_material, d, substrate=COPPER, T=4.2):
@@ -92,40 +100,40 @@ class TestLayerStack:
 class TestLayerWavevectors:
     def test_isotropic_families_coincide(self):
         eps = PermittivityTensor(2.0 + 1.0j, 2.0 + 1.0j)
-        wv = layer_wavevectors(1e5, OMEGA, eps)
-        assert wv.h1 == wv.h2
+        h1, h2 = wavevectors(1e5, eps)
+        assert h1 == h2
 
     def test_isotropic_h2_is_h1(self):
         eta = np.linspace(0.0, 1e7, 50)
         eps = permittivity(COPPER, OMEGA, 4.2)
         assert eps.is_isotropic
-        wv = layer_wavevectors(eta, OMEGA, eps)
-        assert wv.h2 is wv.h1
+        h1, h2 = layer_wavevectors(eta, media_of(OMEGA, [eps]))
+        assert h2 is h1
         # Same value as the extraordinary formula written out in full.
-        h2 = np.sqrt(eta**2 * (1.0 - eps.eps_t / eps.eps_z)
-                     + (OMEGA / CONSTANTS.c) ** 2 * eps.eps_t - eta**2 + 0j)
-        h2 = np.where(h2.imag < 0, -h2, h2)
-        np.testing.assert_allclose(wv.h2, h2, rtol=1e-15)
+        want = np.sqrt(eta**2 * (1.0 - eps.eps_t / eps.eps_z)
+                       + (OMEGA / CONSTANTS.c) ** 2 * eps.eps_t - eta**2 + 0j)
+        want = np.where(want.imag < 0, -want, want)
+        np.testing.assert_allclose(h2[0], want, rtol=1e-15)
 
     def test_vacuum_normal_incidence(self):
-        wv = layer_wavevectors(0.0, OMEGA, PermittivityTensor(1.0, 1.0))
-        assert wv.h1 == pytest.approx(K0)
-        assert wv.h1.imag == 0.0
+        h1, _ = wavevectors(0.0, PermittivityTensor(1.0, 1.0))
+        assert h1 == pytest.approx(K0)
+        assert h1.imag == 0.0
 
     def test_vacuum_evanescent_branch(self):
         eta = 1e5
-        wv = layer_wavevectors(eta, OMEGA, PermittivityTensor(1.0, 1.0))
-        assert wv.h1.real == 0.0
-        assert wv.h1.imag == pytest.approx(math.sqrt(eta**2 - K0**2), rel=1e-12)
+        h1, _ = wavevectors(eta, PermittivityTensor(1.0, 1.0))
+        assert h1.real == 0.0
+        assert h1.imag == pytest.approx(math.sqrt(eta**2 - K0**2), rel=1e-12)
 
     def test_singular_material(self):
         with pytest.raises(SingularMaterialError):
-            layer_wavevectors(1e5, OMEGA, PermittivityTensor(1.0, 0.0))
+            media_of(OMEGA, [PermittivityTensor(1.0, 0.0)])
 
     @pytest.mark.parametrize("omega", [0.0, math.nan, math.inf, True])
     def test_omega_domain(self, omega):
         with pytest.raises(DomainError):
-            layer_wavevectors(1e5, omega, PermittivityTensor(1.0, 1.0))
+            media_of(omega, [PermittivityTensor(1.0, 1.0)])
 
     @pytest.mark.parametrize("film", [NIOBIUM, "bscco", None],
                              ids=["isotropic", "uniaxial", "bare"])
@@ -136,26 +144,25 @@ class TestLayerWavevectors:
         film = BSCCO if film == "bscco" else film
         s = (LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2) if film is None
              else stack(film, 1e-6))
-        stacked = layer_wavevectors(eta, OMEGA, stack_media(s, OMEGA))
-        assert stacked.h1.shape == (len(s.layers),) + np.shape(eta)
+        h1, h2 = layer_wavevectors(eta, stack_media(s, OMEGA))
+        assert h1.shape == (len(s.layers),) + np.shape(eta)
         for i, layer in enumerate(s.layers):
-            alone = layer_wavevectors(eta, OMEGA, permittivity(layer.material, OMEGA, 4.2))
-            np.testing.assert_array_equal(stacked.h1[i], alone.h1)
-            np.testing.assert_array_equal(stacked.h2[i], alone.h2)
+            alone = wavevectors(eta, permittivity(layer.material, OMEGA, 4.2))
+            np.testing.assert_array_equal(h1[i], alone[0])
+            np.testing.assert_array_equal(h2[i], alone[1])
         if film is BSCCO:
             # Only the uniaxial film's two families differ.
-            assert not np.array_equal(stacked.h2[1], stacked.h1[1])
+            assert not np.array_equal(h2[1], h1[1])
         else:
-            assert stacked.h2 is stacked.h1
+            assert h2 is h1
 
     def test_stack_media_rejects_negative_eta(self, niobium_stack):
         with pytest.raises(DomainError):
-            layer_wavevectors(np.array([1.0, -1.0]), OMEGA, stack_media(niobium_stack, OMEGA))
+            layer_wavevectors(np.array([1.0, -1.0]), stack_media(niobium_stack, OMEGA))
 
     @given(eps_t=passive_eps, eps_z=passive_eps, eta=st.floats(0.0, 1e8))
     def test_decaying_branch(self, eps_t, eps_z, eta):
-        wv = layer_wavevectors(eta, OMEGA, PermittivityTensor(eps_t, eps_z))
-        for h in (complex(wv.h1), complex(wv.h2)):
+        for h in map(complex, wavevectors(eta, PermittivityTensor(eps_t, eps_z))):
             assert h.imag >= 0
             if h.imag == 0:
                 assert h.real >= 0
@@ -230,18 +237,18 @@ class TestScatteringCoefficients:
 
     def test_zero_thickness_is_single_interface(self):
         s = stack(NIOBIUM, 0.0)
-        m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
-        h1 = layer_wavevectors(self.eta_grid, OMEGA, PermittivityTensor(1, 1)).h1
-        h3 = layer_wavevectors(self.eta_grid, OMEGA, permittivity(COPPER, OMEGA, 4.2)).h1
+        m, _ = scattering_coefficients(stack_media(s, OMEGA), self.eta_grid)
+        h1, _ = wavevectors(self.eta_grid, PermittivityTensor(1, 1))
+        h3, _ = wavevectors(self.eta_grid, permittivity(COPPER, OMEGA, 4.2))
         np.testing.assert_allclose(m, fresnel_te(h1, h3), rtol=1e-12, atol=1e-12)
 
     def test_transparent_back_is_single_interface(self):
         # layer 3 identical to layer 2: r23 = 0, so M = r12
         metal = DrudeMetal(1e6)
         s = stack(metal, 3e-6, substrate=metal)
-        m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
-        h1 = layer_wavevectors(self.eta_grid, OMEGA, PermittivityTensor(1, 1)).h1
-        h2 = layer_wavevectors(self.eta_grid, OMEGA, permittivity(metal, OMEGA, 4.2)).h1
+        m, _ = scattering_coefficients(stack_media(s, OMEGA), self.eta_grid)
+        h1, _ = wavevectors(self.eta_grid, PermittivityTensor(1, 1))
+        h2, _ = wavevectors(self.eta_grid, permittivity(metal, OMEGA, 4.2))
         np.testing.assert_allclose(m, fresnel_te(h1, h2), rtol=1e-12)
 
     def test_isotropic_degeneracy(self):
@@ -250,9 +257,9 @@ class TestScatteringCoefficients:
         # layer by layer from the interface formulas.
         d = 1e-6
         s = stack(DrudeMetal(1e6), d)
-        m, n = scattering_coefficients(s, self.eta_grid, OMEGA)
+        m, n = scattering_coefficients(stack_media(s, OMEGA), self.eta_grid)
         eps = [permittivity(layer.material, OMEGA, 4.2) for layer in s.layers]
-        h1, h2, h3 = (layer_wavevectors(self.eta_grid, OMEGA, e).h2 for e in eps)
+        h1, h2, h3 = (wavevectors(self.eta_grid, e)[1] for e in eps)
         k1, k2, k3 = (K0 * np.sqrt(complex(e.eps_t)) for e in eps)
         np.testing.assert_allclose(
             m, generalized_r_te(fresnel_te(h1, h2), fresnel_te(h2, h3), h2, d), rtol=1e-10)
@@ -267,21 +274,21 @@ class TestScatteringCoefficients:
         from spinflip.materials import BSCCO
         for s in (stack(NIOBIUM, 1e-6), stack(BSCCO, 2.5e-6),
                   LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)):
-            m, _ = scattering_coefficients(s, self.eta_grid, OMEGA)
-            np.testing.assert_array_equal(te_reflection(s, self.eta_grid, OMEGA), m)
+            m, _ = scattering_coefficients(stack_media(s, OMEGA), self.eta_grid)
+            np.testing.assert_array_equal(te_reflection(stack_media(s, OMEGA), self.eta_grid), m)
 
     def test_zero_thickness_layer_elision(self):
         s3 = stack(NIOBIUM, 0.0)
         s2 = LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)
-        m3, n3 = scattering_coefficients(s3, self.eta_grid, OMEGA)
-        m2, n2 = scattering_coefficients(s2, self.eta_grid, OMEGA)
+        m3, n3 = scattering_coefficients(stack_media(s3, OMEGA), self.eta_grid)
+        m2, n2 = scattering_coefficients(stack_media(s2, OMEGA), self.eta_grid)
         np.testing.assert_allclose(m3, m2, rtol=1e-12, atol=1e-12)
         # TM-family interface coefficients of a conductor-grade film sit
         # within ~1e-11 of +-1 at 560 kHz, so the d = 0 composition cancels
         # ~11 digits; agreement is conditioning-limited, not a formula error.
         np.testing.assert_allclose(n3, n2, rtol=1e-12, atol=1e-9)
-        r3 = te_reflection(s3, self.eta_grid, OMEGA)
-        r2 = te_reflection(s2, self.eta_grid, OMEGA)
+        r3 = te_reflection(stack_media(s3, OMEGA), self.eta_grid)
+        r2 = te_reflection(stack_media(s2, OMEGA), self.eta_grid)
         np.testing.assert_allclose(r3, r2, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("eta", [3e5, eta_grid], ids=["scalar", "array"])
@@ -291,15 +298,24 @@ class TestScatteringCoefficients:
         # interface coefficient, which gives the same numbers to the bit.
         bare = LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)
         film = stack(COPPER, 0.0)
-        np.testing.assert_array_equal(te_reflection(bare, eta, OMEGA),
-                                      te_reflection(film, eta, OMEGA))
-        for c2, c3 in zip(scattering_coefficients(bare, eta, OMEGA),
-                          scattering_coefficients(film, eta, OMEGA)):
+        np.testing.assert_array_equal(te_reflection(stack_media(bare, OMEGA), eta),
+                                      te_reflection(stack_media(film, OMEGA), eta))
+        for c2, c3 in zip(scattering_coefficients(stack_media(bare, OMEGA), eta),
+                          scattering_coefficients(stack_media(film, OMEGA), eta)):
             np.testing.assert_array_equal(c2, c3)
+
+    @pytest.mark.parametrize("layers", [1, 4])
+    def test_needs_two_or_three_layers(self, layers):
+        # layer_wavevectors takes any number of layers; the stack formulas
+        # do not, and must not drop a layer silently.
+        media = media_of(OMEGA, [permittivity(COPPER, OMEGA, 4.2)] * layers, 1e-6)
+        for coefficients in (te_reflection, scattering_coefficients):
+            with pytest.raises(DomainError, match="2 or 3 layers"):
+                coefficients(media, self.eta_grid)
 
     def test_uniaxial_film_families_differ(self):
         from spinflip.materials import BSCCO
-        m, n = scattering_coefficients(stack(BSCCO, 1e-6), self.eta_grid, OMEGA)
+        m, n = scattering_coefficients(stack_media(stack(BSCCO, 1e-6), OMEGA), self.eta_grid)
         assert not np.allclose(m, -n)
 
     def test_passivity_of_te_reflection(self, rng):
@@ -310,7 +326,7 @@ class TestScatteringCoefficients:
             d = 10 ** rng.uniform(-9, -5)
             s = stack(DrudeMetal(sigma_f), d, substrate=DrudeMetal(sigma_s))
             eta = 10 ** rng.uniform(0, 7, size=40)
-            r = te_reflection(s, eta, OMEGA)
+            r = te_reflection(stack_media(s, OMEGA), eta)
             assert np.all(r.imag >= 0)
 
 
@@ -320,9 +336,10 @@ class TestGuards:
 
     def test_negative_eta_beside_nan(self, niobium_stack):
         eta = np.array([np.nan, -1.0])
-        for eps in (permittivity(NIOBIUM, OMEGA, 4.2), stack_media(niobium_stack, OMEGA)):
+        for media in (media_of(OMEGA, [permittivity(NIOBIUM, OMEGA, 4.2)]),
+                      stack_media(niobium_stack, OMEGA)):
             with pytest.raises(DomainError, match="^eta must be non-negative$"):
-                layer_wavevectors(eta, OMEGA, eps)
+                layer_wavevectors(eta, media)
 
     def test_degenerate_te_interface_beside_nan(self):
         # k1z + k2z = [nan, 0]
@@ -343,7 +360,7 @@ class TestGuards:
     def test_nan_alone_passes_every_guard(self, niobium_stack):
         nan = np.array([np.nan, np.nan])
         with np.errstate(invalid="ignore"):  # NaN in a complex division
-            assert np.isnan(layer_wavevectors(nan, OMEGA, stack_media(niobium_stack, OMEGA)).h1).all()
+            assert np.isnan(layer_wavevectors(nan, stack_media(niobium_stack, OMEGA))[0]).all()
             assert np.isnan(fresnel_te(nan, nan)).all()
             assert np.isnan(interface_rv(nan, nan, 1.0, 1.0)).all()
             assert np.isnan(generalized_r_te(nan, nan, 0.0, 0.0)).all()
@@ -362,9 +379,8 @@ class TestInputsUnchanged:
         saved = [x.copy() for x in inputs]
         results = [fresnel_te(a, b), interface_rv(a, b, c, d),
                    generalized_r_te(a, b, 1e5 * c, 1e-7), generalized_r_te(a, 0.0, c, 0.0)]
-        for eps in (permittivity(BSCCO, OMEGA, 40.0), media, uniaxial):
-            wv = layer_wavevectors(eta, OMEGA, eps)
-            results += [wv.h1, wv.h2]
+        for m in (media_of(OMEGA, [permittivity(BSCCO, OMEGA, 40.0)]), media, uniaxial):
+            results += layer_wavevectors(eta, m)
         for x, before in zip(inputs, saved):
             np.testing.assert_array_equal(x, before)
         assert not any(np.shares_memory(r, x) for r in results for x in inputs)
@@ -394,13 +410,13 @@ class TestScalarInputs:
 
     @pytest.mark.parametrize("eta", [3e5, np.array(3e5)], ids=["scalar", "0-d"])
     def test_wavevectors_and_stack_coefficients(self, eta):
-        wv = layer_wavevectors(eta, OMEGA, permittivity(BSCCO, OMEGA, 40.0))
-        assert isinstance(wv.h1, np.ndarray) and wv.h1.ndim == 0 and wv.h2.ndim == 0
-        assert wv.h1 == complex(17.668192337701974, 2502566.5838264935)
-        assert wv.h2 == complex(-78847.29415308007, 100030765.00364907)
-        assert te_reflection(stack(NIOBIUM, 1e-6), eta, OMEGA) == complex(
+        h1, h2 = layer_wavevectors(eta, media_of(OMEGA, [permittivity(BSCCO, OMEGA, 40.0)]))
+        assert h1.shape == h2.shape == (1,)  # the layer axis alone
+        assert h1[0] == complex(17.668192337701974, 2502566.5838264935)
+        assert h2[0] == complex(-78847.29415308007, 100030765.00364907)
+        assert te_reflection(stack_media(stack(NIOBIUM, 1e-6), OMEGA), eta) == complex(
             -0.9785104203635796, 4.039294048587252e-11)
-        m, n = scattering_coefficients(stack(BSCCO, 1e-7, T=40.0), eta, OMEGA)
+        m, n = scattering_coefficients(stack_media(stack(BSCCO, 1e-7, T=40.0), OMEGA), eta)
         assert np.ndim(m) == 0 and np.ndim(n) == 0
         assert m == complex(-0.4947147976896544, 0.00016483480721807338)
         assert n == complex(1.0000000000000149, 1.1943282014545908e-17)
