@@ -156,8 +156,8 @@ def _rate_integrand(media: StackMedia, eta, z: float, omega: float,
         return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (
             w_m * eta**2 * te_reflection(media, eta).imag)
     m, n = scattering_coefficients(media, eta)
-    k1 = omega / CONSTANTS.c
-    return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (w_m * eta**2 * m + w_n * k1**2 * n).imag
+    w_nk = w_n * (omega / CONSTANTS.c) ** 2
+    return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (w_m * eta**2 * m.imag + w_nk * n.imag)
 
 
 def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,

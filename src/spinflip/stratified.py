@@ -13,18 +13,18 @@ Conventions, fixed once for the whole package:
 * Two wave families propagate in a uniaxial layer: the ordinary family
   (h from k_t^2 = (omega/c)^2 eps_t, TE-like, "M") and the extraordinary
   family (TM-like, "N").  Their interface coefficients carry the usual
-  Fresnel signs of r_TE and r_TM:
+  Fresnel signs of r_TE and r_TM and are one formula with a family wavenumber:
 
-      fresnel_te(h_f, h_f1) = (h_f - h_f1)/(h_f + h_f1)
       interface_rv(h_f, h_f1, k_f, k_f1) = (h_f k_f1^2 - h_f1 k_f^2)/(h_f k_f1^2 + h_f1 k_f^2)
+  at k = 1 (M) is fresnel_te(h_f, h_f1) = (h_f - h_f1)/(h_f + h_f1) to the bit.
 * The film responses (M, N) returned by scattering_coefficients are
   phase-referenced to the top interface: the raw stack formula carries a
   factor exp(-2i h1 d) from an origin at the bottom of the film, which
   diverges for evanescent waves; referencing to the top interface absorbs it
   into the atom-side factor exp(2i h1 z) and keeps every integrand decaying.
   In the isotropic limit M = r_TE(stack) and N = r_TM(stack).
-* One film formula (generalized_r_te) composes the interface coefficients of
-  both families; te_reflection is M evaluated without the TM family.
+* One film formula (generalized_r_te) composes both families at once, on a
+  leading (M, N) axis; te_reflection is M evaluated without the TM family.
 
 StackMedia, the one medium type of layer_wavevectors, scattering_coefficients
 and te_reflection, holds kt^2, k and the anisotropy of every layer on a
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +136,13 @@ class StackMedia:
     anisotropy: np.ndarray | None
     d: float
 
+    @cached_property
+    def _families(self):
+        """Per family (M, N), built on first use: eta^2 terms of h^2 + eta^2 - kt2, and k."""
+        a, k = self.anisotropy, self.k
+        return (None if a is None else np.array([np.zeros_like(a), a]),
+                np.array([np.ones_like(k), k]))
+
 
 def _decaying_sqrt(w):
     """Principal complex square root folded onto Im >= 0 (Re >= 0 on the real axis)."""
@@ -174,17 +182,17 @@ def layer_wavevectors(eta, media: StackMedia):
     h2^2 = eta^2 (1 - eps_t/eps_z) + (omega/c)^2 eps_t - eta^2
 
     The layer axis comes first and eta's axes follow.  When no layer is
-    uniaxial the two are equal and h2 is h1.
+    uniaxial h2 is h1; otherwise (h1, h2) is one array, a root over a family axis.
     """
     eta = np.asarray(eta, dtype=float)
     if np.count_nonzero(eta < 0):
         raise DomainError("eta must be non-negative")
-    shape = np.shape(media.kt2) + (1,) * eta.ndim
-    kt2, eta2 = np.reshape(media.kt2, shape), eta**2
-    h1 = _decaying_sqrt(kt2 - eta2)
+    shape = media.kt2.shape + (1,) * eta.ndim
+    kt2, eta2 = media.kt2.reshape(shape), eta**2
     if media.anisotropy is None:
+        h1 = _decaying_sqrt(kt2 - eta2)
         return h1, h1
-    return h1, _decaying_sqrt(eta2 * np.reshape(media.anisotropy, shape) + kt2 - eta2)
+    return _decaying_sqrt(eta2 * media._families[0].reshape((2,) + shape) + kt2 - eta2)
 
 
 def fresnel_te(k1z, k2z):
@@ -235,13 +243,15 @@ def scattering_coefficients(media: StackMedia, eta):
 
     M composes the ordinary-family wavevectors with TE interface
     coefficients, N the extraordinary family with TM ones (see module
-    docstring).
+    docstring), in one pass on a leading family axis.
     """
-    h1, h2 = layer_wavevectors(eta, media)
-    m = _stack_quotient(fresnel_te(h1[:-1], h1[1:]), h1, media.d)
-    k = np.reshape(media.k, np.shape(media.k) + (1,) * (h2.ndim - 1))
-    n = _stack_quotient(interface_rv(h2[:-1], h2[1:], k[:-1], k[1:]), h2, media.d)
-    return m, n
+    h = layer_wavevectors(eta, media)
+    h = h[0][np.newaxis] if media.anisotropy is None else h  # one h serves both families
+    k = media._families[1].reshape((2,) + media.k.shape + (1,) * (h.ndim - 2))
+    r = interface_rv(h[:, :-1], h[:, 1:], k[:, :-1], k[:, 1:])  # M at k = 1
+    if h.ndim == 2:  # scalar eta: numpy's scalar complex product rounds unlike its array loop
+        return tuple(_stack_quotient(r[f], h[f % len(h)], media.d) for f in (0, 1))
+    return tuple(_stack_quotient(r.swapaxes(0, 1), h.swapaxes(0, 1), media.d))
 
 
 def te_reflection(media: StackMedia, eta):

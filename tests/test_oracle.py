@@ -6,6 +6,8 @@ heights and temperatures, each default-settings gamma_field of
 spin_flip_rate must match the oracle to 1e-8.  A second grid, of
 normal-state Nb films about three heights thick, holds rates that refine
 their initial panels, so the check covers the adaptive split loop as well.
+At six points u = 2 eta z of every stack, both film responses M and N of
+scattering_coefficients must match the cmath ones to 1e-12 as complex values.
 Only the permittivities and the rate prefactor come from the package; the
 wavenumbers, interface and film coefficients, channel weights and the
 integral do not.
@@ -16,12 +18,13 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from spinflip.constants import CONSTANTS, RB87_CLOCK_TRANSITION, rate_prefactor
 from spinflip.materials import BSCCO, COPPER, NIOBIUM, VACUUM, permittivity
 from spinflip.rates import spin_flip_rate
-from spinflip.stratified import Layer, LayerStack
+from spinflip.stratified import Layer, LayerStack, scattering_coefficients, stack_media
 
 integrate = pytest.importorskip("scipy.integrate")
 
@@ -33,6 +36,8 @@ REFINING_CASES = 16
 # (near metals its structure sits at u ~ z / skin depth).
 EDGES = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0,
          64.0, math.inf)
+# u = 2 eta z of the coefficient comparison, across the integrand's range.
+U_POINTS = (1e-4, 1e-2, 0.3, 1.0, 5.0, 30.0)
 
 
 def decaying_sqrt(w: complex) -> complex:
@@ -48,25 +53,39 @@ def quotient(r: list, h: list, d: float) -> complex:
     return (r[0] + r[1] * phase) / (1 + r[0] * r[1] * phase)
 
 
-def oracle_gamma_field(stack: LayerStack, z: float) -> float:
+def oracle_media(stack: LayerStack):
+    """kt2 = (omega/c)^2 eps_t and the anisotropy 1 - eps_t/eps_z of each layer."""
     eps = [permittivity(layer.material, OMEGA, stack.temperature) for layer in stack.layers]
-    kt2 = [K1**2 * e.eps_t for e in eps]
-    anisotropy = [1 - e.eps_t / e.eps_z for e in eps]
+    return [K1**2 * e.eps_t for e in eps], [1 - e.eps_t / e.eps_z for e in eps]
+
+
+def oracle_m(kt2: list, d: float, eta: float) -> complex:
+    """TE-like film response M: ordinary wavenumbers, TE interface coefficients."""
+    h1 = [decaying_sqrt(k - eta**2) for k in kt2]
+    r_te = [(h1[i] - h1[i + 1]) / (h1[i] + h1[i + 1]) for i in range(len(kt2) - 1)]
+    return quotient(r_te, h1, d)
+
+
+def oracle_n(kt2: list, anisotropy: list, d: float, eta: float) -> complex:
+    """TM-like film response N: extraordinary wavenumbers, TM interface
+    coefficients weighted by kt2."""
+    h2 = [decaying_sqrt(eta**2 * a + k - eta**2) for k, a in zip(kt2, anisotropy)]
+    r_v = [(h2[i] * kt2[i + 1] - h2[i + 1] * kt2[i])
+           / (h2[i] * kt2[i + 1] + h2[i + 1] * kt2[i]) for i in range(len(kt2) - 1)]
+    return quotient(r_v, h2, d)
+
+
+def oracle_gamma_field(stack: LayerStack, z: float) -> float:
+    kt2, anisotropy = oracle_media(stack)
     d = stack.film_thickness
     # Rb-87 preset, (1/4)^2 per spin channel: (w_M, w_N) = (3, 1); an
     # isotropic stack keeps w_M / (3 pi) alone.
     w_m, w_n = (3.0, 1.0) if stack.is_anisotropic else (1.0 / math.pi, 0.0)
-    interfaces = range(len(eps) - 1)
 
     def integrand(eta: float) -> float:
-        h1 = [decaying_sqrt(k - eta**2) for k in kt2]
-        r_te = [(h1[i] - h1[i + 1]) / (h1[i] + h1[i + 1]) for i in interfaces]
-        value = w_m * eta**2 * quotient(r_te, h1, d)  # M
+        value = w_m * eta**2 * oracle_m(kt2, d, eta)
         if w_n:
-            h2 = [decaying_sqrt(eta**2 * a + k - eta**2) for k, a in zip(kt2, anisotropy)]
-            r_v = [(h2[i] * kt2[i + 1] - h2[i + 1] * kt2[i])
-                   / (h2[i] * kt2[i + 1] + h2[i + 1] * kt2[i]) for i in interfaces]
-            value += w_n * K1**2 * quotient(r_v, h2, d)  # N
+            value += w_n * K1**2 * oracle_n(kt2, anisotropy, d, eta)
         return math.exp(-2 * eta * z) / (8 * math.pi) * value.imag
 
     scale = 1 / (2 * z)
@@ -122,6 +141,22 @@ def test_gamma_field_matches_quad(stack, z):
     want = oracle_gamma_field(stack, z)
     got = spin_flip_rate(stack, z).gamma_field
     assert got == pytest.approx(want, rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("stack, z", ALL_CASES, ids=map(case_id, ALL_CASES))
+def test_coefficients_match_cmath(stack, z):
+    # The rate test above cannot see N: below 10 um N/(2M) <= 1e-12, far
+    # under its 1e-8 bound.  Compare both film responses of every stack,
+    # isotropic ones included, as complex values (Im N alone is ~1e-17
+    # against |N| ~ 1, and ill-conditioned).
+    kt2, anisotropy = oracle_media(stack)
+    d = stack.film_thickness
+    eta = np.array(U_POINTS) / (2 * z)
+    m, n = scattering_coefficients(stack_media(stack, OMEGA), eta)
+    for i, e in enumerate(eta):
+        want_m, want_n = oracle_m(kt2, d, e), oracle_n(kt2, anisotropy, d, e)
+        assert abs(m[i] - want_m) <= 1e-12 * abs(want_m)
+        assert abs(n[i] - want_n) <= 1e-12 * abs(want_n)
 
 
 def test_refining_grid_refines():

@@ -138,6 +138,71 @@ class TestAnisotropicRate:
             assert gamma_isotropic(s, z).gamma_field >= 0
 
 
+class TestClosedFormLimits:
+    """The scattering route's absolute rate against closed-form limits of a
+    Drude conductor (copper, 300 K, skin depth delta = 88.3 um at the Rb-87
+    clock frequency), on isotropic stacks: the shared-wavevector branch of
+    scattering_coefficients.
+
+    Unit: N(z) = mu0^2 (muB gS)^2 sigma kB T/(16 pi hbar^2 z), the classical
+    rate of the near-field kernel, so the field rate enters with the
+    classical occupation kB T/(hbar omega) in place of n_th + 1 (they differ
+    by hbar omega/(2 kB T) = 4.5e-8 here).  Derivation (Varpula & Poutanen,
+    J. Appl. Phys. 55, 4015 (1984); Henkel, Poetting & Wilkens, Appl. Phys. B
+    69, 379 (1999)): quasi-statically a half-space has kt^2 = 2i/delta^2,
+    and with x = eta delta,
+
+        x^2 Im r_TE = w^3/(1 + w),   x = w (1 - w^2)^(-1/4),  0 <= w < 1,
+
+    so Gamma/N = (3/32) R(t), t = z/delta, R(t) = 4t int e^(-2tx) x^2 Im r_TE dx,
+    with R -> 1 at z << delta.  3/32 is Henkel et al.'s half-space tensor
+    diag(1/2, 1/2, 1) contracted with the preset's w_par = w_perp = 1/16.
+    * z << delta: R = 1 - (32/15) t + pi t^2 + O(t^3), from
+      int (x^2 Im r_TE - 1/2) dx = -8/15 and int x (x^2 Im r_TE - 1/2) dx
+      = -pi/8.  Bound: 4 t^2.
+    * z >> delta: x^2 Im r_TE = x^3 - x^4 + x^5/4 + O(x^7) and Watson's
+      lemma give R = (3/(2 t^3)) (1 - 2/t + 5/(4 t^2) + O(t^-4)), i.e.
+      Gamma/N -> (9/64)(delta/z)^3.  Bound: 1.5/t^2 on the bracket.
+    * A film of thickness d << z << delta on vacuum: to first order in
+      kt^2, Im r_TE = (1 - e^(-2 eta d))/(2 eta^2 delta^2), so
+      Gamma/N = (3/32) d/(z + d) = (3/32)(d/z)(1 - d/z + (d/z)^2 - ...), with
+      screening corrections of order (z d/delta^2)^2.  Bound: 1.5 (d/z)^2.
+    The constants 4 and 1.5 are the derived next-order coefficients (pi, 5/4,
+    1) rounded up, not fits to the route under test.
+    """
+
+    T = 300.0
+    SETTINGS = QuadratureSettings(rel_tol=1e-12)
+    DELTA = math.sqrt(2.0 / (CONSTANTS.mu0 * COPPER.sigma * OMEGA))
+
+    def over_unit(self, stack, z):
+        c = CONSTANTS
+        gamma = gamma_anisotropic(stack, z, settings=self.SETTINGS).gamma_field
+        classical = gamma * c.kB * self.T / (c.hbar * OMEGA)
+        unit = (c.mu0**2 * (c.muB * c.gS) ** 2 * COPPER.sigma * c.kB * self.T
+                / (16.0 * math.pi * c.hbar**2 * z))
+        return classical / unit
+
+    def half_space(self):
+        return LayerStack((Layer(VACUUM), Layer(COPPER)), self.T)
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2])
+    def test_half_space_near_field(self, t):
+        r = self.over_unit(self.half_space(), t * self.DELTA) / (3.0 / 32.0)
+        assert abs(r - (1.0 - 32.0 / 15.0 * t)) <= 4.0 * t**2
+
+    @pytest.mark.parametrize("t", [10.0, 30.0, 100.0])
+    def test_half_space_far_from_the_skin_depth(self, t):
+        r = self.over_unit(self.half_space(), t * self.DELTA) / (9.0 / 64.0 / t**3)
+        assert abs(r - (1.0 - 2.0 / t)) <= 1.5 / t**2
+
+    @pytest.mark.parametrize("d, z", [(1e-9, 1e-6), (1e-8, 1e-6), (1e-9, 1e-5)])
+    def test_thin_film(self, d, z):
+        film = LayerStack((Layer(VACUUM), Layer(COPPER, d), Layer(VACUUM)), self.T)
+        r = self.over_unit(film, z) / (3.0 / 32.0 * d / z)
+        assert abs(r - (1.0 - d / z)) <= 1.5 * (d / z) ** 2
+
+
 class TestNearMetalAccuracy:
     @pytest.mark.parametrize("film, d, z, T", [
         # The integrand peaks at small u = 2 eta z, between the Gauss nodes

@@ -267,6 +267,32 @@ class TestScatteringCoefficients:
             n, generalized_r_te(interface_rv(h1, h2, k1, k2), interface_rv(h2, h3, k2, k3),
                                 h2, d), rtol=1e-10)
 
+    @pytest.mark.parametrize("eta", [3e5, eta_grid], ids=["scalar", "array"])
+    @pytest.mark.parametrize("layers", [
+        (Layer(VACUUM), Layer(BSCCO, 1e-6), Layer(COPPER)),
+        (Layer(VACUUM), Layer(BSCCO)),
+        (Layer(VACUUM), Layer(NIOBIUM, 1e-6), Layer(COPPER)),
+    ], ids=["uniaxial-film", "uniaxial-bare", "isotropic-film"])
+    def test_one_pass_is_the_per_family_formulas(self, layers, eta):
+        # scattering_coefficients computes both families in one pass on a
+        # family axis; each must be the numbers of its own formula chain,
+        # built here from layer_wavevectors' (h1, h2) and media.k.
+        media = stack_media(LayerStack(layers, 40.0), OMEGA)
+        h1, h2 = layer_wavevectors(eta, media)
+        k = np.reshape(media.k, np.shape(media.k) + (1,) * np.ndim(eta))
+        r_m = fresnel_te(h1[:-1], h1[1:])
+        r_n = interface_rv(h2[:-1], h2[1:], k[:-1], k[1:])
+        if len(layers) == 2:
+            want = r_m[0], r_n[0]
+        else:
+            want = (generalized_r_te(r_m[0], r_m[1], h1[1], media.d),
+                    generalized_r_te(r_n[0], r_n[1], h2[1], media.d))
+        got = scattering_coefficients(media, eta)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(eta)
+            np.testing.assert_array_equal(g, w)
+
     def test_te_reflection_is_exactly_m(self):
         # the rate kernel takes M from te_reflection when the TM family has
         # zero weight and from scattering_coefficients otherwise; both must
@@ -380,7 +406,7 @@ class TestInputsUnchanged:
         results = [fresnel_te(a, b), interface_rv(a, b, c, d),
                    generalized_r_te(a, b, 1e5 * c, 1e-7), generalized_r_te(a, 0.0, c, 0.0)]
         for m in (media_of(OMEGA, [permittivity(BSCCO, OMEGA, 40.0)]), media, uniaxial):
-            results += layer_wavevectors(eta, m)
+            results.extend(layer_wavevectors(eta, m))
         for x, before in zip(inputs, saved):
             np.testing.assert_array_equal(x, before)
         assert not any(np.shares_memory(r, x) for r in results for x in inputs)
