@@ -11,7 +11,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, SpinflipError
 from .sweep import emit_csv, override_tolerance, parse_config, run_sweep
 
 __all__ = ["FIGURES", "figure_curves", "reproduce"]
@@ -31,7 +31,10 @@ def reproduce(name: str, out_dir, rel_tol: float | None = None) -> list[Path]:
     """Run every curve of figure `name` and emit <figure>_<curve>.csv files
     into `out_dir`.  Returns the written paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file, or a path under one
+        raise SpinflipError(f"cannot write CSV to {out}: {exc}") from exc
     written = []
     for curve in figure_curves(name):
         curve_name = curve["name"]

@@ -32,7 +32,8 @@ off by up to 1.7e-6.
 Integrands must accept an ndarray of eta values and return an ndarray of the
 same shape.  The four graded panels are one 84-point call, each other
 initial panel one 21-point call, and a split evaluates both halves in one
-42-point call.
+42-point call.  Panels hold integrals over u: the Jacobian 1/(2z) is applied
+once, to the total or to a QuadratureError's partial value.
 """
 
 from __future__ import annotations
@@ -92,20 +93,23 @@ _ETA_EPS = 1e-9
 _U = 60.0
 
 
-def _panel_set(a, b):
-    """Panels [a[i], b[i]] as (a, b, flat Kronrod nodes, half-width column)."""
+def _panel_set(a, b, scale=1.0):
+    """Panels [a[i], b[i]] in u as (a, b, flat Kronrod nodes * scale, half-widths)."""
     lo = np.asarray(a, dtype=float)
     half = 0.5 * (np.asarray(b, dtype=float) - lo)[:, None]
-    return a, b, ((lo[:, None] + half) + half * _KRONROD_NODES).ravel(), half
+    return a, b, ((lo[:, None] + half) + half * _KRONROD_NODES).ravel() * scale, half
 
 
 # Initial panels in u, one integrand call per panel set, built once:
 # [2e-9, 0.25] graded toward u = 0 at 0.25 * 4^-k (k = 3, 2, 1), then the
-# octaves from 0.25 up to _U.
+# octaves from 0.25 up to _U.  Each call's nodes are a slice of _INITIAL_U.
 _GRADED_EDGES = (2.0 * _ETA_EPS, 0.25 / 64, 0.25 / 16, 0.25 / 4, 0.25)
 _OCTAVE_EDGES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, _U)
-_INITIAL_CALLS = (_panel_set(_GRADED_EDGES[:-1], _GRADED_EDGES[1:]),) + tuple(
+_INITIAL_SETS = (_panel_set(_GRADED_EDGES[:-1], _GRADED_EDGES[1:]),) + tuple(
     _panel_set((a,), (b,)) for a, b in zip(_OCTAVE_EDGES[:-1], _OCTAVE_EDGES[1:]))
+_INITIAL_U = np.concatenate([u for _, _, u, _ in _INITIAL_SETS])
+_INITIAL_CALLS = tuple((a, b, slice(i - u.size, i), half) for (a, b, u, half), i in zip(
+    _INITIAL_SETS, np.cumsum([u.size for _, _, u, _ in _INITIAL_SETS]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -135,10 +139,10 @@ class QuadratureDiagnostics:
     panels: int             # final panel count
 
 
-def _panels(g, a, b, u, half):
-    """Evaluate a _panel_set in one integrand call.  Returns one
-    (error estimate, a, b, Kronrod value) record per panel."""
-    rules = half * (g(u).reshape(-1, _NODES) @ _RULES)
+def _panels(g, a, b, x, half):
+    """Evaluate a _panel_set in one integrand call, g at its nodes x.  Returns
+    one (error estimate, a, b, Kronrod value over u) record per panel."""
+    rules = half * (np.asarray(g(x), dtype=float).reshape(-1, _NODES) @ _RULES)
     panels = []
     for a_i, b_i, (kronrod, gauss, rest) in zip(a, b, rules.tolist()):
         # Every K21 weight is positive: K21 is finite only if f is on all 21 nodes.
@@ -159,16 +163,12 @@ def integrate_semi_infinite(integrand, z: float,
     if not real_in_range(z):
         raise DomainError("z must be positive and finite")
 
-    scale = 1.0 / (2.0 * z)
-
-    def g(u):
-        return np.asarray(integrand(u * scale), dtype=float) * scale
-
-    evaluations = 0
-    panels = []  # (error, a, b, value)
-    for a, b, u, half in _INITIAL_CALLS:
-        panels += _panels(g, a, b, u, half)
-        evaluations += u.size
+    scale = 1.0 / (2.0 * z)  # d eta / d u
+    eta = _INITIAL_U * scale
+    panels = []  # (error, a, b, value), integrals over u
+    for a, b, nodes, half in _INITIAL_CALLS:
+        panels += _panels(integrand, a, b, eta[nodes], half)
+    evaluations = eta.size
 
     refinements = 0
     while True:
@@ -184,11 +184,11 @@ def integrate_semi_infinite(integrand, z: float,
             raise QuadratureError(
                 f"no convergence after {refinements} refinements "
                 f"(estimated relative error {diag.est_error:.3e})",
-                partial_value=total, diagnostics=diag)
+                partial_value=float(np.float64(total) * scale), diagnostics=diag)
         panels.sort(key=lambda p: p[0])
         _, a, b, _ = panels.pop()
         mid = 0.5 * (a + b)
-        panels += _panels(g, *_panel_set((a, mid), (mid, b)))
+        panels += _panels(integrand, *_panel_set((a, mid), (mid, b), scale))
         evaluations += 2 * _NODES
         refinements += 1
 
@@ -196,4 +196,5 @@ def integrate_semi_infinite(integrand, z: float,
         evaluations=evaluations, truncation_eta=_U * scale,
         est_error=err_total / abs(total) if total else 0.0,
         refinements=refinements, panels=len(panels))
-    return total, diag
+    # A numpy product, so an overflow obeys the caller's np.errstate.
+    return float(np.float64(total) * scale), diag

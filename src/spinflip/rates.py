@@ -24,6 +24,9 @@ On isotropic stacks gamma_anisotropic / gamma_isotropic is therefore 3*pi up
 to the near-field-small N channel; which of the two published normalisations
 is absolute is not yet settled.
 
+_rate_integrand computes -2z and w_N k1^2 once per rate, and _gamma applies
+the 1/(8 pi) with P, so each integrand call does only eta-dependent work.
+
 Rates are "field" rates at zero temperature of the field; thermal
 occupation multiplies them by (n_th + 1).  A zero rate (lossless stack or
 zero matrix elements) has tau = inf; a negative one raises DomainError,
@@ -146,18 +149,19 @@ def _channel_weights(transition: TransitionSpec,
     return 16.0 * (w_par + 2.0 * w_perp), 16.0 * w_par
 
 
-def _rate_integrand(media: StackMedia, eta, z: float, omega: float,
-                    w_m: float, w_n: float):
-    """The one rate integrand, e^{-2 eta z}/(8 pi) * Im[w_m eta^2 M + w_n k1^2 N],
-    with (M, N) the film responses of `media` at `omega`.  With w_n = 0 only
-    the M family is computed (te_reflection)."""
-    eta = np.asarray(eta, dtype=float)
+def _rate_integrand(media: StackMedia, z: float, omega: float, w_m: float, w_n: float):
+    """The one rate integrand, 8 pi times the kernel: eta -> e^{-2 eta z} *
+    Im[w_m eta^2 M + w_n k1^2 N], (M, N) the film responses of `media` at
+    `omega`.  With w_n = 0 only the M family is computed (te_reflection)."""
+    neg_2z = -2.0 * z
     if w_n == 0.0:
-        return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (
-            w_m * eta**2 * te_reflection(media, eta).imag)
-    m, n = scattering_coefficients(media, eta)
+        return lambda eta: np.exp(eta * neg_2z) * (w_m * eta**2 * te_reflection(media, eta).imag)
     w_nk = w_n * (omega / CONSTANTS.c) ** 2
-    return np.exp(-2.0 * eta * z) / (8.0 * math.pi) * (w_m * eta**2 * m.imag + w_nk * n.imag)
+
+    def integrand(eta):
+        m, n = scattering_coefficients(media, eta)
+        return np.exp(eta * neg_2z) * (w_m * eta**2 * m.imag + w_nk * n.imag)
+    return integrand
 
 
 def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
@@ -182,13 +186,9 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
                 # Zero matrix elements: no coupling, no integral to run.
                 return _result(0.0, transition, T, QuadratureDiagnostics(0, 0.0, 0.0, 0, 0))
             omega = transition.omega
-            media = stack_media(stack, omega)
-
-            def integrand(eta):
-                return _rate_integrand(media, eta, z, omega, w_m, w_n)
-
+            integrand = _rate_integrand(stack_media(stack, omega), z, omega, w_m, w_n)
             value, diag = integrate_semi_infinite(integrand, z, settings)
-            gamma_field = rate_prefactor() * value
+            gamma_field = rate_prefactor() / (8.0 * math.pi) * value
             if gamma_field < 0:
                 # A passive stack has a non-negative noise spectrum; a negative
                 # rate means the kernel was evaluated where it no longer holds.
@@ -219,8 +219,9 @@ def gamma_isotropic(stack: LayerStack, z: float,
 def rate_integrand_anisotropic(stack: LayerStack, eta, z: float, omega: float):
     """Integrand of the anisotropic-route rate for the preset transition
     (before the global prefactor): e^{-2 eta z}/(8 pi) * Im[3 eta^2 M + k1^2 N]."""
-    return _rate_integrand(stack_media(stack, omega), eta, z, omega,
-                           *_channel_weights(RB87_CLOCK_TRANSITION))
+    integrand = _rate_integrand(stack_media(stack, omega), z, omega,
+                                *_channel_weights(RB87_CLOCK_TRANSITION))
+    return integrand(np.asarray(eta, dtype=float)) / (8.0 * math.pi)
 
 
 def gamma_anisotropic(stack: LayerStack, z: float,

@@ -30,7 +30,7 @@ StackMedia, the one medium type of layer_wavevectors, scattering_coefficients
 and te_reflection, holds kt^2, k and the anisotropy of every layer on a
 leading layer axis.  media_of builds it from permittivities (stack_media from
 a LayerStack, once per rate); each function then covers every layer in one
-pass, for scalar or ndarray eta.
+pass, for scalar or ndarray eta.  It caches the family wavenumbers squared.
 """
 
 from __future__ import annotations
@@ -138,10 +138,10 @@ class StackMedia:
 
     @cached_property
     def _families(self):
-        """Per family (M, N), built on first use: eta^2 terms of h^2 + eta^2 - kt2, and k."""
+        """Per family (M, N), built on first use: eta^2 terms of h^2 + eta^2 - kt2, and k^2."""
         a, k = self.anisotropy, self.k
         return (None if a is None else np.array([np.zeros_like(a), a]),
-                np.array([np.ones_like(k), k]))
+                np.array([np.ones_like(k), k**2]))
 
 
 def _decaying_sqrt(w):
@@ -210,7 +210,7 @@ def generalized_r_te(r12, r23, k2z, d: float):
     compose their interface coefficients with it."""
     if not real_in_range(d, or_zero=True):
         raise DomainError("film thickness must be non-negative and finite")
-    phase = np.exp(2j * np.asarray(k2z, dtype=complex) * d)
+    phase = np.exp(k2z * (2j * d))
     den = r12 * r23 * phase
     den += 1.0
     if np.count_nonzero(np.abs(den) < _DENOMINATOR_GUARD):
@@ -223,19 +223,24 @@ def generalized_r_te(r12, r23, k2z, d: float):
 def interface_rv(h_f, h_f1, k_f, k_f1):
     """TM-family interface coefficient
     (h_f k_f1^2 - h_f1 k_f^2)/(h_f k_f1^2 + h_f1 k_f^2)."""
-    a = h_f * k_f1**2
-    b = h_f1 * k_f**2
+    return _rv(h_f * k_f1**2, h_f1 * k_f**2)
+
+
+def _rv(a, b):
+    """interface_rv from its products a = h_f k_f1^2 and b = h_f1 k_f^2."""
     den = a + b
     if np.count_nonzero(den) < np.size(den):
         raise DegenerateInterfaceError("TM interface denominator vanished")
     return (a - b) / den
 
 
-def _stack_quotient(r, h, d: float):
-    """One interface's coefficient r[0], or the film formula over layer h[1]."""
-    if not 1 <= len(r) <= 2:
+def _stack_quotient(r, h, d: float, at=()):
+    """One interface's coefficient, or the film formula over layer 1, on the axis after `at`."""
+    n = r.shape[len(at)]
+    if not 1 <= n <= 2:
         raise DomainError("reflection coefficients need a medium of 2 or 3 layers")
-    return r[0] if len(r) == 1 else generalized_r_te(r[0], r[1], h[1], d)
+    return r[at + (0,)] if n == 1 else generalized_r_te(r[at + (0,)], r[at + (1,)],
+                                                        h[at + (1,)], d)
 
 
 def scattering_coefficients(media: StackMedia, eta):
@@ -247,11 +252,11 @@ def scattering_coefficients(media: StackMedia, eta):
     """
     h = layer_wavevectors(eta, media)
     h = h[0][np.newaxis] if media.anisotropy is None else h  # one h serves both families
-    k = media._families[1].reshape((2,) + media.k.shape + (1,) * (h.ndim - 2))
-    r = interface_rv(h[:, :-1], h[:, 1:], k[:, :-1], k[:, 1:])  # M at k = 1
+    k2 = media._families[1].reshape((2,) + media.k.shape + (1,) * (h.ndim - 2))
+    r = _rv(h[:, :-1] * k2[:, 1:], h[:, 1:] * k2[:, :-1])  # M at k^2 = 1
     if h.ndim == 2:  # scalar eta: numpy's scalar complex product rounds unlike its array loop
         return tuple(_stack_quotient(r[f], h[f % len(h)], media.d) for f in (0, 1))
-    return tuple(_stack_quotient(r.swapaxes(0, 1), h.swapaxes(0, 1), media.d))
+    return _stack_quotient(r, h, media.d, (slice(None),))
 
 
 def te_reflection(media: StackMedia, eta):

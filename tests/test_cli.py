@@ -53,6 +53,14 @@ class TestRateCommand:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["rate", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["rate", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot read config {bad}" in err
+        assert "Traceback" not in err
+
     def test_invalid_schema_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"z": 1e-5}))
@@ -325,6 +333,18 @@ class TestReproduceCommand:
     def test_bad_tol_is_usage_error(self, tmp_path, capsys):
         assert main(["reproduce", "fig3", "--out", str(tmp_path), "--tol", "nan"]) == 1
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_is_computation_error(self, tmp_path, capsys, under):
+        # The same error as sweep --out on an unwritable path: exit 2, no traceback.
+        blocker = tmp_path / "taken"
+        blocker.write_text("a regular file")
+        out = blocker / "figs" if under else blocker
+        assert main(["reproduce", "fig3", "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"computation error: cannot write CSV to {out}" in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "a regular file"
 
 
 class TestUsage:

@@ -122,6 +122,17 @@ class TestEngine:
         assert err.value.partial_value > 0
         assert err.value.diagnostics.refinements == 2
 
+    def test_partial_value_is_in_units_of_eta(self):
+        # The Jacobian 1/(2z) of u = 2 eta z is applied once, to the total;
+        # the error path's partial value must carry it too.
+        z = 1e-5
+        f = lambda eta: np.abs(eta * 2 * z - 1.3) * np.exp(-2 * eta * z)
+        settings = QuadratureSettings(rel_tol=1e-12, max_refinements=2)
+        with pytest.raises(QuadratureError) as err:
+            integrate_semi_infinite(f, z, settings)
+        exact = (0.3 + 2 * math.exp(-1.3)) / (2 * z)
+        assert abs(err.value.partial_value / exact - 1) <= err.value.diagnostics.est_error
+
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(QuadratureError):
             integrate_semi_infinite(lambda eta: np.full_like(eta, np.nan), 1e-5)

@@ -21,7 +21,8 @@ from spinflip.rates import (PATH_CALIBRATION_RATIO, RateResult, SpinOrientation,
                             double_curl_integrand, gamma_anisotropic,
                             gamma_general, gamma_isotropic,
                             rate_integrand_anisotropic, spin_flip_rate)
-from spinflip.stratified import Layer, LayerStack, stack_media, te_reflection
+from spinflip.stratified import (Layer, LayerStack, scattering_coefficients, stack_media,
+                                 te_reflection)
 
 OMEGA = RB87_CLOCK_TRANSITION.omega
 
@@ -319,6 +320,23 @@ class TestOrientation:
             return par.gamma_field / perp.gamma_field - 0.5
         assert abs(tm_share(10e-6)) <= 1e-12
         assert tm_share(1e-2) >= 1e-7
+
+    @pytest.mark.parametrize("film, d", [(BSCCO, 2.5e-6), (NIOBIUM, 1e-6)],
+                             ids=["bscco", "niobium"])
+    def test_integrand_weighs_n_by_k1_squared(self, film, d):
+        # The integrand's N weight k1^2 is computed once per rate.  At 1 cm
+        # the N term reaches 1e-3 of the integrand at small eta; below 10 um
+        # N/(2M) <= 1e-12, far under the tolerances of the rate tests.
+        z = 1e-2
+        stack = LayerStack((Layer(VACUUM), Layer(film, d), Layer(COPPER)), 4.2)
+        eta = np.geomspace(1e-3, 60.0, 200) / (2 * z)
+        m, n = scattering_coefficients(stack_media(stack, OMEGA), eta)
+        m_term = 3 * eta**2 * m.imag
+        n_term = (OMEGA / CONSTANTS.c) ** 2 * n.imag
+        want = np.exp(-2 * eta * z) / (8 * math.pi) * (m_term + n_term)
+        np.testing.assert_allclose(rate_integrand_anisotropic(stack, eta, z, OMEGA), want,
+                                   rtol=1e-14, atol=0)
+        assert np.max(n_term / (m_term + n_term)) > 1e-4
 
     def test_zero_matrix_elements_zero_rate(self, niobium_stack):
         silent = TransitionSpec(frequency=560e3, matrix_elements=(0, 0, 0))
