@@ -110,9 +110,13 @@ def thermal_photon_number(frequency: float, T: float) -> float:
         raise DomainError("frequency must be positive and finite")
     if not real_in_range(T, or_zero=True):
         raise DomainError("temperature must be non-negative and finite")
-    if T == 0:
+    kT = CONSTANTS.kB * T
+    if kT == 0:  # T = 0, or kB T below the smallest double: h f >> kB T
         return 0.0
-    x = CONSTANTS.h * frequency / (CONSTANTS.kB * T)
+    x = CONSTANTS.h * frequency / kT
+    if x <= 1.0 / sys.float_info.max:  # 1/x overflows, or h f underflows to 0
+        raise DomainError(f"thermal photon number at f = {frequency:g} Hz and T = {T:g} K "
+                          f"overflows double precision")
     try:
         return 1.0 / math.expm1(x)
     except OverflowError:

@@ -18,7 +18,7 @@ i*sigma_n/(eps0*omega) is identically 2i/(k^2 delta^2) with delta the skin
 depth of the normal fluid; the conductivity form avoids dividing by a zero
 conductivity at T = 0.
 
-The carrier split follows n_n(T)/n_0 = (T/Tc)^alpha for both penetration-depth
+One carrier split, n_n(T)/n_0 = (T/Tc)^alpha, serves both penetration-depth
 power laws (alpha = 4 conventional s-wave, alpha = 1 d-wave), so that
 lambda(T) = lambda(0) [1 - (T/Tc)^alpha]^(-1/2) and sigma_n(T) = sigma (T/Tc)^alpha
 remain mutually consistent.  At and above Tc every superconductor variant
@@ -28,6 +28,7 @@ degrades to the Drude metal of its normal-state conductivity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -142,38 +143,49 @@ class UniaxialSuperconductor:
 MaterialModel = Union[Vacuum, DrudeMetal, IsotropicSuperconductor, UniaxialSuperconductor]
 
 
+def _normal_fraction(T: float, Tc: float, alpha: float) -> float:
+    """The carrier split n_n/n_0 = (T/Tc)^alpha below Tc, 1 at and above it."""
+    if not (real_in_range(Tc) and real_in_range(alpha)):
+        raise DomainError("Tc and alpha must be positive and finite")
+    if not real_in_range(T, or_zero=True):
+        raise DomainError("temperature must be non-negative and finite")
+    return 1.0 if T >= Tc else (T / Tc) ** alpha
+
+
 def lambda_of_T(lambda0: float, T: float, Tc: float, alpha: float) -> float:
     """Penetration depth lambda(T) = lambda0 [1 - (T/Tc)^alpha]^(-1/2).
 
     Only defined below Tc; strictly increasing in T.
     """
-    if not (real_in_range(lambda0) and real_in_range(Tc)):
-        raise DomainError("lambda0 and Tc must be positive and finite")
-    if not real_in_range(T, or_zero=True):
-        raise DomainError("temperature must be non-negative and finite")
+    if not real_in_range(lambda0):
+        raise DomainError("lambda0 must be positive and finite")
+    fraction = _normal_fraction(T, Tc, alpha)
     if T >= Tc:
         raise DomainError(
             "penetration depth undefined at or above Tc; use the normal-state model")
-    return lambda0 * (1.0 - (T / Tc) ** alpha) ** -0.5
+    if fraction == 1.0:
+        raise DomainError(f"lambda(T = {T:g} K) with Tc = {Tc:g} K, alpha = {alpha:g}: "
+                          f"(T/Tc)^alpha rounds to 1, so it overflows double precision")
+    return lambda0 * (1.0 - fraction) ** -0.5
 
 
 def sigma_n_of_T(sigma_normal: float, T: float, Tc: float, alpha: float) -> float:
     """Normal-fluid conductivity sigma_n(T) = sigma_normal (T/Tc)^alpha,
     clamped to sigma_normal at and above Tc."""
-    if not (real_in_range(sigma_normal) and real_in_range(Tc)):
-        raise DomainError("sigma_normal and Tc must be positive and finite")
-    if not real_in_range(T, or_zero=True):
-        raise DomainError("temperature must be non-negative and finite")
-    if T >= Tc:
-        return sigma_normal
-    return sigma_normal * (T / Tc) ** alpha
+    if not real_in_range(sigma_normal):
+        raise DomainError("sigma_normal must be positive and finite")
+    return sigma_normal * _normal_fraction(T, Tc, alpha)
 
 
 def skin_depth(omega: float, sigma: float) -> float:
     """Skin depth sqrt(2/(omega mu0 sigma)) of a conductor."""
     if not (real_in_range(omega) and real_in_range(sigma)):
         raise DomainError("omega and sigma must be positive and finite")
-    return math.sqrt(2.0 / (omega * CONSTANTS.mu0 * sigma))
+    product = omega * CONSTANTS.mu0 * sigma
+    if product <= 2.0 / sys.float_info.max:  # 2/product overflows or divides by 0
+        raise DomainError(f"skin depth at omega = {omega:g} rad/s and sigma = {sigma:g} "
+                          f"S/m overflows double precision")
+    return math.sqrt(2.0 / product)
 
 
 def _drude_eps(sigma: float, omega: float) -> complex:

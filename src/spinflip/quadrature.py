@@ -111,6 +111,12 @@ _INITIAL_U = np.concatenate([u for _, _, u, _ in _INITIAL_SETS])
 _INITIAL_CALLS = tuple((a, b, slice(i - u.size, i), half) for (a, b, u, half), i in zip(
     _INITIAL_SETS, np.cumsum([u.size for _, _, u, _ in _INITIAL_SETS]).tolist()))
 
+# Largest max_refinements.  Every refinement re-sorts and re-sums all panels,
+# so an unconverged rate's cost grows faster than its budget: on the canonical
+# Nb stack at z = 10 um, 0.23 s at 1,000 refinements and 2.4 s at 4,000 (one
+# core of a 2-core Xeon).
+MAX_REFINEMENTS = 1_000
+
 
 @dataclass(frozen=True)
 class QuadratureSettings:
@@ -123,8 +129,8 @@ class QuadratureSettings:
         m = self.max_refinements
         if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
             raise DomainError("max_refinements must be a whole number")
-        if m < 1:
-            raise DomainError("max_refinements must be at least 1")
+        if not 1 <= m <= MAX_REFINEMENTS:
+            raise DomainError(f"max_refinements must be from 1 to {MAX_REFINEMENTS}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -162,6 +168,8 @@ def integrate_semi_infinite(integrand, z: float,
     """
     if not real_in_range(z):
         raise DomainError("z must be positive and finite")
+    if not isinstance(settings, QuadratureSettings):
+        raise DomainError(f"settings must be a QuadratureSettings, not {type(settings).__name__}")
 
     scale = 1.0 / (2.0 * z)  # d eta / d u
     eta = _INITIAL_U * scale
@@ -174,17 +182,9 @@ def integrate_semi_infinite(integrand, z: float,
     while True:
         total = math.fsum(p[3] for p in panels)
         err_total = math.fsum(p[0] for p in panels)
-        if err_total <= settings.rel_tol * abs(total):
+        converged = err_total <= settings.rel_tol * abs(total)
+        if converged or refinements >= settings.max_refinements:
             break
-        if refinements >= settings.max_refinements:
-            diag = QuadratureDiagnostics(
-                evaluations=evaluations, truncation_eta=_U * scale,
-                est_error=err_total / abs(total) if total else math.inf,
-                refinements=refinements, panels=len(panels))
-            raise QuadratureError(
-                f"no convergence after {refinements} refinements "
-                f"(estimated relative error {diag.est_error:.3e})",
-                partial_value=float(np.float64(total) * scale), diagnostics=diag)
         panels.sort(key=lambda p: p[0])
         _, a, b, _ = panels.pop()
         mid = 0.5 * (a + b)
@@ -194,7 +194,12 @@ def integrate_semi_infinite(integrand, z: float,
 
     diag = QuadratureDiagnostics(
         evaluations=evaluations, truncation_eta=_U * scale,
-        est_error=err_total / abs(total) if total else 0.0,
+        est_error=err_total / abs(total) if total else (0.0 if converged else math.inf),
         refinements=refinements, panels=len(panels))
     # A numpy product, so an overflow obeys the caller's np.errstate.
-    return float(np.float64(total) * scale), diag
+    value = float(np.float64(total) * scale)
+    if not converged:
+        raise QuadratureError(f"no convergence after {refinements} refinements "
+                              f"(estimated relative error {diag.est_error:.3e})",
+                              partial_value=value, diagnostics=diag)
+    return value, diag

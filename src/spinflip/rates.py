@@ -14,15 +14,15 @@ media.  _channel_weights turns the transition's spin matrix elements (the
 Rb-87 preset if it has none) and the spin orientation into (w_M, w_N), (3, 1)
 for the preset; every route uses it:
 
-* gamma_anisotropic / gamma_general -- (w_M, w_N): the scattering-coefficient
-  rate (uniaxial film allowed), random or fixed orientation;
+* gamma_anisotropic (alias gamma_general) -- (w_M, w_N): the scattering-
+  coefficient rate (uniaxial film allowed), random or fixed orientation;
 * gamma_isotropic -- (w_M / PATH_CALIBRATION_RATIO, 0) for stacks of
   isotropic layers, for the preset the layered-medium form
   P * integral K^2 dK/(2 pi)^2 * e^{-2 K z}/2 * Im r_TE(K).
 
 On isotropic stacks gamma_anisotropic / gamma_isotropic is therefore 3*pi up
-to the near-field-small N channel; which of the two published normalisations
-is absolute is not yet settled.
+to the near-field-small N channel, and the scattering route is the absolute
+rate.  spin_flip_rate picks a route by the stack; each is one _gamma call.
 
 _rate_integrand computes -2z and w_N k1^2 once per rate, and _gamma applies
 the 1/(8 pi) with P, so each integrand call does only eta-dependent work.
@@ -167,12 +167,21 @@ def _rate_integrand(media: StackMedia, z: float, omega: float, w_m: float, w_n: 
 def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
            T: float | None, settings: QuadratureSettings,
            orientation: SpinOrientation = SpinOrientation.RANDOM,
-           m_only: bool = False) -> RateResult:
-    """Rate of the orientation's channels on the prefactor rate_prefactor();
-    with `m_only`, the M channel alone divided by PATH_CALIBRATION_RATIO.
-    Inputs so extreme that the arithmetic overflows give a DomainError."""
+           m_only: bool | None = False) -> RateResult:
+    """The one rate entry, where every argument is checked: the orientation's
+    channels on the prefactor rate_prefactor(), or with `m_only` (None: if the
+    stack is isotropic) the M channel over PATH_CALIBRATION_RATIO, uniaxial
+    stacks refused.  An overflow of the arithmetic is a DomainError."""
+    if not isinstance(stack, LayerStack):
+        raise DomainError(f"stack must be a LayerStack, not {type(stack).__name__}")
+    if not isinstance(transition, TransitionSpec):
+        raise DomainError(f"transition must be a TransitionSpec, not {type(transition).__name__}")
     if not real_in_range(z):
         raise DomainError("atom height z must be positive and finite")
+    if m_only is None:
+        m_only = not stack.is_anisotropic
+    elif m_only and stack.is_anisotropic:
+        raise DomainError("stack contains a uniaxial layer; use gamma_anisotropic")
     check_quasi_static(z, transition)
     if T is None:
         T = stack.temperature
@@ -211,8 +220,6 @@ def gamma_isotropic(stack: LayerStack, z: float,
                     settings: QuadratureSettings = DEFAULT_SETTINGS) -> RateResult:
     """Spin-flip rate above a stack of isotropic layers: the M channel of
     gamma_anisotropic divided by PATH_CALIBRATION_RATIO."""
-    if stack.is_anisotropic:
-        raise DomainError("stack contains a uniaxial layer; use gamma_anisotropic")
     return _gamma(stack, z, transition, T, settings, m_only=True)
 
 
@@ -227,11 +234,21 @@ def rate_integrand_anisotropic(stack: LayerStack, eta, z: float, omega: float):
 def gamma_anisotropic(stack: LayerStack, z: float,
                       transition: TransitionSpec = RB87_CLOCK_TRANSITION,
                       T: float | None = None,
-                      settings: QuadratureSettings = DEFAULT_SETTINGS) -> RateResult:
-    """Spin-flip rate via the scattering-coefficient route, random spin
-    orientation (uniaxial film allowed; isotropic stacks are accepted and
-    reproduce gamma_isotropic up to PATH_CALIBRATION_RATIO)."""
-    return _gamma(stack, z, transition, T, settings)
+                      settings: QuadratureSettings = DEFAULT_SETTINGS, *,
+                      orientation: SpinOrientation = SpinOrientation.RANDOM) -> RateResult:
+    """Spin-flip rate via the scattering-coefficient route (uniaxial film
+    allowed) from the in-plane (parallel, doubly degenerate) and out-of-plane
+    (perpendicular) components of the curl-curl noise tensor,
+
+        Gamma = mu0 2 (muB gS)^2/hbar * [w_par * Im C_rr + w_perp * Im C_zz],
+        Im C_rr = integral e^{-2 eta z}/(8 pi) Im[eta^2 M + k1^2 N] d eta,
+        Im C_zz = integral e^{-2 eta z}/(8 pi) Im[2 eta^2 M]        d eta;
+
+    `orientation` keeps one channel, and RANDOM sums both."""
+    return _gamma(stack, z, transition, T, settings, orientation)
+
+
+gamma_general = gamma_anisotropic
 
 
 def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
@@ -257,27 +274,6 @@ def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
     return 1j * np.exp(2j * h * z) / (4.0 * math.pi) * bracket
 
 
-def gamma_general(stack: LayerStack, z: float,
-                  transition: TransitionSpec = RB87_CLOCK_TRANSITION,
-                  T: float | None = None,
-                  orientation: SpinOrientation = SpinOrientation.RANDOM,
-                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> RateResult:
-    """General contraction of the spin matrix elements with the in-plane
-    (parallel, doubly degenerate) and out-of-plane (perpendicular) components
-    of the curl-curl noise tensor:
-
-        Gamma = mu0 2 (muB gS)^2/hbar * [w_par * Im C_rr + w_perp * Im C_zz]
-
-    with near-field components
-
-        Im C_rr = integral e^{-2 eta z}/(8 pi) Im[eta^2 M + k1^2 N] d eta
-        Im C_zz = integral e^{-2 eta z}/(8 pi) Im[2 eta^2 M]        d eta.
-
-    With RANDOM orientation (the channel sum) this is gamma_anisotropic.
-    """
-    return _gamma(stack, z, transition, T, settings, orientation)
-
-
 def spin_flip_rate(stack: LayerStack, z: float,
                    transition: TransitionSpec = RB87_CLOCK_TRANSITION,
                    T: float | None = None,
@@ -285,7 +281,5 @@ def spin_flip_rate(stack: LayerStack, z: float,
     """Rate via the route appropriate to the stack: the scattering route if
     any layer is uniaxial, the isotropic route (M channel only) otherwise.
     Both weigh the channels by the transition's matrix elements."""
-    if stack.is_anisotropic:
-        return gamma_anisotropic(stack, z, transition, T, settings)
-    return gamma_isotropic(stack, z, transition, T, settings)
+    return _gamma(stack, z, transition, T, settings, m_only=None)
 

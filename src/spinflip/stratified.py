@@ -195,12 +195,18 @@ def layer_wavevectors(eta, media: StackMedia):
     return _decaying_sqrt(eta2 * media._families[0].reshape((2,) + shape) + kt2 - eta2)
 
 
+def _interface_quotient(a, b, degenerate: str = "TM interface denominator vanished"):
+    """The interface coefficient of both families, (a - b)/(a + b); a zero
+    denominator raises DegenerateInterfaceError(`degenerate`)."""
+    den = a + b
+    if np.count_nonzero(den) < np.size(den):
+        raise DegenerateInterfaceError(degenerate)
+    return (a - b) / den
+
+
 def fresnel_te(k1z, k2z):
     """TE Fresnel reflection coefficient (k1z - k2z)/(k1z + k2z)."""
-    den = k1z + k2z
-    if np.count_nonzero(den) < np.size(den):
-        raise DegenerateInterfaceError("k1z + k2z = 0")
-    return (k1z - k2z) / den
+    return _interface_quotient(k1z, k2z, "k1z + k2z = 0")
 
 
 def generalized_r_te(r12, r23, k2z, d: float):
@@ -223,15 +229,7 @@ def generalized_r_te(r12, r23, k2z, d: float):
 def interface_rv(h_f, h_f1, k_f, k_f1):
     """TM-family interface coefficient
     (h_f k_f1^2 - h_f1 k_f^2)/(h_f k_f1^2 + h_f1 k_f^2)."""
-    return _rv(h_f * k_f1**2, h_f1 * k_f**2)
-
-
-def _rv(a, b):
-    """interface_rv from its products a = h_f k_f1^2 and b = h_f1 k_f^2."""
-    den = a + b
-    if np.count_nonzero(den) < np.size(den):
-        raise DegenerateInterfaceError("TM interface denominator vanished")
-    return (a - b) / den
+    return _interface_quotient(h_f * k_f1**2, h_f1 * k_f**2)
 
 
 def _stack_quotient(r, h, d: float, at=()):
@@ -253,7 +251,7 @@ def scattering_coefficients(media: StackMedia, eta):
     h = layer_wavevectors(eta, media)
     h = h[0][np.newaxis] if media.anisotropy is None else h  # one h serves both families
     k2 = media._families[1].reshape((2,) + media.k.shape + (1,) * (h.ndim - 2))
-    r = _rv(h[:, :-1] * k2[:, 1:], h[:, 1:] * k2[:, :-1])  # M at k^2 = 1
+    r = _interface_quotient(h[:, :-1] * k2[:, 1:], h[:, 1:] * k2[:, :-1])  # M at k^2 = 1
     if h.ndim == 2:  # scalar eta: numpy's scalar complex product rounds unlike its array loop
         return tuple(_stack_quotient(r[f], h[f % len(h)], media.d) for f in (0, 1))
     return _stack_quotient(r, h, media.d, (slice(None),))

@@ -128,7 +128,10 @@ class TestRateCommand:
          "stack.layers[1]: layer thickness must be non-negative"),
         ({"transition": {"frequency": 1e308}}, "transition: transition frequency 1e+308 Hz: 2 pi f overflows"),
         ({"quadrature": {"rel_tol": -1e-8}}, "quadrature: rel_tol"),
-    ], ids=["two-materials", "uniaxial-component", "layer", "transition", "quadrature"])
+        ({"quadrature": {"rel_tol": 1e-300, "max_refinements": 10**9}},
+         "quadrature: max_refinements must be from 1 to 1000"),
+    ], ids=["two-materials", "uniaxial-component", "layer", "transition", "quadrature",
+            "max-refinements"])
     def test_range_error_names_its_place(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
         assert main(["rate", "--config", str(cfg)]) == 1

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, getcontext
 
 import pytest
@@ -70,6 +71,19 @@ class TestThermalPhotonNumber:
     def test_large_argument_underflows_to_zero(self, frequency, temperature):
         # h f / kB T above ~709.8 overflows exp; the occupation is 0
         assert thermal_photon_number(frequency, temperature) == 0.0
+
+    @pytest.mark.parametrize("temperature", [1e-320, 5e-324, 1e-300])
+    def test_tiny_temperature_gives_zero(self, temperature):
+        # kB T underflows (or h f / kB T overflows): the occupation is 0
+        assert thermal_photon_number(560e3, temperature) == 0.0
+
+    @pytest.mark.parametrize("frequency,temperature", [(1e-300, 4.2), (1e-10, 1e300),
+                                                       (560e3, 1e305)])
+    def test_overflowing_occupation_is_domain_error(self, frequency, temperature):
+        # h f / kB T rounds to 0 or so close to it that 1/x overflows
+        with pytest.raises(DomainError,
+                           match=re.escape(f"f = {frequency:g} Hz and T = {temperature:g} K")):
+            thermal_photon_number(frequency, temperature)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -76,6 +76,29 @@ class TestSkinDepth:
             skin_depth(OMEGA, -1.0)
 
 
+class TestFormulaDomain:
+    # Each public formula either returns a finite real or raises a
+    # DomainError that names its inputs: no complex value from a negative
+    # alpha, no bare ZeroDivisionError where (T/Tc)^alpha rounds to 1 or
+    # omega mu0 sigma underflows.
+    @pytest.mark.parametrize("make, message", [
+        (lambda: lambda_of_T(1e-7, 1.0, 9.0, -1.0), "alpha"),
+        (lambda: lambda_of_T(1e-7, 1.0, 9.0, 0.0), "alpha"),
+        (lambda: sigma_n_of_T(1e7, 0.0, 9.0, -1.0), "alpha"),
+        (lambda: sigma_n_of_T(1e7, 1.0, 9.0, "4"), "alpha"),
+        (lambda: lambda_of_T(1e-7, 1.0, 9.0, 1e-300), "alpha = 1e-300"),
+        (lambda: lambda_of_T(1e-7, "1", 9.0, 4.0), "temperature"),
+        (lambda: sigma_n_of_T(1e7, "20", 8.3, 4.0), "temperature"),
+        (lambda: skin_depth(1e-300, 1e-300), "omega = 1e-300 rad/s and sigma = 1e-300"),
+        (lambda: skin_depth(1e-300, 1e-10), "omega = 1e-300 rad/s and sigma = 1e-10"),
+    ], ids=["lambda-alpha-negative", "lambda-alpha-zero", "sigma-alpha-negative",
+            "sigma-alpha-str", "lambda-fraction-rounds-to-one", "lambda-T-str",
+            "sigma-T-str-above-tc", "skin-depth-underflow", "skin-depth-overflow"])
+    def test_raises_domain_error(self, make, message):
+        with pytest.raises(DomainError, match=message):
+            make()
+
+
 class TestPermittivity:
     def test_vacuum_exact(self):
         eps = permittivity(VACUUM, OMEGA, 300.0)

@@ -151,8 +151,10 @@ class TestEngine:
             with pytest.raises(DomainError):
                 QuadratureSettings(**{field: math.nan})
         # Wrong types fail here, not as a TypeError from a range comparison;
-        # a refinement budget is a whole number, not a float or a bool.
-        for args in (("1e-8",), (1e-8, 2.5), (1e-8, True)):
+        # a refinement budget is a whole number, not a float or a bool, and
+        # at most MAX_REFINEMENTS.
+        for args in (("1e-8",), (1e-8, 2.5), (1e-8, True),
+                     (1e-300, quadrature.MAX_REFINEMENTS + 1)):
             with pytest.raises(DomainError):
                 QuadratureSettings(*args)
 

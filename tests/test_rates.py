@@ -16,13 +16,14 @@ from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
                                 IsotropicSuperconductor, TwoFluidParams,
                                 UniaxialSuperconductor, lambda_of_T, sigma_n_of_T,
                                 skin_depth)
-from spinflip.quadrature import QuadratureSettings
+from spinflip.quadrature import QuadratureSettings, integrate_semi_infinite
 from spinflip.rates import (PATH_CALIBRATION_RATIO, RateResult, SpinOrientation,
                             double_curl_integrand, gamma_anisotropic,
                             gamma_general, gamma_isotropic,
                             rate_integrand_anisotropic, spin_flip_rate)
 from spinflip.stratified import (Layer, LayerStack, scattering_coefficients, stack_media,
                                  te_reflection)
+from spinflip.sweep import screening_factor
 
 OMEGA = RB87_CLOCK_TRANSITION.omega
 
@@ -202,6 +203,45 @@ class TestClosedFormLimits:
         film = LayerStack((Layer(VACUUM), Layer(COPPER, d), Layer(VACUUM)), self.T)
         r = self.over_unit(film, z) / (3.0 / 32.0 * d / z)
         assert abs(r - (1.0 - d / z)) <= 1.5 * (d / z) ** 2
+
+
+class TestThickSuperconductorLimit:
+    """The scattering route's absolute rate above a thick two-fluid
+    superconductor (lambda0 = 35 nm, Tc = 8.3 K, sigma_normal = 1e7 S/m)
+    against its lambda/z expansion (Skagerstam, Hohenester, Eiguren & Rekdal,
+    PRL 97, 070401 (2006); Hohenester et al., PRA 76, 033618 (2007)).
+
+    With C = Gamma_total 16 pi hbar^2 z^4/(mu0^2 (muB gS)^2 kB T sigma_n(T)
+    lambda(T)^3) and x = lambda(T)/z, C -> 9/32: the lifetime follows
+    tau(T) ~ [1 - (T/Tc)^alpha]^(3/2)/(T (T/Tc)^alpha), the s-wave (alpha = 4)
+    versus d-wave (alpha = 1) law.  Derivation: quasi-statically the
+    half-space has h = i q, q^2 = eta^2 + lambda^-2 - i mu0 sigma_n omega, so
+    to first order in the loss mu0 sigma_n omega lambda^2 (below 1e-6 here)
+    Im r_TE = mu0 sigma_n omega lambda^2 s f(s), s = eta lambda,
+    f(s) = e^(-2 asinh s)/sqrt(1 + s^2) = 1 - 2s + (3/2)s^2 + 0 s^3 - (5/8)s^4.
+    Under the kernel eta^2 e^(-2 eta z) an s^n term weighs (3+n)!/(3! 2^n)
+    x^n, so C 32/9 = (1 - 4x + 7.5x^2 - 32.8x^4)(1 + hbar omega/(2 kB T)), the
+    last factor from n_th + 1 = (kB T/hbar omega)(1 + hbar omega/(2 kB T)).
+    K = 8.5 is the derived x^2 coefficient 7.5 plus a margin of 1 for the
+    occupation term, which is at most 0.43 x^2 on this grid.
+    gamma_isotropic reads C/(3 pi) = 0.0294 at z = 10 um.
+    """
+
+    SETTINGS = QuadratureSettings(rel_tol=1e-12)
+
+    @pytest.mark.parametrize("z", [10e-6, 1e-6])
+    @pytest.mark.parametrize("t", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("alpha", [4.0, 1.0])
+    def test_lambda_over_z_expansion(self, alpha, t, z):
+        c, T = CONSTANTS, t * 8.3
+        film = IsotropicSuperconductor(TwoFluidParams(35e-9, 8.3, 1e7, alpha))
+        stack = LayerStack((Layer(VACUUM), Layer(film)), T)
+        gamma = gamma_anisotropic(stack, z, settings=self.SETTINGS).gamma_total
+        lam, sigma = lambda_of_T(35e-9, T, 8.3, alpha), sigma_n_of_T(1e7, T, 8.3, alpha)
+        C = (gamma * 16.0 * math.pi * c.hbar**2 * z**4
+             / (c.mu0**2 * (c.muB * c.gS) ** 2 * c.kB * T * sigma * lam**3))
+        x = lam / z
+        assert abs(C * 32.0 / 9.0 - (1.0 - 4.0 * x)) <= 8.5 * x**2
 
 
 class TestNearMetalAccuracy:
@@ -448,6 +488,12 @@ class TestNonFiniteInputs:
                                        gap_frequency=-7.5e12),
         lambda: double_curl_integrand(NB_STACK, 1e5, math.nan, OMEGA),
         lambda: TransitionSpec(1e308),
+        lambda: spin_flip_rate(NB_STACK, 1e-5, settings="x"),
+        lambda: spin_flip_rate(NB_STACK, 1e-5, transition=None),
+        lambda: spin_flip_rate("x", 1e-5),
+        lambda: gamma_anisotropic(None, 1e-5),
+        lambda: screening_factor(NB_STACK, 1e-5, "x"),
+        lambda: integrate_semi_infinite(lambda eta: eta, 1e-5, "x"),
     ], ids=["z-nan", "z-inf", "T-inf", "T-nan", "element-nan", "element-inf",
             "frequency-nan", "frequency-inf", "stack-T-nan", "stack-T-inf",
             "thickness-nan", "sigma-nan", "sigma-inf", "lambda0-nan", "Tc-nan",
@@ -456,7 +502,9 @@ class TestNonFiniteInputs:
             "T-bool", "thickness-bool", "film-huge-int", "frequency-bool", "sigma-bool",
             "element-bool", "element-huge-int", "rel_tol-inf", "rel_tol-bool",
             "first_critical_field-negative", "gap_frequency-negative",
-            "double_curl-z-nan", "frequency-omega-overflow"])
+            "double_curl-z-nan", "frequency-omega-overflow", "settings-str",
+            "transition-none", "stack-str", "stack-none", "screening-transition-str",
+            "integrate-settings-str"])
     def test_raises_domain_error(self, make):
         with pytest.raises(DomainError):
             make()

@@ -408,6 +408,7 @@ class TestParseConfig:
                                       "max": 1e-4, "points": 5.5}),
         lambda raw: raw.update(transition={"frequency": 1e6,
                                            "matrix_elements": [True, 0, 0]}),
+        lambda raw: raw.update(quadrature={"rel_tol": 1e-300, "max_refinements": 10**9}),
     ])
     def test_invalid_configs_rejected(self, mutate):
         raw = nb_config()
