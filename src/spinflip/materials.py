@@ -1,12 +1,9 @@
 """Complex relative permittivity models.
 
-Four material variants are supported:
-
-* vacuum,
-* a normal metal in the low-frequency (Drude/skin-depth) limit,
-* an isotropic two-fluid superconductor,
-* a uniaxially anisotropic two-fluid superconductor (distinct in-plane and
-  out-of-plane penetration depths and normal-fluid conductivities).
+Four material variants are supported: vacuum, a normal metal in the
+low-frequency (Drude/skin-depth) limit, an isotropic two-fluid superconductor,
+and a uniaxially anisotropic one (distinct in-plane and out-of-plane
+penetration depths and normal-fluid conductivities).
 
 The two-fluid permittivity is
 
@@ -22,7 +19,10 @@ One carrier split, n_n(T)/n_0 = (T/Tc)^alpha, serves both penetration-depth
 power laws (alpha = 4 conventional s-wave, alpha = 1 d-wave), so that
 lambda(T) = lambda(0) [1 - (T/Tc)^alpha]^(-1/2) and sigma_n(T) = sigma (T/Tc)^alpha
 remain mutually consistent.  At and above Tc every superconductor variant
-degrades to the Drude metal of its normal-state conductivity.
+degrades to the Drude metal of its normal-state conductivity.  Each value is
+checked once, where it enters: the models' parameters by their constructors,
+omega and T by permittivity, and the arguments of lambda_of_T and sigma_n_of_T
+by those functions.  The private two-fluid core behind all three trusts them.
 """
 
 from __future__ import annotations
@@ -143,38 +143,32 @@ class UniaxialSuperconductor:
 MaterialModel = Union[Vacuum, DrudeMetal, IsotropicSuperconductor, UniaxialSuperconductor]
 
 
-def _normal_fraction(T: float, Tc: float, alpha: float) -> float:
-    """The carrier split n_n/n_0 = (T/Tc)^alpha below Tc, 1 at and above it."""
-    if not (real_in_range(Tc) and real_in_range(alpha)):
-        raise DomainError("Tc and alpha must be positive and finite")
-    if not real_in_range(T, or_zero=True):
-        raise DomainError("temperature must be non-negative and finite")
-    return 1.0 if T >= Tc else (T / Tc) ** alpha
+def _below_tc(p: TwoFluidParams, T: float) -> tuple[float, float]:
+    """lambda(T) and sigma_n(T) of checked parameters below Tc from one split (T/Tc)^alpha."""
+    fraction = (T / p.Tc) ** p.alpha
+    lam = p.lambda0 * (1.0 - fraction) ** -0.5 if fraction < 1.0 else math.inf
+    if lam == math.inf:
+        raise DomainError(f"lambda(T = {T:g} K) with Tc = {p.Tc:g} K, alpha = {p.alpha:g} "
+                          f"overflows double precision")
+    return lam, p.sigma_normal * fraction
 
 
 def lambda_of_T(lambda0: float, T: float, Tc: float, alpha: float) -> float:
-    """Penetration depth lambda(T) = lambda0 [1 - (T/Tc)^alpha]^(-1/2).
-
-    Only defined below Tc; strictly increasing in T.
-    """
-    if not real_in_range(lambda0):
-        raise DomainError("lambda0 must be positive and finite")
-    fraction = _normal_fraction(T, Tc, alpha)
-    if T >= Tc:
-        raise DomainError(
-            "penetration depth undefined at or above Tc; use the normal-state model")
-    if fraction == 1.0:
-        raise DomainError(f"lambda(T = {T:g} K) with Tc = {Tc:g} K, alpha = {alpha:g}: "
-                          f"(T/Tc)^alpha rounds to 1, so it overflows double precision")
-    return lambda0 * (1.0 - fraction) ** -0.5
+    """Penetration depth lambda(T) = lambda0 [1 - (T/Tc)^alpha]^(-1/2), only
+    defined below Tc; strictly increasing in T."""
+    p = TwoFluidParams(lambda0, Tc, 1.0, alpha)  # checks lambda0, Tc and alpha
+    if not (real_in_range(T, or_zero=True) and T < Tc):
+        raise DomainError("temperature must be non-negative, finite and below Tc")
+    return _below_tc(p, T)[0]
 
 
 def sigma_n_of_T(sigma_normal: float, T: float, Tc: float, alpha: float) -> float:
     """Normal-fluid conductivity sigma_n(T) = sigma_normal (T/Tc)^alpha,
     clamped to sigma_normal at and above Tc."""
-    if not real_in_range(sigma_normal):
-        raise DomainError("sigma_normal must be positive and finite")
-    return sigma_normal * _normal_fraction(T, Tc, alpha)
+    p = TwoFluidParams(1.0, Tc, sigma_normal, alpha)  # checks Tc, sigma_normal and alpha
+    if not real_in_range(T, or_zero=True):
+        raise DomainError("temperature must be non-negative and finite")
+    return sigma_normal if T >= Tc else _below_tc(p, T)[1]
 
 
 def skin_depth(omega: float, sigma: float) -> float:
@@ -196,10 +190,8 @@ def _drude_eps(sigma: float, omega: float) -> complex:
 def _two_fluid_eps(p: TwoFluidParams, omega: float, T: float) -> complex:
     if T >= p.Tc:
         return _drude_eps(p.sigma_normal, omega)
-    k = omega / CONSTANTS.c
-    lam = lambda_of_T(p.lambda0, T, p.Tc, p.alpha)
-    sig_n = sigma_n_of_T(p.sigma_normal, T, p.Tc, p.alpha)
-    return 1.0 - 1.0 / (k * lam) ** 2 + 1j * sig_n / (CONSTANTS.eps0 * omega)
+    lam, sig_n = _below_tc(p, T)
+    return 1.0 - 1.0 / (omega / CONSTANTS.c * lam) ** 2 + 1j * sig_n / (CONSTANTS.eps0 * omega)
 
 
 def permittivity(material: MaterialModel, omega: float, T: float) -> PermittivityTensor:

@@ -168,34 +168,30 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
            T: float | None, settings: QuadratureSettings,
            orientation: SpinOrientation = SpinOrientation.RANDOM,
            m_only: bool | None = False) -> RateResult:
-    """The one rate entry, where every argument is checked: the orientation's
-    channels on the prefactor rate_prefactor(), or with `m_only` (None: if the
-    stack is isotropic) the M channel over PATH_CALIBRATION_RATIO, uniaxial
-    stacks refused.  An overflow of the arithmetic is a DomainError."""
-    if not isinstance(stack, LayerStack):
-        raise DomainError(f"stack must be a LayerStack, not {type(stack).__name__}")
+    """The one rate entry, which checks z and the transition (stack_media checks
+    the stack, omega and T): the orientation's channels on rate_prefactor(), or
+    with `m_only` (None: if the stack is isotropic; uniaxial stacks refused) the
+    M channel over PATH_CALIBRATION_RATIO.  An arithmetic overflow is a DomainError."""
     if not isinstance(transition, TransitionSpec):
         raise DomainError(f"transition must be a TransitionSpec, not {type(transition).__name__}")
     if not real_in_range(z):
         raise DomainError("atom height z must be positive and finite")
-    if m_only is None:
-        m_only = not stack.is_anisotropic
-    elif m_only and stack.is_anisotropic:
-        raise DomainError("stack contains a uniaxial layer; use gamma_anisotropic")
     check_quasi_static(z, transition)
-    if T is None:
-        T = stack.temperature
-    stack = stack.with_temperature(T)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
+            media = stack_media(stack, transition.omega, T)
+            if m_only is None:
+                m_only = not stack.is_anisotropic
+            elif m_only and stack.is_anisotropic:
+                raise DomainError("stack contains a uniaxial layer; use gamma_anisotropic")
+            T = stack.temperature if T is None else T
             w_m, w_n = _channel_weights(transition, orientation)
             if m_only:
                 w_m, w_n = w_m / PATH_CALIBRATION_RATIO, 0.0
             if w_m == 0.0 and w_n == 0.0:
                 # Zero matrix elements: no coupling, no integral to run.
                 return _result(0.0, transition, T, QuadratureDiagnostics(0, 0.0, 0.0, 0, 0))
-            omega = transition.omega
-            integrand = _rate_integrand(stack_media(stack, omega), z, omega, w_m, w_n)
+            integrand = _rate_integrand(media, z, transition.omega, w_m, w_n)
             value, diag = integrate_semi_infinite(integrand, z, settings)
             gamma_field = rate_prefactor() / (8.0 * math.pi) * value
             if gamma_field < 0:
@@ -226,6 +222,8 @@ def gamma_isotropic(stack: LayerStack, z: float,
 def rate_integrand_anisotropic(stack: LayerStack, eta, z: float, omega: float):
     """Integrand of the anisotropic-route rate for the preset transition
     (before the global prefactor): e^{-2 eta z}/(8 pi) * Im[3 eta^2 M + k1^2 N]."""
+    if not real_in_range(z):
+        raise DomainError("z must be positive and finite")
     integrand = _rate_integrand(stack_media(stack, omega), z, omega,
                                 *_channel_weights(RB87_CLOCK_TRANSITION))
     return integrand(np.asarray(eta, dtype=float)) / (8.0 * math.pi)
@@ -263,8 +261,8 @@ def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
     if not real_in_range(z):
         raise DomainError("z must be positive and finite")
     eta_arr = np.asarray(eta, dtype=float)
-    k = omega / CONSTANTS.c
     media = stack_media(stack, omega)
+    k = omega / CONSTANTS.c
     h = layer_wavevectors(eta_arr, media)[0][0]  # row 0: the vacuum
     if (h == 0).any():
         raise GrazingSingularityError(

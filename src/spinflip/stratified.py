@@ -28,9 +28,10 @@ Conventions, fixed once for the whole package:
 
 StackMedia, the one medium type of layer_wavevectors, scattering_coefficients
 and te_reflection, holds kt^2, k and the anisotropy of every layer on a
-leading layer axis.  media_of builds it from permittivities (stack_media from
-a LayerStack, once per rate); each function then covers every layer in one
-pass, for scalar or ndarray eta.  It caches the family wavenumbers squared.
+leading layer axis.  media_of checks omega, the permittivities and d once and
+builds it (stack_media from a checked LayerStack, once per rate); each function
+then trusts it and covers every layer in one pass, for scalar or ndarray eta.
+It caches the family wavenumbers squared.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from functools import cached_property
 import numpy as np
 
 from .constants import CONSTANTS, real_in_range
-from .errors import (DegenerateInterfaceError, DomainError, ResonanceError,
-                     SingularMaterialError)
-from .materials import MaterialModel, UniaxialSuperconductor, Vacuum, permittivity
+from .errors import DegenerateInterfaceError, DomainError, ResonanceError, SingularMaterialError
+from .materials import (MaterialModel, PermittivityTensor, UniaxialSuperconductor, Vacuum,
+                        permittivity)
 
 __all__ = [
     "Layer",
@@ -154,10 +155,12 @@ def media_of(omega: float, eps, d: float = 0.0) -> StackMedia:
     """StackMedia at angular frequency `omega` of layers with permittivities
     `eps` (PermittivityTensors, top to bottom; the stack coefficients need 2
     or 3) and film thickness `d`: each field built as one typed array."""
-    if not real_in_range(omega):
-        raise DomainError("omega must be positive and finite")
+    if not (real_in_range(omega) and real_in_range(d, or_zero=True)):
+        raise DomainError("omega must be positive and finite, and d non-negative and finite")
     kt2, anisotropy = [], []
     for e in eps:
+        if not isinstance(e, PermittivityTensor):
+            raise DomainError(f"eps must hold PermittivityTensors, not {type(e).__name__}")
         if e.eps_z == 0:
             raise SingularMaterialError("eps_z = 0 makes the extraordinary wave singular")
         kt2.append((omega / CONSTANTS.c) ** 2 * e.eps_t)
@@ -168,9 +171,12 @@ def media_of(omega: float, eps, d: float = 0.0) -> StackMedia:
     return StackMedia(kt2, _decaying_sqrt(kt2), anisotropy, d)
 
 
-def stack_media(stack: LayerStack, omega: float) -> StackMedia:
-    """StackMedia of `stack` at `omega`: one permittivity per layer."""
-    return media_of(omega, [permittivity(layer.material, omega, stack.temperature)
+def stack_media(stack: LayerStack, omega: float, T: float | None = None) -> StackMedia:
+    """StackMedia of `stack` at `omega` and `T` (default: the stack's temperature)."""
+    if not isinstance(stack, LayerStack):
+        raise DomainError(f"stack must be a LayerStack, not {type(stack).__name__}")
+    T = stack.temperature if T is None else T
+    return media_of(omega, [permittivity(layer.material, omega, T)
                             for layer in stack.layers], stack.film_thickness)
 
 
@@ -213,9 +219,14 @@ def generalized_r_te(r12, r23, k2z, d: float):
     """Film reflection coefficient combining two interfaces with the interior
     round-trip phase:  (r12 + r23 e^{2i k2z d}) / (1 - r21 r23 e^{2i k2z d}),
     with r21 = -r12.  The one film formula of the package: both wave families
-    compose their interface coefficients with it."""
+    compose their interface coefficients with its core _film (d checked by media_of)."""
     if not real_in_range(d, or_zero=True):
         raise DomainError("film thickness must be non-negative and finite")
+    return _film(r12, r23, k2z, d)
+
+
+def _film(r12, r23, k2z, d: float):
+    """generalized_r_te of a checked thickness d."""
     phase = np.exp(k2z * (2j * d))
     den = r12 * r23 * phase
     den += 1.0
@@ -237,8 +248,7 @@ def _stack_quotient(r, h, d: float, at=()):
     n = r.shape[len(at)]
     if not 1 <= n <= 2:
         raise DomainError("reflection coefficients need a medium of 2 or 3 layers")
-    return r[at + (0,)] if n == 1 else generalized_r_te(r[at + (0,)], r[at + (1,)],
-                                                        h[at + (1,)], d)
+    return r[at + (0,)] if n == 1 else _film(r[at + (0,)], r[at + (1,)], h[at + (1,)], d)
 
 
 def scattering_coefficients(media: StackMedia, eta):

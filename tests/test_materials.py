@@ -91,9 +91,11 @@ class TestFormulaDomain:
         (lambda: sigma_n_of_T(1e7, "20", 8.3, 4.0), "temperature"),
         (lambda: skin_depth(1e-300, 1e-300), "omega = 1e-300 rad/s and sigma = 1e-300"),
         (lambda: skin_depth(1e-300, 1e-10), "omega = 1e-300 rad/s and sigma = 1e-10"),
+        (lambda: lambda_of_T(1.7e308, 8.2, 8.3, 4.0), "overflows double precision"),
     ], ids=["lambda-alpha-negative", "lambda-alpha-zero", "sigma-alpha-negative",
             "sigma-alpha-str", "lambda-fraction-rounds-to-one", "lambda-T-str",
-            "sigma-T-str-above-tc", "skin-depth-underflow", "skin-depth-overflow"])
+            "sigma-T-str-above-tc", "skin-depth-underflow", "skin-depth-overflow",
+            "lambda-lambda0-overflow"])
     def test_raises_domain_error(self, make, message):
         with pytest.raises(DomainError, match=message):
             make()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import spinflip.constants
 import spinflip.rates
 import spinflip.stratified
 from spinflip.constants import CONSTANTS, RB87_CLOCK_TRANSITION, TransitionSpec, rate_prefactor
@@ -21,8 +22,8 @@ from spinflip.rates import (PATH_CALIBRATION_RATIO, RateResult, SpinOrientation,
                             double_curl_integrand, gamma_anisotropic,
                             gamma_general, gamma_isotropic,
                             rate_integrand_anisotropic, spin_flip_rate)
-from spinflip.stratified import (Layer, LayerStack, scattering_coefficients, stack_media,
-                                 te_reflection)
+from spinflip.stratified import (Layer, LayerStack, media_of, scattering_coefficients,
+                                 stack_media, te_reflection)
 from spinflip.sweep import screening_factor
 
 OMEGA = RB87_CLOCK_TRANSITION.omega
@@ -440,6 +441,30 @@ class TestCallSites:
                               "permittivity": permittivities}
 
 
+class TestCheckedOnce:
+    # Each value is checked where it enters; the private cores of a rate
+    # trust it.  The 12 checks of a film stack: z by _gamma and by the
+    # quadrature, omega and T by permittivity for each of the 3 layers, omega
+    # and d by media_of, and frequency and T by thermal_photon_number.
+    def test_finite_real_calls_per_rate(self, monkeypatch, niobium_stack, bscco_stack,
+                                        copper_stack):
+        calls, real = [], spinflip.constants.finite_real
+        monkeypatch.setattr(spinflip.constants, "finite_real",
+                            lambda x: calls.append(x) or real(x))
+        for stack in (niobium_stack, bscco_stack, copper_stack):
+            calls.clear()
+            assert spin_flip_rate(stack, 10e-6).diagnostics.refinements == 0
+            assert len(calls) <= 12
+
+    @pytest.mark.parametrize("T", [4.2, 40.0, 100.0])
+    def test_temperature_argument_equals_rebuilt_stack(self, niobium_stack, bscco_stack,
+                                                       copper_stack, T):
+        # The rate passes T down instead of rebuilding the stack at T.
+        for stack in (niobium_stack, bscco_stack, copper_stack):
+            assert spin_flip_rate(stack, 10e-6, T=T) == spin_flip_rate(
+                stack.with_temperature(T), 10e-6)
+
+
 NB_STACK = LayerStack((Layer(VACUUM), Layer(NIOBIUM, 1e-6), Layer(COPPER)), 4.2)
 
 
@@ -494,6 +519,12 @@ class TestNonFiniteInputs:
         lambda: gamma_anisotropic(None, 1e-5),
         lambda: screening_factor(NB_STACK, 1e-5, "x"),
         lambda: integrate_semi_infinite(lambda eta: eta, 1e-5, "x"),
+        lambda: double_curl_integrand("x", 1e5, 1e-5, OMEGA),
+        lambda: double_curl_integrand(NB_STACK, 1e5, 1e-5, "x"),
+        lambda: rate_integrand_anisotropic("x", 1e5, 1e-5, OMEGA),
+        lambda: rate_integrand_anisotropic(NB_STACK, 1e5, "x", OMEGA),
+        lambda: stack_media("x", OMEGA),
+        lambda: media_of(OMEGA, ["x"]),
     ], ids=["z-nan", "z-inf", "T-inf", "T-nan", "element-nan", "element-inf",
             "frequency-nan", "frequency-inf", "stack-T-nan", "stack-T-inf",
             "thickness-nan", "sigma-nan", "sigma-inf", "lambda0-nan", "Tc-nan",
@@ -504,7 +535,9 @@ class TestNonFiniteInputs:
             "first_critical_field-negative", "gap_frequency-negative",
             "double_curl-z-nan", "frequency-omega-overflow", "settings-str",
             "transition-none", "stack-str", "stack-none", "screening-transition-str",
-            "integrate-settings-str"])
+            "integrate-settings-str", "double_curl-stack-str", "double_curl-omega-str",
+            "integrand-stack-str", "integrand-z-str", "stack_media-stack-str",
+            "media_of-eps-str"])
     def test_raises_domain_error(self, make):
         with pytest.raises(DomainError):
             make()

@@ -214,6 +214,8 @@ class TestGeneralizedReflection:
         for d in (-1e-9, math.nan, math.inf):
             with pytest.raises(DomainError):
                 generalized_r_te(0.1, 0.1, 1.0, d)
+            with pytest.raises(DomainError):  # at construction, not at a coefficient call
+                media_of(OMEGA, [PermittivityTensor(1.0, 1.0)] * 3, d)
 
 
 class TestInterfaceCoefficients:
