@@ -14,10 +14,9 @@ edge and the best achievable lifetime.
 
 import math
 import sys
+from dataclasses import replace
 
-from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM,
-                                IsotropicSuperconductor, TwoFluidParams,
-                                UniaxialSuperconductor)
+from spinflip.materials import BSCCO, BSCCO_SIGMA_ANISOTROPY, COPPER, NIOBIUM, VACUUM
 from spinflip.rates import spin_flip_rate
 from spinflip.stratified import Layer, LayerStack
 
@@ -26,16 +25,18 @@ Z = 10e-6
 
 
 def nb_stack(sigma, T):
-    mat = IsotropicSuperconductor(TwoFluidParams(35e-9, 8.3, sigma, 4.0),
-                                  label="niobium")
+    """The NIOBIUM preset at normal-state conductivity `sigma`, 1 um on copper."""
+    mat = replace(NIOBIUM, params=replace(NIOBIUM.params, sigma_normal=sigma))
     return LayerStack((Layer(VACUUM), Layer(mat, 1e-6), Layer(COPPER)), T)
 
 
 def bscco_stack(sigma, T):
-    mat = UniaxialSuperconductor(
-        transverse=TwoFluidParams(300e-9, 90.0, sigma, 1.0),
-        longitudinal=TwoFluidParams(100e-6, 90.0, sigma / 1000, 1.0),
-        label="bscco")
+    """The BSCCO preset at in-plane normal-state conductivity `sigma` (out of
+    plane at the preset's anisotropy), 2.5 um on copper."""
+    mat = replace(BSCCO,
+                  transverse=replace(BSCCO.transverse, sigma_normal=sigma),
+                  longitudinal=replace(BSCCO.longitudinal,
+                                       sigma_normal=sigma * BSCCO_SIGMA_ANISOTROPY))
     return LayerStack((Layer(VACUUM), Layer(mat, 2.5e-6), Layer(COPPER)), T)
 
 

@@ -59,7 +59,6 @@ __all__ = [
     "SpinOrientation",
     "PATH_CALIBRATION_RATIO",
     "PRESET_SPIN_WEIGHT",
-    "check_quasi_static",
     "gamma_isotropic",
     "gamma_anisotropic",
     "gamma_general",
@@ -108,9 +107,10 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def check_quasi_static(z: float, transition: TransitionSpec):
+def _check_quasi_static(z: float, transition: TransitionSpec):
     """Warn (QuasiStaticWarning) if the atom height z is not small against
-    the transition wavelength: the rate formulas are quasi-static."""
+    the transition wavelength: the rate formulas are quasi-static.  Its
+    callers, _gamma and sweep.run_sweep, pass a checked z and transition."""
     wavelength = CONSTANTS.c / transition.frequency
     if z > _QUASISTATIC_FRACTION * wavelength:
         warnings.warn(
@@ -176,7 +176,7 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
         raise DomainError(f"transition must be a TransitionSpec, not {type(transition).__name__}")
     if not real_in_range(z):
         raise DomainError("atom height z must be positive and finite")
-    check_quasi_static(z, transition)
+    _check_quasi_static(z, transition)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             media = stack_media(stack, transition.omega, T)

@@ -30,8 +30,8 @@ StackMedia, the one medium type of layer_wavevectors, scattering_coefficients
 and te_reflection, holds kt^2, k and the anisotropy of every layer on a
 leading layer axis.  media_of checks omega, the permittivities and d once and
 builds it (stack_media from a checked LayerStack, once per rate); each function
-then trusts it and covers every layer in one pass, for scalar or ndarray eta.
-It caches the family wavenumbers squared.
+then trusts it and covers every layer in one pass, a scalar eta as an array
+(with the bits of that eta inside one).  It caches the family wavenumbers squared.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class StackMedia:
 
 def _decaying_sqrt(w):
     """Principal complex square root folded onto Im >= 0 (Re >= 0 on the real axis)."""
-    root = np.asarray(np.sqrt(np.asarray(w, dtype=complex)))  # 0-d stays writable
+    root = np.sqrt(w)
     return np.negative(root, out=root, where=root.imag < 0)
 
 
@@ -243,12 +243,12 @@ def interface_rv(h_f, h_f1, k_f, k_f1):
     return _interface_quotient(h_f * k_f1**2, h_f1 * k_f**2)
 
 
-def _stack_quotient(r, h, d: float, at=()):
-    """One interface's coefficient, or the film formula over layer 1, on the axis after `at`."""
-    n = r.shape[len(at)]
+def _stack_quotient(r, h, d: float):
+    """Per family (leading axis): one interface's coefficient, or the film formula over layer 1."""
+    n = r.shape[1]
     if not 1 <= n <= 2:
         raise DomainError("reflection coefficients need a medium of 2 or 3 layers")
-    return r[at + (0,)] if n == 1 else _film(r[at + (0,)], r[at + (1,)], h[at + (1,)], d)
+    return r[:, 0] if n == 1 else _film(r[:, 0], r[:, 1], h[:, 1], d)
 
 
 def scattering_coefficients(media: StackMedia, eta):
@@ -256,19 +256,17 @@ def scattering_coefficients(media: StackMedia, eta):
 
     M composes the ordinary-family wavevectors with TE interface
     coefficients, N the extraordinary family with TM ones (see module
-    docstring), in one pass on a leading family axis.
+    docstring), as one array on a leading family axis; eta's axes follow.
     """
     h = layer_wavevectors(eta, media)
     h = h[0][np.newaxis] if media.anisotropy is None else h  # one h serves both families
     k2 = media._families[1].reshape((2,) + media.k.shape + (1,) * (h.ndim - 2))
     r = _interface_quotient(h[:, :-1] * k2[:, 1:], h[:, 1:] * k2[:, :-1])  # M at k^2 = 1
-    if h.ndim == 2:  # scalar eta: numpy's scalar complex product rounds unlike its array loop
-        return tuple(_stack_quotient(r[f], h[f % len(h)], media.d) for f in (0, 1))
-    return _stack_quotient(r, h, media.d, (slice(None),))
+    return _stack_quotient(r, h, media.d)
 
 
 def te_reflection(media: StackMedia, eta):
     """Generalized TE reflection coefficient of `media` at `eta`: M,
     computed without the TM family."""
-    h = layer_wavevectors(eta, media)[0]
-    return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media.d)
+    h = layer_wavevectors(eta, media)[0][np.newaxis]  # the one family
+    return _stack_quotient(fresnel_te(h[:, :-1], h[:, 1:]), h, media.d)[0]

@@ -49,7 +49,7 @@ from .materials import (DrudeMetal, IsotropicSuperconductor, MaterialModel,
                         TwoFluidParams, UniaxialSuperconductor, Vacuum,
                         material_presets)
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .rates import check_quasi_static, spin_flip_rate
+from .rates import _check_quasi_static, spin_flip_rate
 from .stratified import Layer, LayerStack
 
 __all__ = [
@@ -111,6 +111,11 @@ class RunConfig:
     echo: dict = field(default_factory=dict)   # raw input for CSV metadata
 
     def __post_init__(self):
+        for name, kind in (("stack", LayerStack), ("transition", TransitionSpec),
+                           ("settings", QuadratureSettings)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
         if not real_in_range(self.z):
             raise ConfigError("z must be positive and finite")
 
@@ -165,13 +170,16 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
     sweeps carry the screening factor against the zero-thickness stack.  The
     quasi-static warning is issued once, for the largest z of the sweep.
     """
+    if not (isinstance(spec, SweepSpec) and isinstance(config, RunConfig)):
+        raise ConfigError(f"run_sweep needs a SweepSpec and a RunConfig, not "
+                          f"{type(spec).__name__} and {type(config).__name__}")
     tcs = _critical_temperatures(config.stack)
     if spec.axis == "reduced_T_over_Tc" and not tcs:
         raise ConfigError("reduced-temperature sweep requires a superconducting layer")
     thickness = spec.axis == "thickness_d"
     grid = [float(value) for value in spec.grid()]
-    check_quasi_static(max(grid) if spec.axis == "distance_z" else config.z,
-                       config.transition)
+    _check_quasi_static(max(grid) if spec.axis == "distance_z" else config.z,
+                        config.transition)
     names = ["gamma_total_per_s", "tau_s", "n_th"]
     if thickness:
         names.append("screening_factor")
@@ -288,11 +296,11 @@ def _complex(value, context: str) -> complex:
 
 
 def _built(place: str, make, *args, **kwargs):
-    """make(*args, **kwargs), with a range error prefixed by its place in the config."""
+    """make(*args, **kwargs); a range error becomes a ConfigError naming its place."""
     try:
         return make(*args, **kwargs)
     except DomainError as exc:
-        raise DomainError(f"{place}: {exc}") from exc
+        raise ConfigError(f"{place}: {exc}") from exc
 
 
 def _two_fluid(params: dict, context: str) -> TwoFluidParams:
@@ -333,16 +341,8 @@ def _parse_material(entry: dict) -> MaterialModel:
 def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
     """Validate a configuration mapping; returns the run configuration and
     the sweep specification when one is present.  Raises ConfigError before
-    any computation on invalid input."""
-    try:
-        return _parse(raw)
-    except DomainError as exc:  # a value out of its constructor's range
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse(raw) -> tuple[RunConfig, SweepSpec | None]:
-    """parse_config without the DomainError rewrap: it checks the JSON shape
-    of each field and leaves every range check to the constructor it feeds."""
+    any computation on invalid input: it checks the JSON shape of each field
+    and leaves every range check to the constructor it feeds (through _built)."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
 
@@ -367,7 +367,7 @@ def _parse(raw) -> tuple[RunConfig, SweepSpec | None]:
         interior = 0 < i < len(layers_raw) - 1
         thickness = _finite(lr, "thickness", f"stack.layers[{i}]") if interior else math.inf
         layers.append(_built(f"stack.layers[{i}]", Layer, registry[name], thickness))
-    stack = LayerStack(tuple(layers), _finite(stack_raw, "temperature", "stack"))
+    stack = _built("stack", LayerStack, tuple(layers), _finite(stack_raw, "temperature", "stack"))
     z = _finite(raw, "z", "configuration")
 
     transition = RB87_CLOCK_TRANSITION
@@ -420,6 +420,6 @@ def load_config(path) -> tuple[RunConfig, SweepSpec | None]:
             raw = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     return parse_config(raw)

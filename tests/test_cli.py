@@ -50,6 +50,15 @@ class TestRateCommand:
         assert main(["rate", "--config", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        # json.load raises RecursionError, not JSONDecodeError, on this nesting.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        assert main(["rate", "--config", str(deep)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: malformed JSON in {deep}" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["rate", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -126,12 +135,16 @@ class TestRateCommand:
                                {"material": "niobium", "thickness": -1e-6},
                                {"material": "copper"}], "temperature": 4.2}},
          "stack.layers[1]: layer thickness must be non-negative"),
+        ({"stack": {"layers": [{"material": "vacuum"}, {"material": "copper"}],
+                    "temperature": -1}}, "stack: temperature must be non-negative"),
+        ({"stack": {"layers": [{"material": "copper"}, {"material": "vacuum"}],
+                    "temperature": 4.2}}, "stack: layer 1 must be vacuum"),
         ({"transition": {"frequency": 1e308}}, "transition: transition frequency 1e+308 Hz: 2 pi f overflows"),
         ({"quadrature": {"rel_tol": -1e-8}}, "quadrature: rel_tol"),
         ({"quadrature": {"rel_tol": 1e-300, "max_refinements": 10**9}},
          "quadrature: max_refinements must be from 1 to 1000"),
-    ], ids=["two-materials", "uniaxial-component", "layer", "transition", "quadrature",
-            "max-refinements"])
+    ], ids=["two-materials", "uniaxial-component", "layer", "temperature", "top-layer",
+            "transition", "quadrature", "max-refinements"])
     def test_range_error_names_its_place(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
         assert main(["rate", "--config", str(cfg)]) == 1

@@ -206,11 +206,27 @@ class TestClosedFormLimits:
         assert abs(r - (1.0 - d / z)) <= 1.5 * (d / z) ** 2
 
 
+def _thick_superconductor_cases():
+    """(material, T/Tc, z): the Nb-class s-wave film at alpha = 4 and the
+    d-wave law alpha = 1, and a BSCCO-class uniaxial half-space."""
+    cases = [pytest.param(IsotropicSuperconductor(TwoFluidParams(35e-9, 8.3, 1e7, alpha)),
+                          t, z, id=f"{alpha}-{t}-{z}")
+             for alpha in (1.0, 4.0) for t in (0.3, 0.6, 0.9) for z in (10e-6, 1e-6)]
+    cases += [pytest.param(UniaxialSuperconductor(TwoFluidParams(300e-9, 90.0, 4.5e7, 1.0),
+                                                  TwoFluidParams(lambda_z, 90.0, 4.5e4, 1.0)),
+                           t, z, id=f"uniaxial-{lambda_z}-{t}-{z}")
+              for lambda_z in (100e-6, 1e-3) for t in (0.3, 0.6, 0.9) for z in (10e-6, 50e-6)]
+    return cases
+
+
 class TestThickSuperconductorLimit:
     """The scattering route's absolute rate above a thick two-fluid
-    superconductor (lambda0 = 35 nm, Tc = 8.3 K, sigma_normal = 1e7 S/m)
-    against its lambda/z expansion (Skagerstam, Hohenester, Eiguren & Rekdal,
-    PRL 97, 070401 (2006); Hohenester et al., PRA 76, 033618 (2007)).
+    superconductor against its lambda/z expansion (Skagerstam, Hohenester,
+    Eiguren & Rekdal, PRL 97, 070401 (2006); Hohenester et al., PRA 76,
+    033618 (2007)): an isotropic one (lambda0 = 35 nm, Tc = 8.3 K,
+    sigma_normal = 1e7 S/m) and a BSCCO-class uniaxial one (in plane
+    lambda0 = 300 nm, Tc = 90 K, sigma_normal = 4.5e7 S/m, alpha = 1; out of
+    plane lambda0 = 100 um or 1 mm).
 
     With C = Gamma_total 16 pi hbar^2 z^4/(mu0^2 (muB gS)^2 kB T sigma_n(T)
     lambda(T)^3) and x = lambda(T)/z, C -> 9/32: the lifetime follows
@@ -223,6 +239,9 @@ class TestThickSuperconductorLimit:
     Under the kernel eta^2 e^(-2 eta z) an s^n term weighs (3+n)!/(3! 2^n)
     x^n, so C 32/9 = (1 - 4x + 7.5x^2 - 32.8x^4)(1 + hbar omega/(2 kB T)), the
     last factor from n_th + 1 = (kB T/hbar omega)(1 + hbar omega/(2 kB T)).
+    In a uniaxial layer M is the ordinary family, which sees only eps_t, so
+    lambda and sigma_n are the in-plane ones; the out-of-plane response
+    enters only through the N channel, whose weight k1^2 is near-field small.
     K = 8.5 is the derived x^2 coefficient 7.5 plus a margin of 1 for the
     occupation term, which is at most 0.43 x^2 on this grid.
     gamma_isotropic reads C/(3 pi) = 0.0294 at z = 10 um.
@@ -230,15 +249,14 @@ class TestThickSuperconductorLimit:
 
     SETTINGS = QuadratureSettings(rel_tol=1e-12)
 
-    @pytest.mark.parametrize("z", [10e-6, 1e-6])
-    @pytest.mark.parametrize("t", [0.3, 0.6, 0.9])
-    @pytest.mark.parametrize("alpha", [4.0, 1.0])
-    def test_lambda_over_z_expansion(self, alpha, t, z):
-        c, T = CONSTANTS, t * 8.3
-        film = IsotropicSuperconductor(TwoFluidParams(35e-9, 8.3, 1e7, alpha))
-        stack = LayerStack((Layer(VACUUM), Layer(film)), T)
+    @pytest.mark.parametrize("material, t, z", _thick_superconductor_cases())
+    def test_lambda_over_z_expansion(self, material, t, z):
+        p = getattr(material, "params", None) or material.transverse  # the in-plane component
+        c, T = CONSTANTS, t * p.Tc
+        stack = LayerStack((Layer(VACUUM), Layer(material)), T)
         gamma = gamma_anisotropic(stack, z, settings=self.SETTINGS).gamma_total
-        lam, sigma = lambda_of_T(35e-9, T, 8.3, alpha), sigma_n_of_T(1e7, T, 8.3, alpha)
+        lam = lambda_of_T(p.lambda0, T, p.Tc, p.alpha)
+        sigma = sigma_n_of_T(p.sigma_normal, T, p.Tc, p.alpha)
         C = (gamma * 16.0 * math.pi * c.hbar**2 * z**4
              / (c.mu0**2 * (c.muB * c.gS) ** 2 * c.kB * T * sigma * lam**3))
         x = lam / z

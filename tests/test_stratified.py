@@ -446,5 +446,25 @@ class TestScalarInputs:
             -0.9785104203635796, 4.039294048587252e-11)
         m, n = scattering_coefficients(stack_media(stack(BSCCO, 1e-7, T=40.0), OMEGA), eta)
         assert np.ndim(m) == 0 and np.ndim(n) == 0
-        assert m == complex(-0.4947147976896544, 0.00016483480721807338)
-        assert n == complex(1.0000000000000149, 1.1943282014545908e-17)
+        assert m == complex(-0.4947147976896545, 0.00016483480721807335)
+        assert n == complex(1.0000000000000149, 1.1943282021008256e-17)
+
+    @pytest.mark.parametrize("s", [
+        LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2),
+        stack(NIOBIUM, 1e-6),
+        stack(COPPER, 1e-6, substrate=NIOBIUM),
+        stack(BSCCO, 1e-7, T=40.0),
+        stack(BSCCO, 1e-7),
+    ], ids=["bare-Cu", "Nb-film", "Cu-film", "BSCCO-film-40K", "BSCCO-film-4.2K"])
+    def test_scalar_eta_is_its_array_element_to_the_bit(self, s):
+        # One arithmetic path: a coefficient does not depend on whether its
+        # eta comes alone or inside an array.
+        media = stack_media(s, OMEGA)
+        grid = np.geomspace(1e2, 1e7, 200)
+        for call in (lambda e: np.array(layer_wavevectors(e, media)),
+                     lambda e: scattering_coefficients(media, e),
+                     lambda e: te_reflection(media, e)):
+            batch = call(grid)
+            mismatches = sum(np.count_nonzero(call(float(e)) != batch[..., i])
+                             for i, e in enumerate(grid))
+            assert mismatches == 0

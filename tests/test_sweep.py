@@ -102,6 +102,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(copper_stack, z)
 
+    @pytest.mark.parametrize("field, value", [
+        ("stack", "x"), ("stack", None), ("transition", None), ("transition", 560e3),
+        ("settings", None), ("settings", {"rel_tol": 1e-8})])
+    def test_wrong_type_field_is_config_error(self, copper_stack, field, value):
+        # At construction, not as an AttributeError from run_sweep or a
+        # failure on every row.
+        kwargs = {"stack": copper_stack, "z": 1e-5, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be a"):
+            RunConfig(**kwargs)
+
 
 class TestScreeningFactor:
     def test_zero_thickness_is_zero(self, niobium_stack):
@@ -199,6 +209,13 @@ class TestRunSweep:
         assert status[1].startswith("error:")
         assert math.isnan(table.columns["tau_s"][1])
         assert status[0] == "ok" and status[2] == "ok"
+
+    def test_wrong_type_arguments_are_config_errors(self, copper_stack):
+        spec = SweepSpec("distance_z", 1e-6, 1e-5, 3)
+        config = RunConfig(copper_stack, 1e-5)
+        for args in (("x", config), (spec, "x"), (spec, None), (config, spec)):
+            with pytest.raises(ConfigError, match="run_sweep needs a SweepSpec and a RunConfig"):
+                run_sweep(*args)
 
     def test_all_rows_failing_raises(self, monkeypatch):
         config, spec = parse_config(nb_config(
