@@ -120,9 +120,6 @@ class LayerStack:
         film = Layer(self.layers[1].material, d)
         return LayerStack((self.layers[0], film, self.layers[2]), self.temperature)
 
-    def with_temperature(self, T: float) -> "LayerStack":
-        return LayerStack(self.layers, T)
-
 
 @dataclass(frozen=True)
 class StackMedia:

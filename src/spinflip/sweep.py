@@ -23,8 +23,16 @@ example):
       "sweep": {"axis": "distance_z" | "thickness_d" |
                         "temperature_T" | "reduced_T_over_Tc",
                 "min": ..., "max": ..., "points": ...,
-                "spacing": "linear" | "log"}                  # sweep runs only
+                "spacing": "linear" | "log"}   # sweep runs only; spacing optional
     }
+
+Every object takes exactly its keys above; an unknown key anywhere (a
+misspelling) is a ConfigError naming the object and the key.  A material's
+"parameters" take "sigma" (drude_metal), the two-fluid "lambda0", "Tc",
+"sigma_normal" and "alpha" (isotropic_sc, and each of uniaxial_sc's
+"transverse" and "longitudinal"), or nothing (vacuum); both superconductors
+also take "first_critical_field" and "gap_frequency".  Only an interior
+layer takes "thickness": the outer layers are semi-infinite.
 
 CSV output: "#"-prefixed metadata lines (version, input echo), one header row
 with unit-annotated column names, then one row per grid point with decimal
@@ -33,11 +41,12 @@ floats carrying 17 significant digits (value-exact round trip).
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -225,28 +234,19 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
     return SweepTable(columns=columns, metadata=metadata)
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    s = str(v)
-    if any(ch in s for ch in ',"\n'):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def emit_csv(table: SweepTable, path) -> None:
     """Write the table as UTF-8 CSV with LF endings, '#' metadata comments and
     17-significant-digit floats."""
-    lines = [f"# spinflip {__version__}"]
-    lines.append("# input: " + json.dumps(table.metadata, sort_keys=True,
-                                          separators=(",", ":")))
     names = list(table.columns)
-    lines.append(",".join(names))
-    for i in range(table.rows):
-        lines.append(",".join(_format_value(table.columns[n][i]) for n in names))
+    cells = [[format(v, ".17g") if isinstance(v, float) else v for v in table.columns[n]]
+             for n in names]
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# spinflip {__version__}\n# input: "
+                     + json.dumps(table.metadata, sort_keys=True, separators=(",", ":")) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names)
+            writer.writerows(zip(*cells))
     except OSError as exc:
         raise SpinflipError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -255,16 +255,19 @@ def emit_csv(table: SweepTable, path) -> None:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-def _object(value, context: str) -> dict:
+def _fields(value, context: str, required=(), optional=()) -> dict:
+    """`value` as a JSON object holding every `required` key and no key
+    outside `required` and `optional`; each error names the object."""
     if not isinstance(value, dict):
         raise ConfigError(f"{context} must be a JSON object")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"missing {key!r} in {context}")
+    unknown = value.keys() - {*required, *optional}
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(sorted(map(repr, unknown)))} in {context}; "
+                          f"expected {', '.join((*required, *optional)) or 'none'}")
     return value
-
-
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"missing {key!r} in {context}")
-    return mapping[key]
 
 
 def _real(value, context: str) -> float:
@@ -277,7 +280,7 @@ def _real(value, context: str) -> float:
 
 
 def _finite(mapping: dict, key: str, context: str) -> float:
-    return _real(_require(mapping, key, context), f"{context}.{key}")
+    return _real(mapping[key], f"{context}.{key}")
 
 
 def _whole(mapping: dict, key: str, context: str) -> int:
@@ -303,76 +306,79 @@ def _built(place: str, make, *args, **kwargs):
         raise ConfigError(f"{place}: {exc}") from exc
 
 
+_TWO_FLUID = ("lambda0", "Tc", "sigma_normal", "alpha")
+_VALIDITY = ("first_critical_field", "gap_frequency")   # a superconductor's, optional
+_PARAMETERS = {   # variant -> its required and optional parameter keys
+    "vacuum": ((), ()),
+    "drude_metal": (("sigma",), ()),
+    "isotropic_sc": (_TWO_FLUID, _VALIDITY),
+    "uniaxial_sc": (("transverse", "longitudinal"), _VALIDITY),
+}
+
+
 def _two_fluid(params: dict, context: str) -> TwoFluidParams:
-    params = _object(params, context)
-    fields = {key: _finite(params, key, context)
-              for key in ("lambda0", "Tc", "sigma_normal", "alpha")}
+    fields = {key: _finite(params, key, context) for key in _TWO_FLUID}
     return _built(context, TwoFluidParams, **fields)
 
 
-def _validity_metadata(params: dict, context: str) -> dict:
-    """A superconductor's optional first_critical_field and gap_frequency."""
-    return {key: None if params.get(key) is None else _finite(params, key, context)
-            for key in ("first_critical_field", "gap_frequency")}
-
-
-def _parse_material(entry: dict) -> MaterialModel:
-    label = str(_require(entry, "label", "material"))
-    variant = _require(entry, "variant", f"material {label!r}")
+def _parse_material(entry, context: str) -> MaterialModel:
+    entry = _fields(entry, context, ("label", "variant"), ("parameters",))
+    label, variant = str(entry["label"]), entry["variant"]
     ctx = f"material {label!r}"
-    params = _object(entry.get("parameters", {}), f"{ctx} parameters")
+    if not (isinstance(variant, str) and variant in _PARAMETERS):
+        raise ConfigError(f"unknown material variant {variant!r} for {label!r}")
+    params = _fields(entry.get("parameters", {}), f"{ctx} parameters", *_PARAMETERS[variant])
     if variant == "vacuum":
         return Vacuum(label=label)
     if variant == "drude_metal":
         return _built(ctx, DrudeMetal, sigma=_finite(params, "sigma", ctx), label=label)
+    validity = {key: None if params.get(key) is None else _finite(params, key, ctx)
+                for key in _VALIDITY}
     if variant == "isotropic_sc":
         return _built(ctx, IsotropicSuperconductor, params=_two_fluid(params, ctx),
-                      label=label, **_validity_metadata(params, ctx))
-    if variant == "uniaxial_sc":
-        return _built(
-            ctx, UniaxialSuperconductor,
-            transverse=_two_fluid(_require(params, "transverse", ctx), f"{ctx} transverse"),
-            longitudinal=_two_fluid(_require(params, "longitudinal", ctx),
-                                    f"{ctx} longitudinal"),
-            label=label, **_validity_metadata(params, ctx))
-    raise ConfigError(f"unknown material variant {variant!r} for {label!r}")
+                      label=label, **validity)
+    parts = {part: _two_fluid(_fields(params[part], f"{ctx} {part}", _TWO_FLUID), f"{ctx} {part}")
+             for part in ("transverse", "longitudinal")}
+    return _built(ctx, UniaxialSuperconductor, label=label, **parts, **validity)
 
 
 def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
     """Validate a configuration mapping; returns the run configuration and
     the sweep specification when one is present.  Raises ConfigError before
-    any computation on invalid input: it checks the JSON shape of each field
-    and leaves every range check to the constructor it feeds (through _built)."""
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration must be a JSON object")
-
+    any computation on invalid input: it checks the JSON shape of each object
+    (its keys through _fields, its values here) and leaves every range check
+    to the constructor it feeds (through _built)."""
+    _fields(raw, "configuration", ("stack", "z"),
+            ("materials", "transition", "quadrature", "sweep"))
     registry = {m.label: m for m in material_presets()}
     materials_raw = raw.get("materials", [])
     if not isinstance(materials_raw, list):
         raise ConfigError("materials must be a list")
     for i, entry in enumerate(materials_raw):
-        m = _parse_material(_object(entry, f"materials[{i}]"))
+        m = _parse_material(entry, f"materials[{i}]")
         registry[m.label] = m
 
-    stack_raw = _object(_require(raw, "stack", "configuration"), "stack")
-    layers_raw = _require(stack_raw, "layers", "stack")
+    stack_raw = _fields(raw["stack"], "stack", ("layers", "temperature"))
+    layers_raw = stack_raw["layers"]
     if not isinstance(layers_raw, list) or len(layers_raw) < 2:
         raise ConfigError("stack.layers must list at least 2 layers")
     layers = []
     for i, lr in enumerate(layers_raw):
-        lr = _object(lr, f"stack.layers[{i}]")
-        name = _require(lr, "material", f"stack.layers[{i}]")
+        place = f"stack.layers[{i}]"
+        interior = 0 < i < len(layers_raw) - 1   # outer layers are semi-infinite
+        lr = _fields(lr, place, ("material", "thickness") if interior else ("material",))
+        name = lr["material"]
         if not isinstance(name, str) or name not in registry:
             raise ConfigError(f"stack references unknown material {name!r}")
-        interior = 0 < i < len(layers_raw) - 1
-        thickness = _finite(lr, "thickness", f"stack.layers[{i}]") if interior else math.inf
-        layers.append(_built(f"stack.layers[{i}]", Layer, registry[name], thickness))
+        thickness = _finite(lr, "thickness", place) if interior else math.inf
+        layers.append(_built(place, Layer, registry[name], thickness))
     stack = _built("stack", LayerStack, tuple(layers), _finite(stack_raw, "temperature", "stack"))
     z = _finite(raw, "z", "configuration")
 
     transition = RB87_CLOCK_TRANSITION
     if "transition" in raw:
-        tr = _object(raw["transition"], "transition")
+        tr = _fields(raw["transition"], "transition", ("frequency",),
+                     ("label", "matrix_elements"))
         trkw = {"frequency": _finite(tr, "frequency", "transition"),
                 "label": str(tr.get("label", ""))}
         if "matrix_elements" in tr:
@@ -384,25 +390,16 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
                 for i, xy in enumerate(elements))
         transition = _built("transition", TransitionSpec, **trkw)
 
-    settings = DEFAULT_SETTINGS
-    if "quadrature" in raw:
-        q = _object(raw["quadrature"], "quadrature")
-        defaults = asdict(DEFAULT_SETTINGS)
-        unknown = q.keys() - defaults.keys()
-        if unknown:
-            raise ConfigError(f"unknown quadrature key(s) {', '.join(map(repr, unknown))}; "
-                              f"expected {' or '.join(defaults)}")
-        q = {**defaults, **q}
-        settings = _built(
-            "quadrature", QuadratureSettings,
-            rel_tol=_finite(q, "rel_tol", "quadrature"),
-            max_refinements=_whole(q, "max_refinements", "quadrature"))
+    readers = {"rel_tol": _finite, "max_refinements": _whole}
+    q = _fields(raw.get("quadrature", {}), "quadrature", optional=tuple(readers))
+    settings = _built("quadrature", replace, DEFAULT_SETTINGS,
+                      **{key: readers[key](q, key, "quadrature") for key in q})
 
     sweep = None
     if "sweep" in raw:
-        s = _object(raw["sweep"], "sweep")
+        s = _fields(raw["sweep"], "sweep", ("axis", "min", "max", "points"), ("spacing",))
         sweep = SweepSpec(
-            axis=str(_require(s, "axis", "sweep")),
+            axis=str(s["axis"]),
             minimum=_finite(s, "min", "sweep"),
             maximum=_finite(s, "max", "sweep"),
             points=_whole(s, "points", "sweep"),

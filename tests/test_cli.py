@@ -116,6 +116,22 @@ class TestRateCommand:
         assert main(["rate", "--config", str(cfg)]) == 1
         assert "rel_tl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sweep": {"axis": "distance_z", "min": 1e-6, "max": 1e-4, "points": 3,
+                    "spaceing": "log"}}, "'spaceing' in sweep"),
+        ({"transition": {"frequency": 560e3, "matrix_element": [0.5, 0, 0]}},
+         "'matrix_element' in transition"),
+        ({"quadratue": {"rel_tol": 1e-3}}, "'quadratue' in configuration"),
+        ({"stack": {"layers": [{"material": "vacuum"}, {"material": "copper", "thickness": 5.0}],
+                    "temperature": 4.2}}, "'thickness' in stack.layers[1]"),
+    ], ids=["sweep", "transition", "top-level", "substrate-thickness"])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["rate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: unknown key(s) {message}" in err
+        assert "Traceback" not in err
+
     def test_non_finite_value_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, z=float("nan"))
         assert main(["rate", "--config", str(cfg)]) == 1

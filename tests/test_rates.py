@@ -66,7 +66,7 @@ class TestIsotropicRate:
 
     def test_temperature_argument_overrides_stack(self, niobium_stack):
         hot = gamma_isotropic(niobium_stack, 10e-6, T=6.0)
-        cold = gamma_isotropic(niobium_stack.with_temperature(6.0), 10e-6)
+        cold = gamma_isotropic(LayerStack(niobium_stack.layers, 6.0), 10e-6)
         assert hot.gamma_total == cold.gamma_total
 
     def test_rejects_uniaxial_stack(self, bscco_stack):
@@ -480,7 +480,7 @@ class TestCheckedOnce:
         # The rate passes T down instead of rebuilding the stack at T.
         for stack in (niobium_stack, bscco_stack, copper_stack):
             assert spin_flip_rate(stack, 10e-6, T=T) == spin_flip_rate(
-                stack.with_temperature(T), 10e-6)
+                LayerStack(stack.layers, T), 10e-6)
 
 
 NB_STACK = LayerStack((Layer(VACUUM), Layer(NIOBIUM, 1e-6), Layer(COPPER)), 4.2)
@@ -560,6 +560,10 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             make()
 
+    def test_unknown_substrate_variant(self):
+        with pytest.raises(DomainError, match="unknown material variant object"):
+            spin_flip_rate(LayerStack((Layer(VACUUM), Layer(object())), 4.2), 10e-6)
+
     def test_outer_layers_stay_semi_infinite(self):
         assert Layer(COPPER).thickness == math.inf
         assert LayerStack((Layer(VACUUM), Layer(COPPER, math.inf)), 4.2).film_thickness == 0.0
@@ -602,6 +606,15 @@ class TestOverflowingInputs:
         # The guard is on the arithmetic, not on a range of inputs.
         assert spin_flip_rate(NB_STACK, 1e-120).tau > 0
         assert spin_flip_rate(sc_stack(alpha=1e300), 10e-6).tau > 0
+
+    def test_thermal_occupation_overflow(self):
+        # gamma_field (n_th + 1) overflows after both factors computed.
+        bare = LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)
+        strong = TransitionSpec(560e3, matrix_elements=(1e6, 0, 0))
+        assert spin_flip_rate(bare, 1e-6, strong, T=1e290).gamma_total == pytest.approx(
+            4.03e300, rel=1e-3)
+        with pytest.raises(DomainError, match="overflows double precision .thermal occupation"):
+            spin_flip_rate(bare, 1e-6, strong, T=1e300)
 
 
 # Zero, negatives, non-finite floats, bools and ints beyond the float range.

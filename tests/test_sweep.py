@@ -1,18 +1,19 @@
+import csv
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spinflip.errors import ConfigError, QuasiStaticWarning, SpinflipError
-from spinflip.materials import COPPER, DrudeMetal, NIOBIUM, VACUUM
+from spinflip.materials import COPPER, DrudeMetal, NIOBIUM, VACUUM, Vacuum
 from spinflip.rates import spin_flip_rate
 from spinflip.stratified import Layer, LayerStack
-from spinflip.sweep import (MAX_POINTS, RunConfig, SweepSpec, emit_csv, parse_config,
-                            run_sweep, screening_factor)
+from spinflip.sweep import (MAX_POINTS, RunConfig, SweepSpec, SweepTable, emit_csv,
+                            parse_config, run_sweep, screening_factor)
 
 
 def nb_config(**overrides):
@@ -39,6 +40,43 @@ NUMERIC_FIELDS = [
     ("sweep", "min"),
     ("sweep", "max"),
     ("sweep", "points"),
+]
+
+TWO_FLUID = {"lambda0": 3e-7, "Tc": 80.0, "sigma_normal": 1e6, "alpha": 1}
+
+
+def full_config():
+    """A config that uses every object of the schema and every optional key."""
+    return {
+        "materials": [
+            {"label": "gap", "variant": "vacuum", "parameters": {}},
+            {"label": "bulk", "variant": "drude_metal", "parameters": {"sigma": 5.8e7}},
+            {"label": "sc", "variant": "isotropic_sc",
+             "parameters": {**TWO_FLUID, "first_critical_field": 0.1, "gap_frequency": 7e11}},
+            {"label": "layered", "variant": "uniaxial_sc",
+             "parameters": {"transverse": dict(TWO_FLUID),
+                            "longitudinal": {**TWO_FLUID, "lambda0": 1e-4},
+                            "first_critical_field": None, "gap_frequency": 7e12}},
+        ],
+        "stack": {"layers": [{"material": "gap"},
+                             {"material": "layered", "thickness": 1e-6},
+                             {"material": "bulk"}],
+                  "temperature": 4.2},
+        "z": 1e-5,
+        "transition": {"frequency": 560e3, "label": "clock",
+                       "matrix_elements": [0.25, 0, 0.25]},
+        "quadrature": {"rel_tol": 1e-8, "max_refinements": 60},
+        "sweep": {"axis": "distance_z", "min": 1e-6, "max": 1e-4, "points": 3,
+                  "spacing": "log"},
+    }
+
+
+# Paths to every JSON object of full_config().
+CONFIG_OBJECTS = [
+    (), ("stack",), ("stack", "layers", 0), ("stack", "layers", 1), ("stack", "layers", 2),
+    ("transition",), ("quadrature",), ("sweep",),
+    *(("materials", i) for i in range(4)), *(("materials", i, "parameters") for i in range(4)),
+    ("materials", 3, "parameters", "transverse"), ("materials", 3, "parameters", "longitudinal"),
 ]
 
 # Any value json.load can return (NaN and infinities included).
@@ -307,6 +345,16 @@ class TestEmitCsv:
         with pytest.raises(SpinflipError):
             emit_csv(self.make_table(), tmp_path / "missing" / "out.csv")
 
+    def test_quoted_status_round_trips(self, tmp_path):
+        status = 'error: a, "b"\nc'
+        table = SweepTable(columns={"z_m": [1e-6, 0.1], "status": [status, "ok"]}, metadata={})
+        path = tmp_path / "quoted.csv"
+        emit_csv(table, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert rows == [["z_m", "status"], [format(1e-6, ".17g"), status],
+                        [format(0.1, ".17g"), "ok"]]
+
 
 class TestParseConfig:
     def test_minimal(self):
@@ -345,6 +393,12 @@ class TestParseConfig:
         config, _ = parse_config(raw)
         assert config.settings.rel_tol == 1e-6
         assert config.transition.frequency == 1e6
+
+    def test_custom_vacuum_material(self):
+        raw = nb_config(materials=[{"label": "gap", "variant": "vacuum"}])
+        raw["stack"]["layers"][0] = {"material": "gap"}
+        config, _ = parse_config(raw)
+        assert config.stack.layers[0].material == Vacuum(label="gap")
 
     def test_matrix_elements(self):
         raw = nb_config(transition={"frequency": 1e6,
@@ -432,6 +486,46 @@ class TestParseConfig:
         mutate(raw)
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda raw: raw.update(sweep={"axis": "distance_z", "min": 1e-6, "max": 1e-4,
+                                       "points": 3, "spaceing": "log"}), "'spaceing' in sweep"),
+        (lambda raw: raw.update(transition={"frequency": 560e3, "matrix_element": [0.5, 0, 0]}),
+         "'matrix_element' in transition"),
+        (lambda raw: raw.update(quadratue={"rel_tol": 1e-3}), "'quadratue' in configuration"),
+        (lambda raw: raw["stack"]["layers"][2].update(thickness=5.0),
+         r"'thickness' in stack.layers\[2\]"),
+        (lambda raw: raw["stack"]["layers"][0].update(thickness=5.0),
+         r"'thickness' in stack.layers\[0\]"),
+        (lambda raw: raw.update(comment="Nb on Cu"), "'comment' in configuration"),
+        (lambda raw: raw.update(materials=[{"label": "m", "variant": "vacuum",
+                                            "parameters": {"sigma": 1e7}}]),
+         "'sigma' in material 'm' parameters"),
+    ], ids=["sweep", "transition", "top-level-section", "substrate-thickness",
+            "vacuum-thickness", "top-level", "vacuum-parameters"])
+    def test_unknown_key_names_object_and_key(self, mutate, message):
+        raw = nb_config()
+        mutate(raw)
+        with pytest.raises(ConfigError, match=f"unknown key\\(s\\) {message}"):
+            parse_config(raw)
+
+    @given(path=st.sampled_from(CONFIG_OBJECTS), key=st.text(max_size=8), value=JSON_VALUES)
+    def test_any_extra_key_in_any_object(self, path, key, value):
+        # full_config() holds every optional key, so any other key is unknown.
+        raw = full_config()
+        target = raw
+        for step in path:
+            target = target[step]
+        assume(key not in target)
+        target[key] = value
+        with pytest.raises(ConfigError) as caught:
+            parse_config(raw)
+        assert f"unknown key(s) {key!r} in " in str(caught.value)
+
+    def test_full_config_parses(self):
+        config, spec = parse_config(full_config())
+        assert config.stack.layers[1].material.label == "layered"
+        assert spec.spacing == "log"
 
     def test_not_a_mapping(self):
         with pytest.raises(ConfigError):
