@@ -30,10 +30,11 @@ passive stacks its estimate stayed below the tolerance while the value was
 off by up to 1.7e-6.
 
 Integrands must accept an ndarray of eta values and return an ndarray of the
-same shape.  The four graded panels are one 84-point call, each other
-initial panel one 21-point call, and a split evaluates both halves in one
-42-point call.  Panels hold integrals over u: the Jacobian 1/(2z) is applied
-once, to the total or to a QuadratureError's partial value.
+same shape.  The first pass is 9 calls (the four graded panels in one, each
+octave in its own) into one 252-value array, its 12 panels tested and summed
+as arrays; panel records exist only once a split follows, and a split
+evaluates both halves in one 42-point call.  Panels hold integrals over u: the
+Jacobian 1/(2z) is applied once, to the total or to a QuadratureError's partial value.
 """
 
 from __future__ import annotations
@@ -100,16 +101,13 @@ def _panel_set(a, b, scale=1.0):
     return a, b, ((lo[:, None] + half) + half * _KRONROD_NODES).ravel() * scale, half
 
 
-# Initial panels in u, one integrand call per panel set, built once:
-# [2e-9, 0.25] graded toward u = 0 at 0.25 * 4^-k (k = 3, 2, 1), then the
-# octaves from 0.25 up to _U.  Each call's nodes are a slice of _INITIAL_U.
-_GRADED_EDGES = (2.0 * _ETA_EPS, 0.25 / 64, 0.25 / 16, 0.25 / 4, 0.25)
-_OCTAVE_EDGES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, _U)
-_INITIAL_SETS = (_panel_set(_GRADED_EDGES[:-1], _GRADED_EDGES[1:]),) + tuple(
-    _panel_set((a,), (b,)) for a, b in zip(_OCTAVE_EDGES[:-1], _OCTAVE_EDGES[1:]))
-_INITIAL_U = np.concatenate([u for _, _, u, _ in _INITIAL_SETS])
-_INITIAL_CALLS = tuple((a, b, slice(i - u.size, i), half) for (a, b, u, half), i in zip(
-    _INITIAL_SETS, np.cumsum([u.size for _, _, u, _ in _INITIAL_SETS]).tolist()))
+# The 12 initial panels in u, built once: [2e-9, 0.25] graded toward u = 0
+# at 0.25 * 4^-k (k = 3, 2, 1), then the octaves from 0.25 up to _U.  The
+# graded four share one integrand call and each octave has its own.
+_INITIAL_A = (2 * _ETA_EPS, 0.25 / 64, 0.25 / 16, 0.25 / 4) + tuple(2.0**k for k in range(-2, 6))
+_INITIAL_B = _INITIAL_A[1:] + (_U,)
+_, _, _INITIAL_U, _INITIAL_HALF = _panel_set(_INITIAL_A, _INITIAL_B)
+_INITIAL_CALLS = [slice(0, 84)] + [slice(i, i + 21) for i in range(84, 252, 21)]
 
 # Largest max_refinements.  Every refinement re-sorts and re-sums all panels,
 # so an unconverged rate's cost grows faster than its budget: on the canonical
@@ -145,17 +143,15 @@ class QuadratureDiagnostics:
     panels: int             # final panel count
 
 
-def _panels(g, a, b, x, half):
-    """Evaluate a _panel_set in one integrand call, g at its nodes x.  Returns
-    one (error estimate, a, b, Kronrod value over u) record per panel."""
-    rules = half * (np.asarray(g(x), dtype=float).reshape(-1, _NODES) @ _RULES)
-    panels = []
-    for a_i, b_i, (kronrod, gauss, rest) in zip(a, b, rules.tolist()):
-        # Every K21 weight is positive: K21 is finite only if f is on all 21 nodes.
-        if not math.isfinite(kronrod):
-            raise QuadratureError(f"integrand not finite on panel [{a_i}, {b_i}]")
-        panels.append((max(abs(kronrod - gauss), abs(kronrod - rest)), a_i, b_i, kronrod))
-    return panels
+def _rules(values, a, b, half):
+    """K21 values over u and error estimates of a _panel_set's panels from f on its nodes."""
+    rules = half * (values.reshape(-1, _NODES) @ _RULES)
+    kronrod = rules[:, 0]
+    # Every K21 weight is positive: K21 is finite only if f is on all 21 nodes.
+    if not np.isfinite(kronrod).all():
+        i = int(np.argmin(np.isfinite(kronrod)))  # the first non-finite panel in u order
+        raise QuadratureError(f"integrand not finite on panel [{a[i]}, {b[i]}]")
+    return kronrod, np.maximum(np.abs(kronrod - rules[:, 1]), np.abs(kronrod - rules[:, 2]))
 
 
 def integrate_semi_infinite(integrand, z: float,
@@ -173,29 +169,29 @@ def integrate_semi_infinite(integrand, z: float,
 
     scale = 1.0 / (2.0 * z)  # d eta / d u
     eta = _INITIAL_U * scale
-    panels = []  # (error, a, b, value), integrals over u
-    for a, b, nodes, half in _INITIAL_CALLS:
-        panels += _panels(integrand, a, b, eta[nodes], half)
-    evaluations = eta.size
-
-    refinements = 0
+    values = np.concatenate([integrand(eta[nodes]) for nodes in _INITIAL_CALLS])
+    kronrod, errors = _rules(values, _INITIAL_A, _INITIAL_B, _INITIAL_HALF)
+    total, err_total = math.fsum(kronrod.tolist()), math.fsum(errors.tolist())
+    refinements, panels = 0, None
     while True:
-        total = math.fsum(p[3] for p in panels)
-        err_total = math.fsum(p[0] for p in panels)
         converged = err_total <= settings.rel_tol * abs(total)
         if converged or refinements >= settings.max_refinements:
             break
+        if panels is None:  # (error, a, b, value) records, built for the first split only
+            panels = list(zip(errors.tolist(), _INITIAL_A, _INITIAL_B, kronrod.tolist()))
         panels.sort(key=lambda p: p[0])
         _, a, b, _ = panels.pop()
         mid = 0.5 * (a + b)
-        panels += _panels(integrand, *_panel_set((a, mid), (mid, b), scale))
-        evaluations += 2 * _NODES
+        a, b, x, half = _panel_set((a, mid), (mid, b), scale)
+        kronrod, errors = _rules(np.asarray(integrand(x), dtype=float), a, b, half)
+        panels += zip(errors.tolist(), a, b, kronrod.tolist())
         refinements += 1
+        total, err_total = math.fsum(p[3] for p in panels), math.fsum(p[0] for p in panels)
 
     diag = QuadratureDiagnostics(
-        evaluations=evaluations, truncation_eta=_U * scale,
+        evaluations=eta.size + 2 * _NODES * refinements, truncation_eta=_U * scale,
         est_error=err_total / abs(total) if total else (0.0 if converged else math.inf),
-        refinements=refinements, panels=len(panels))
+        refinements=refinements, panels=len(_INITIAL_A) + refinements)
     # A numpy product, so an overflow obeys the caller's np.errstate.
     value = float(np.float64(total) * scale)
     if not converged:

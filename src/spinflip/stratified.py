@@ -31,7 +31,7 @@ and te_reflection, holds kt^2, k and the anisotropy of every layer on a
 leading layer axis.  media_of checks omega, the permittivities and d once and
 builds it (stack_media from a checked LayerStack, once per rate); each function
 then trusts it and covers every layer in one pass, a scalar eta as an array
-(with the bits of that eta inside one).  It caches the family wavenumbers squared.
+(with the bits of that eta inside one), on the columns StackMedia prepares.
 """
 
 from __future__ import annotations
@@ -127,19 +127,31 @@ class StackMedia:
     arrays on a leading layer axis: kt2 = (omega/c)^2 eps_t, its decaying
     root k (the TM-family wavenumber) and the anisotropy 1 - eps_t/eps_z (0
     for an isotropic layer, and None when no layer is uniaxial); and the film
-    thickness d (0 for a bare substrate)."""
+    thickness d (0 for a bare substrate).
+
+    Built with them: kt2 as a (layer, 1) column, h^2's eta^2 coefficient per family,
+    2i d and whether a root can need folding; on first use, k and the TM weights k^2."""
 
     kt2: np.ndarray
-    k: np.ndarray
     anisotropy: np.ndarray | None
     d: float
 
+    def __post_init__(self):
+        a = self.anisotropy
+        imag = self.kt2.imag.tolist() + ([] if a is None else a.imag.tolist())
+        self.__dict__.update(  # beside the frozen fields, as a cached_property would
+            _kt2=self.kt2[:, None], _two_i_d=2j * self.d,
+            _eta2=None if a is None else np.array([np.full_like(a, -1.0), a - 1.0])[..., None],
+            _fold=any(math.copysign(1.0, x) < 0 for x in imag))
+
     @cached_property
-    def _families(self):
-        """Per family (M, N), built on first use: eta^2 terms of h^2 + eta^2 - kt2, and k^2."""
-        a, k = self.anisotropy, self.k
-        return (None if a is None else np.array([np.zeros_like(a), a]),
-                np.array([np.ones_like(k), k**2]))
+    def k(self) -> np.ndarray:
+        return _decaying_sqrt(self.kt2)
+
+    @cached_property
+    def _k2(self):  # per family, k^2 of the layers below and above each interface
+        k2 = np.array([np.ones_like(self.k), self.k**2])[..., None]
+        return k2[:, 1:], k2[:, :-1]
 
 
 def _decaying_sqrt(w):
@@ -165,7 +177,7 @@ def media_of(omega: float, eps, d: float = 0.0) -> StackMedia:
     kt2 = np.array(kt2, dtype=complex)
     anisotropy = (np.array([a or 0 for a in anisotropy], dtype=complex)
                   if any(a is not None for a in anisotropy) else None)
-    return StackMedia(kt2, _decaying_sqrt(kt2), anisotropy, d)
+    return StackMedia(kt2, anisotropy, d)
 
 
 def stack_media(stack: LayerStack, omega: float, T: float | None = None) -> StackMedia:
@@ -190,12 +202,11 @@ def layer_wavevectors(eta, media: StackMedia):
     eta = np.asarray(eta, dtype=float)
     if np.count_nonzero(eta < 0):
         raise DomainError("eta must be non-negative")
-    shape = media.kt2.shape + (1,) * eta.ndim
-    kt2, eta2 = media.kt2.reshape(shape), eta**2
-    if media.anisotropy is None:
-        h1 = _decaying_sqrt(kt2 - eta2)
-        return h1, h1
-    return _decaying_sqrt(eta2 * media._families[0].reshape((2,) + shape) + kt2 - eta2)
+    eta2 = np.square(eta.ravel())  # one eta axis; a scalar eta is a 1-element array
+    h = media._kt2 - eta2 if media._eta2 is None else eta2 * media._eta2 + media._kt2
+    h = _decaying_sqrt(h) if media._fold else np.sqrt(h, out=h)
+    h = h if eta.ndim == 1 else h.reshape(h.shape[:-1] + eta.shape)
+    return (h, h) if media._eta2 is None else h
 
 
 def _interface_quotient(a, b, degenerate: str = "TM interface denominator vanished"):
@@ -216,22 +227,19 @@ def generalized_r_te(r12, r23, k2z, d: float):
     """Film reflection coefficient combining two interfaces with the interior
     round-trip phase:  (r12 + r23 e^{2i k2z d}) / (1 - r21 r23 e^{2i k2z d}),
     with r21 = -r12.  The one film formula of the package: both wave families
-    compose their interface coefficients with its core _film (d checked by media_of)."""
+    compose their interface coefficients with its core _film (2i d prepared by media_of)."""
     if not real_in_range(d, or_zero=True):
         raise DomainError("film thickness must be non-negative and finite")
-    return _film(r12, r23, k2z, d)
+    return _film(r12, r23, k2z, 2j * d)
 
 
-def _film(r12, r23, k2z, d: float):
-    """generalized_r_te of a checked thickness d."""
-    phase = np.exp(k2z * (2j * d))
-    den = r12 * r23 * phase
-    den += 1.0
+def _film(r12, r23, k2z, two_i_d: complex):
+    """generalized_r_te of a checked thickness d, given as 2i d."""
+    back = r23 * np.exp(k2z * two_i_d)  # r23 e^{2i k2z d}
+    den = r12 * back + 1.0
     if np.count_nonzero(np.abs(den) < _DENOMINATOR_GUARD):
         raise ResonanceError("film denominator below guard threshold")
-    num = r23 * phase + r12
-    num /= den  # num and den both span the broadcast of r12, r23 and phase
-    return num
+    return (back + r12) / den
 
 
 def interface_rv(h_f, h_f1, k_f, k_f1):
@@ -240,12 +248,13 @@ def interface_rv(h_f, h_f1, k_f, k_f1):
     return _interface_quotient(h_f * k_f1**2, h_f1 * k_f**2)
 
 
-def _stack_quotient(r, h, d: float):
-    """Per family (leading axis): one interface's coefficient, or the film formula over layer 1."""
-    n = r.shape[1]
-    if not 1 <= n <= 2:
+def _stack_quotient(r, h, media: StackMedia):
+    """One interface's coefficient, or the film formula over layer 1, on the last two axes."""
+    n = media.kt2.size
+    if not 2 <= n <= 3:
         raise DomainError("reflection coefficients need a medium of 2 or 3 layers")
-    return r[:, 0] if n == 1 else _film(r[:, 0], r[:, 1], h[:, 1], d)
+    return r[..., 0, :] if n == 2 else _film(r[..., 0, :], r[..., 1, :], h[..., 1, :],
+                                             media._two_i_d)
 
 
 def scattering_coefficients(media: StackMedia, eta):
@@ -255,15 +264,16 @@ def scattering_coefficients(media: StackMedia, eta):
     coefficients, N the extraordinary family with TM ones (see module
     docstring), as one array on a leading family axis; eta's axes follow.
     """
-    h = layer_wavevectors(eta, media)
-    h = h[0][np.newaxis] if media.anisotropy is None else h  # one h serves both families
-    k2 = media._families[1].reshape((2,) + media.k.shape + (1,) * (h.ndim - 2))
-    r = _interface_quotient(h[:, :-1] * k2[:, 1:], h[:, 1:] * k2[:, :-1])  # M at k^2 = 1
-    return _stack_quotient(r, h, media.d)
+    eta = np.asarray(eta, dtype=float)
+    h = layer_wavevectors(eta.ravel(), media)
+    h = h[0] if media.anisotropy is None else h  # one h serves both families
+    r = _interface_quotient(h[..., :-1, :] * media._k2[0], h[..., 1:, :] * media._k2[1])
+    return _stack_quotient(r, h, media).reshape((2,) + eta.shape)  # M at k^2 = 1
 
 
 def te_reflection(media: StackMedia, eta):
     """Generalized TE reflection coefficient of `media` at `eta`: M,
     computed without the TM family."""
-    h = layer_wavevectors(eta, media)[0][np.newaxis]  # the one family
-    return _stack_quotient(fresnel_te(h[:, :-1], h[:, 1:]), h, media.d)[0]
+    eta = np.asarray(eta, dtype=float)
+    h = layer_wavevectors(eta.ravel(), media)[0]  # the one family
+    return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media).reshape(eta.shape)

@@ -256,18 +256,18 @@ def emit_csv(table: SweepTable, path) -> None:
 # ---------------------------------------------------------------------------
 
 def _fields(value, context: str, required=(), optional=()) -> dict:
-    """`value` as a JSON object holding every `required` key and no key
-    outside `required` and `optional`; each error names the object."""
+    """`value` as a JSON object with every `required` key not null and no key outside
+    `required` and `optional`, less its null (absent) keys; each error names the object."""
     if not isinstance(value, dict):
         raise ConfigError(f"{context} must be a JSON object")
     for key in required:
-        if key not in value:
-            raise ConfigError(f"missing {key!r} in {context}")
+        if value.get(key) is None:
+            raise ConfigError(f"{'null' if key in value else 'missing'} {key!r} in {context}")
     unknown = value.keys() - {*required, *optional}
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(sorted(map(repr, unknown)))} in {context}; "
                           f"expected {', '.join((*required, *optional)) or 'none'}")
-    return value
+    return {key: v for key, v in value.items() if v is not None}
 
 
 def _real(value, context: str) -> float:
@@ -281,6 +281,12 @@ def _real(value, context: str) -> float:
 
 def _finite(mapping: dict, key: str, context: str) -> float:
     return _real(mapping[key], f"{context}.{key}")
+
+
+def _text(mapping: dict, key: str, context: str, default: str | None = None) -> str:
+    if not isinstance(value := mapping.get(key, default), str):
+        raise ConfigError(f"{context}.{key} must be a string")
+    return value
 
 
 def _whole(mapping: dict, key: str, context: str) -> int:
@@ -323,7 +329,7 @@ def _two_fluid(params: dict, context: str) -> TwoFluidParams:
 
 def _parse_material(entry, context: str) -> MaterialModel:
     entry = _fields(entry, context, ("label", "variant"), ("parameters",))
-    label, variant = str(entry["label"]), entry["variant"]
+    label, variant = _text(entry, "label", context), entry["variant"]
     ctx = f"material {label!r}"
     if not (isinstance(variant, str) and variant in _PARAMETERS):
         raise ConfigError(f"unknown material variant {variant!r} for {label!r}")
@@ -332,8 +338,7 @@ def _parse_material(entry, context: str) -> MaterialModel:
         return Vacuum(label=label)
     if variant == "drude_metal":
         return _built(ctx, DrudeMetal, sigma=_finite(params, "sigma", ctx), label=label)
-    validity = {key: None if params.get(key) is None else _finite(params, key, ctx)
-                for key in _VALIDITY}
+    validity = {key: _finite(params, key, ctx) for key in _VALIDITY if key in params}
     if variant == "isotropic_sc":
         return _built(ctx, IsotropicSuperconductor, params=_two_fluid(params, ctx),
                       label=label, **validity)
@@ -348,17 +353,17 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
     any computation on invalid input: it checks the JSON shape of each object
     (its keys through _fields, its values here) and leaves every range check
     to the constructor it feeds (through _built)."""
-    _fields(raw, "configuration", ("stack", "z"),
-            ("materials", "transition", "quadrature", "sweep"))
+    top = _fields(raw, "configuration", ("stack", "z"),
+                  ("materials", "transition", "quadrature", "sweep"))
     registry = {m.label: m for m in material_presets()}
-    materials_raw = raw.get("materials", [])
+    materials_raw = top.get("materials", [])
     if not isinstance(materials_raw, list):
         raise ConfigError("materials must be a list")
     for i, entry in enumerate(materials_raw):
         m = _parse_material(entry, f"materials[{i}]")
         registry[m.label] = m
 
-    stack_raw = _fields(raw["stack"], "stack", ("layers", "temperature"))
+    stack_raw = _fields(top["stack"], "stack", ("layers", "temperature"))
     layers_raw = stack_raw["layers"]
     if not isinstance(layers_raw, list) or len(layers_raw) < 2:
         raise ConfigError("stack.layers must list at least 2 layers")
@@ -369,18 +374,18 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
         lr = _fields(lr, place, ("material", "thickness") if interior else ("material",))
         name = lr["material"]
         if not isinstance(name, str) or name not in registry:
-            raise ConfigError(f"stack references unknown material {name!r}")
+            raise ConfigError(f"{place}: unknown material {name!r}")
         thickness = _finite(lr, "thickness", place) if interior else math.inf
         layers.append(_built(place, Layer, registry[name], thickness))
     stack = _built("stack", LayerStack, tuple(layers), _finite(stack_raw, "temperature", "stack"))
-    z = _finite(raw, "z", "configuration")
+    z = _finite(top, "z", "configuration")
 
     transition = RB87_CLOCK_TRANSITION
-    if "transition" in raw:
-        tr = _fields(raw["transition"], "transition", ("frequency",),
+    if "transition" in top:
+        tr = _fields(top["transition"], "transition", ("frequency",),
                      ("label", "matrix_elements"))
         trkw = {"frequency": _finite(tr, "frequency", "transition"),
-                "label": str(tr.get("label", ""))}
+                "label": _text(tr, "label", "transition", "")}
         if "matrix_elements" in tr:
             elements = tr["matrix_elements"]
             if not isinstance(elements, list):
@@ -391,19 +396,19 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
         transition = _built("transition", TransitionSpec, **trkw)
 
     readers = {"rel_tol": _finite, "max_refinements": _whole}
-    q = _fields(raw.get("quadrature", {}), "quadrature", optional=tuple(readers))
+    q = _fields(top.get("quadrature", {}), "quadrature", optional=tuple(readers))
     settings = _built("quadrature", replace, DEFAULT_SETTINGS,
                       **{key: readers[key](q, key, "quadrature") for key in q})
 
     sweep = None
-    if "sweep" in raw:
-        s = _fields(raw["sweep"], "sweep", ("axis", "min", "max", "points"), ("spacing",))
+    if "sweep" in top:
+        s = _fields(top["sweep"], "sweep", ("axis", "min", "max", "points"), ("spacing",))
         sweep = SweepSpec(
-            axis=str(s["axis"]),
+            axis=_text(s, "axis", "sweep"),
             minimum=_finite(s, "min", "sweep"),
             maximum=_finite(s, "max", "sweep"),
             points=_whole(s, "points", "sweep"),
-            spacing=str(s.get("spacing", "linear")))
+            spacing=_text(s, "spacing", "sweep", "linear"))
 
     config = RunConfig(stack=stack, z=z, transition=transition,
                        settings=settings, echo=raw)

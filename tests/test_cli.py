@@ -132,6 +132,15 @@ class TestRateCommand:
         assert f"error: unknown key(s) {message}" in err
         assert "Traceback" not in err
 
+    def test_numeric_material_label_is_usage_error(self, tmp_path, capsys):
+        # A label is read as a string, not coerced: 5 once defined material '5'.
+        cfg = write_config(tmp_path, film="5", materials=[
+            {"label": 5, "variant": "drude_metal", "parameters": {"sigma": 1e7}}])
+        assert main(["rate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "error: materials[0].label must be a string" in err
+        assert "Traceback" not in err
+
     def test_non_finite_value_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, z=float("nan"))
         assert main(["rate", "--config", str(cfg)]) == 1

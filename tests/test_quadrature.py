@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,14 +74,17 @@ class TestKronrodRule:
     def test_panels_in_one_call_equal_panels_alone(self):
         g = lambda u: u**3 * np.exp(-u) + np.sqrt(u)
         a, b = [2e-9, 0.25 / 64, 1.0], [0.25 / 64, 0.25, 3.0]
-        together = quadrature._panels(g, *quadrature._panel_set(a, b))
-        alone = [quadrature._panels(g, *quadrature._panel_set([lo], [hi]))[0]
-                 for lo, hi in zip(a, b)]
-        for (err, lo, hi, value), (err1, lo1, hi1, value1) in zip(together, alone):
-            assert (lo, hi) == (lo1, hi1)
-            assert value == pytest.approx(value1, rel=1e-15, abs=0)
+
+        def rules(lo, hi):
+            _, _, u, half = quadrature._panel_set(lo, hi)
+            return quadrature._rules(g(u), lo, hi, half)
+
+        values, errors = rules(a, b)
+        for i, (lo, hi) in enumerate(zip(a, b)):
+            value1, err1 = (x[0] for x in rules([lo], [hi]))
+            assert values[i] == pytest.approx(value1, rel=1e-15, abs=0)
             # An estimate is a difference of two rules: its rounding is the value's.
-            assert err == pytest.approx(err1, rel=0, abs=4e-16 * abs(value))
+            assert errors[i] == pytest.approx(err1, rel=0, abs=4e-16 * abs(values[i]))
 
     def test_non_finite_panel_is_named(self):
         def f(eta):
@@ -89,6 +93,79 @@ class TestKronrodRule:
 
         with pytest.raises(QuadratureError, match=r"panel \[0\.015625, 0\.0625\]"):
             integrate_semi_infinite(f, 1e-5)
+
+
+# The 12 initial panels in u: [2e-9, 0.25] graded at 0.25 * 4^-k, then octaves up to 60.
+INITIAL_EDGES = (2e-9, 0.25 / 64, 0.25 / 16, 0.25 / 4, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0,
+                 32.0, 60.0)
+
+
+class TestFirstPass:
+    """A rate that converges on its first pass: 9 integrand calls into one
+    252-value array, the 12 panels tested and summed as arrays, no panel records."""
+
+    def test_value_and_diagnostics_are_the_per_panel_sums(self):
+        z = 1e-5
+        seen = []
+
+        def f(eta):
+            seen.append(eta.copy())
+            return eta**2 * np.exp(-2 * eta * z)
+
+        value, diag = integrate_semi_infinite(f, z)
+        assert [e.size for e in seen] == [84] + [21] * 8
+        assert (diag.evaluations, diag.panels, diag.refinements) == (252, 12, 0)
+        # The rule columns K21, G10 and R11 on each panel, built here.
+        a, b = np.array(INITIAL_EDGES[:-1]), np.array(INITIAL_EDGES[1:])
+        half = 0.5 * (b - a)[:, None]
+        u = ((a[:, None] + half) + half * quadrature._KRONROD_NODES).ravel()
+        eta = np.concatenate(seen)
+        np.testing.assert_array_equal(eta, u * (1.0 / (2 * z)))
+        rules = half * (f(eta).reshape(12, 21) @ quadrature._RULES)
+        kronrod = rules[:, 0].tolist()
+        errors = [max(abs(k - g), abs(k - r)) for k, g, r in rules.tolist()]
+        total = math.fsum(kronrod)
+        assert value == total * (1.0 / (2 * z))
+        assert diag.est_error == math.fsum(errors) / abs(total)
+        # The same sums from the weights alone, one panel at a time.
+        by_panel = [math.fsum(half[i, 0] * w * v for w, v in zip(
+            quadrature._KRONROD_WEIGHTS, f(eta[21 * i:21 * (i + 1)]))) for i in range(12)]
+        assert kronrod == pytest.approx(by_panel, rel=1e-14)
+        assert value == pytest.approx(1 / (4 * z**3), rel=1e-12)
+
+    @pytest.mark.parametrize("first", range(12))
+    def test_first_non_finite_panel_in_u_order_is_named(self, first):
+        # NaN inside panel `first` and inside every later third panel; the
+        # error names `first` wherever its call falls among the 9.
+        bad = [first] + list(range(first + 3, 12, 3))
+        z = 1e-5
+
+        def f(eta):
+            u = eta * 2 * z
+            inside = np.zeros(u.shape, dtype=bool)
+            for i in bad:
+                inside |= (u > INITIAL_EDGES[i]) & (u < INITIAL_EDGES[i + 1])
+            return np.where(inside, np.nan, np.exp(-u))
+
+        a, b = INITIAL_EDGES[first], INITIAL_EDGES[first + 1]
+        with pytest.raises(QuadratureError, match=re.escape(f"panel [{a}, {b}]")):
+            integrate_semi_infinite(f, z)
+
+    @pytest.mark.parametrize("f, settings, refinements, value", [
+        (lambda u: np.abs(u - 1.3) * np.exp(-u), QuadratureSettings(), 8, 42253.17920398576),
+        (lambda u: np.abs(u - 1.3) * np.exp(-u), QuadratureSettings(1e-12, 200), 18,
+         42253.17917340528),
+        (lambda u: np.sqrt(u) * np.exp(-u), QuadratureSettings(), 1, 44311.34629323637),
+        (lambda u: np.sin(10 * u) ** 2 * np.exp(-u), QuadratureSettings(), 29, 24937.65575742366),
+    ], ids=["kink", "kink-1e-12", "sqrt", "oscillatory"])
+    def test_refining_rate_keeps_its_counts(self, f, settings, refinements, value):
+        # Counts and values as they were when every panel was a record from
+        # the start: splitting begins from the same 12 panels.
+        z = 1e-5
+        got, diag = integrate_semi_infinite(lambda eta: f(eta * 2 * z), z, settings)
+        assert (diag.refinements, diag.panels) == (refinements, 12 + refinements)
+        assert diag.evaluations == 252 + 42 * refinements
+        assert got == pytest.approx(value, rel=1e-15)
 
 
 class TestEngine:

@@ -26,6 +26,12 @@ passive_eps = st.builds(
     st.floats(-1e12, 1e12, **finite),
     st.floats(1e-3, 1e12, **finite),
 )
+# Either sign of Im: an active medium's roots need folding onto Im >= 0.
+any_eps = st.builds(
+    complex,
+    st.floats(-1e12, 1e12, **finite),
+    st.floats(1e-3, 1e12, **finite) | st.floats(-1e12, -1e-3, **finite),
+)
 wavenumbers = st.builds(
     complex,
     st.floats(1e-3, 1e7, **finite),
@@ -166,6 +172,37 @@ class TestLayerWavevectors:
             assert h.imag >= 0
             if h.imag == 0:
                 assert h.real >= 0
+
+    @given(eps_t=any_eps, eps_z=any_eps, eta=st.floats(0.0, 1e8))
+    def test_fold_only_where_needed(self, eps_t, eps_z, eta):
+        # h^2 is kt2 - eta^2, or eta^2 (anisotropy - 1) + kt2, as one
+        # multiply-add; its root is folded onto Im >= 0 only when an Im kt2
+        # or Im anisotropy is negative, with the bits of folding every time.
+        assume(eps_z != 0)
+        media = media_of(OMEGA, [PermittivityTensor(eps_t, eps_z)])
+        kt2, eta2 = media.kt2[:, None], np.array([eta * eta])
+        h2 = [kt2 - eta2]
+        if media.anisotropy is not None:
+            h2.append(eta2 * (media.anisotropy[:, None] - 1.0) + kt2)
+        root = np.sqrt(np.array(h2))
+        want = np.where(root.imag < 0, -root, root)
+        got = layer_wavevectors(np.array([eta]), media)
+        np.testing.assert_array_equal(got[: len(h2)], want)
+        assert np.all(np.asarray(got).imag >= 0)
+
+    def test_axes_of_eta_follow(self):
+        # Any shape of eta is one flat eta axis inside, reshaped on the way out.
+        eta = np.geomspace(1e2, 1e7, 12)
+        for s in (stack(NIOBIUM, 1e-6), stack(BSCCO, 1e-7, T=40.0)):
+            media = stack_media(s, OMEGA)
+            flat = [np.asarray(layer_wavevectors(eta, media)), te_reflection(media, eta),
+                    scattering_coefficients(media, eta)]
+            grid = [np.asarray(layer_wavevectors(eta.reshape(3, 4), media)),
+                    te_reflection(media, eta.reshape(3, 4)),
+                    scattering_coefficients(media, eta.reshape(3, 4))]
+            for f, g in zip(flat, grid):
+                assert g.shape == f.shape[:-1] + (3, 4)
+                np.testing.assert_array_equal(g.reshape(f.shape), f)
 
 
 class TestFresnel:
@@ -453,7 +490,7 @@ class TestScalarInputs:
             -0.9785104203635796, 4.039294048587252e-11)
         m, n = scattering_coefficients(stack_media(stack(BSCCO, 1e-7, T=40.0), OMEGA), eta)
         assert np.ndim(m) == 0 and np.ndim(n) == 0
-        assert m == complex(-0.4947147976896545, 0.00016483480721807335)
+        assert m == complex(-0.4947147976896543, 0.00016483480721807335)
         assert n == complex(1.0000000000000149, 1.1943282021008256e-17)
 
     @pytest.mark.parametrize("s", [

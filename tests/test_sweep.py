@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from spinflip.constants import TransitionSpec
 from spinflip.errors import ConfigError, QuasiStaticWarning, SpinflipError
 from spinflip.materials import COPPER, DrudeMetal, NIOBIUM, VACUUM, Vacuum
+from spinflip.quadrature import QuadratureSettings
 from spinflip.rates import spin_flip_rate
 from spinflip.stratified import Layer, LayerStack
 from spinflip.sweep import (MAX_POINTS, RunConfig, SweepSpec, SweepTable, emit_csv,
@@ -521,6 +523,66 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as caught:
             parse_config(raw)
         assert f"unknown key(s) {key!r} in " in str(caught.value)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda raw: raw.update(materials=[{"label": 5, "variant": "vacuum"}]),
+         r"materials\[0\]\.label must be a string"),
+        (lambda raw: raw.update(transition={"frequency": 560e3, "label": {"a": 1}}),
+         r"transition\.label must be a string"),
+        (lambda raw: raw.update(sweep={"axis": 5, "min": 1e-6, "max": 1e-4, "points": 3}),
+         r"sweep\.axis must be a string"),
+        (lambda raw: raw.update(sweep={"axis": "distance_z", "min": 1e-6, "max": 1e-4,
+                                       "points": 3, "spacing": ["log"]}),
+         r"sweep\.spacing must be a string"),
+    ], ids=["material-label", "transition-label", "axis", "spacing"])
+    def test_text_field_is_a_string(self, mutate, message):
+        # Read, not coerced: a number is not a label ("label": 5 once defined material '5').
+        raw = nb_config()
+        mutate(raw)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw)
+
+    def test_null_optional_key_is_absent(self):
+        raw = nb_config(
+            materials=[{"label": "sc", "variant": "isotropic_sc", "parameters": {
+                "lambda0": 5e-8, "Tc": 9.0, "sigma_normal": 1e7, "alpha": 4,
+                "gap_frequency": None}}],
+            transition={"frequency": 560e3, "label": None, "matrix_elements": None},
+            quadrature={"rel_tol": None, "max_refinements": 30},
+            sweep={"axis": "distance_z", "min": 1e-6, "max": 1e-4, "points": 3,
+                   "spacing": None})
+        config, spec = parse_config(raw)
+        assert spec.spacing == "linear"
+        assert config.transition == TransitionSpec(frequency=560e3, label="")
+        assert config.settings == QuadratureSettings(max_refinements=30)
+        nulls, spec = parse_config(nb_config(materials=None, transition=None,
+                                             quadrature=None, sweep=None))
+        plain, _ = parse_config(nb_config())
+        assert spec is None
+        assert (nulls.stack, nulls.transition, nulls.settings) == (
+            plain.stack, plain.transition, plain.settings)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda raw: raw.update(z=None), "null 'z' in configuration"),
+        (lambda raw: raw["stack"].update(temperature=None), "null 'temperature' in stack"),
+        (lambda raw: raw.update(transition={"frequency": None}),
+         "null 'frequency' in transition"),
+        (lambda raw: raw.update(materials=[{"label": None, "variant": "vacuum"}]),
+         r"null 'label' in materials\[0\]"),
+        (lambda raw: raw.update(sweep={"axis": "distance_z", "min": 1e-6, "max": 1e-4,
+                                       "points": None}), "null 'points' in sweep"),
+    ], ids=["z", "temperature", "frequency", "label", "points"])
+    def test_null_required_key_names_it(self, mutate, message):
+        raw = nb_config()
+        mutate(raw)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw)
+
+    def test_unknown_material_names_its_layer(self):
+        raw = nb_config()
+        raw["stack"]["layers"][1]["material"] = "nope"
+        with pytest.raises(ConfigError, match=r"^stack\.layers\[1\]: unknown material 'nope'$"):
+            parse_config(raw)
 
     def test_full_config_parses(self):
         config, spec = parse_config(full_config())
