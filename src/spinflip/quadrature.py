@@ -30,11 +30,13 @@ passive stacks its estimate stayed below the tolerance while the value was
 off by up to 1.7e-6.
 
 Integrands must accept an ndarray of eta values and return an ndarray of the
-same shape.  The first pass is 9 calls (the four graded panels in one, each
-octave in its own) into one 252-value array, its 12 panels tested and summed
-as arrays; panel records exist only once a split follows, and a split
-evaluates both halves in one 42-point call.  Panels hold integrals over u: the
-Jacobian 1/(2z) is applied once, to the total or to a QuadratureError's partial value.
+same shape, read as floats.  The first pass is 9 calls (the four graded panels
+in one, each octave in its own) into one 252-value array, its 12 panels tested
+and summed as arrays, so a non-finite panel raises only after all 9 calls (an
+error of a later call comes first); panel records exist only once a split
+follows, and a split evaluates both halves in one 42-point call.  Panels hold
+integrals over u: the Jacobian 1/(2z) is applied once, to the total or to a
+QuadratureError's partial value.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def integrate_semi_infinite(integrand, z: float,
 
     scale = 1.0 / (2.0 * z)  # d eta / d u
     eta = _INITIAL_U * scale
-    values = np.concatenate([integrand(eta[nodes]) for nodes in _INITIAL_CALLS])
+    values = np.asarray(np.concatenate([integrand(eta[n]) for n in _INITIAL_CALLS]), float)
     kronrod, errors = _rules(values, _INITIAL_A, _INITIAL_B, _INITIAL_HALF)
     total, err_total = math.fsum(kronrod.tolist()), math.fsum(errors.tolist())
     refinements, panels = 0, None

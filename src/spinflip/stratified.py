@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -127,31 +126,19 @@ class StackMedia:
     arrays on a leading layer axis: kt2 = (omega/c)^2 eps_t, its decaying
     root k (the TM-family wavenumber) and the anisotropy 1 - eps_t/eps_z (0
     for an isotropic layer, and None when no layer is uniaxial); and the film
-    thickness d (0 for a bare substrate).
-
-    Built with them: kt2 as a (layer, 1) column, h^2's eta^2 coefficient per family,
-    2i d and whether a root can need folding; on first use, k and the TM weights k^2."""
+    thickness d (0 for a bare substrate)."""
 
     kt2: np.ndarray
+    k: np.ndarray
     anisotropy: np.ndarray | None
     d: float
 
-    def __post_init__(self):
-        a = self.anisotropy
-        imag = self.kt2.imag.tolist() + ([] if a is None else a.imag.tolist())
-        self.__dict__.update(  # beside the frozen fields, as a cached_property would
-            _kt2=self.kt2[:, None], _two_i_d=2j * self.d,
+    def __post_init__(self):  # once per rate, the columns that every coefficient call reads:
+        a, k2 = self.anisotropy, np.array([np.ones_like(self.k), self.k**2])[..., None]
+        self.__dict__.update(  # kt2, 2i d; per family, interface k^2 pairs and h^2's eta^2 term
+            _kt2=self.kt2[:, None], _two_i_d=2j * self.d, _k2=(k2[:, 1:], k2[:, :-1]),
             _eta2=None if a is None else np.array([np.full_like(a, -1.0), a - 1.0])[..., None],
-            _fold=any(math.copysign(1.0, x) < 0 for x in imag))
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        return _decaying_sqrt(self.kt2)
-
-    @cached_property
-    def _k2(self):  # per family, k^2 of the layers below and above each interface
-        k2 = np.array([np.ones_like(self.k), self.k**2])[..., None]
-        return k2[:, 1:], k2[:, :-1]
+            _fold=np.signbit(self.kt2.imag).any() or a is not None and np.signbit(a.imag).any())
 
 
 def _decaying_sqrt(w):
@@ -177,7 +164,7 @@ def media_of(omega: float, eps, d: float = 0.0) -> StackMedia:
     kt2 = np.array(kt2, dtype=complex)
     anisotropy = (np.array([a or 0 for a in anisotropy], dtype=complex)
                   if any(a is not None for a in anisotropy) else None)
-    return StackMedia(kt2, anisotropy, d)
+    return StackMedia(kt2, _decaying_sqrt(kt2), anisotropy, d)
 
 
 def stack_media(stack: LayerStack, omega: float, T: float | None = None) -> StackMedia:
@@ -204,7 +191,7 @@ def layer_wavevectors(eta, media: StackMedia):
         raise DomainError("eta must be non-negative")
     eta2 = np.square(eta.ravel())  # one eta axis; a scalar eta is a 1-element array
     h = media._kt2 - eta2 if media._eta2 is None else eta2 * media._eta2 + media._kt2
-    h = _decaying_sqrt(h) if media._fold else np.sqrt(h, out=h)
+    h = _decaying_sqrt(h) if media._fold else np.sqrt(h, out=h)  # no Im h^2 < 0 to fold
     h = h if eta.ndim == 1 else h.reshape(h.shape[:-1] + eta.shape)
     return (h, h) if media._eta2 is None else h
 
@@ -276,4 +263,4 @@ def te_reflection(media: StackMedia, eta):
     computed without the TM family."""
     eta = np.asarray(eta, dtype=float)
     h = layer_wavevectors(eta.ravel(), media)[0]  # the one family
-    return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media).reshape(eta.shape)
+    return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media).reshape(eta.shape)[()]

@@ -168,6 +168,18 @@ class TestFirstPass:
         assert got == pytest.approx(value, rel=1e-15)
 
 
+    @pytest.mark.parametrize("dtype", [object, np.float32])
+    def test_every_call_is_read_as_floats(self, dtype):
+        # The first pass and each split read the integrand's values with one
+        # rule: as float64, whatever array type the integrand returns.
+        z = 1e-5
+        f = lambda eta: np.abs(eta * 2 * z - 1.3) * np.exp(-eta * 2 * z)
+        want, want_diag = integrate_semi_infinite(lambda eta: f(eta).astype(dtype).astype(float), z)
+        got, diag = integrate_semi_infinite(lambda eta: f(eta).astype(dtype), z)
+        assert diag.refinements == want_diag.refinements > 0
+        assert got == want
+
+
 class TestEngine:
     def test_oscillatory_integrand(self):
         z = 1e-5

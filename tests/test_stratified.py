@@ -486,8 +486,9 @@ class TestScalarInputs:
         assert h1.shape == h2.shape == (1,)  # the layer axis alone
         assert h1[0] == complex(17.668192337701974, 2502566.5838264935)
         assert h2[0] == complex(-78847.29415308007, 100030765.00364907)
-        assert te_reflection(stack_media(stack(NIOBIUM, 1e-6), OMEGA), eta) == complex(
-            -0.9785104203635796, 4.039294048587252e-11)
+        te = te_reflection(stack_media(stack(NIOBIUM, 1e-6), OMEGA), eta)
+        assert type(te) is np.complex128  # a numpy scalar, not a 0-d array
+        assert te == complex(-0.9785104203635796, 4.039294048587252e-11)
         m, n = scattering_coefficients(stack_media(stack(BSCCO, 1e-7, T=40.0), OMEGA), eta)
         assert np.ndim(m) == 0 and np.ndim(n) == 0
         assert m == complex(-0.4947147976896543, 0.00016483480721807335)
