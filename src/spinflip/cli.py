@@ -59,17 +59,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true",
                        help="suppress validity notes and warnings")
 
-    def common(p, needs_out):
+    def common(p, needs_out, **handler):
+        p.set_defaults(**handler)
         p.add_argument("--config", required=True, help="JSON configuration file")
         if needs_out:
             p.add_argument("--out", required=True, help="output CSV path")
         tol_and_quiet(p)
 
-    common(sub.add_parser("rate", help="single rate/lifetime evaluation"), False)
-    common(sub.add_parser("sweep", help="run the configured sweep"), True)
-    common(sub.add_parser("screening", help="thickness sweep of S(d)"), True)
-    sub.add_parser("materials", help="list built-in materials")
+    # Each subcommand carries its handler: main calls args.run(args).
+    common(sub.add_parser("rate", help="single rate/lifetime evaluation"), False, run=_cmd_rate)
+    common(sub.add_parser("sweep", help="run the configured sweep"), True,
+           run=_cmd_table, want_axis=None)
+    common(sub.add_parser("screening", help="thickness sweep of S(d)"), True,
+           run=_cmd_table, want_axis="thickness_d")
+    sub.add_parser("materials", help="list built-in materials").set_defaults(run=_cmd_materials)
     rep = sub.add_parser("reproduce", help="reproduce the canonical figures")
+    rep.set_defaults(run=_cmd_reproduce)
     # No argparse choices: they reject an empty nargs="*" list on Python 3.11;
     # figure_curves rejects an unknown name instead.
     rep.add_argument("figures", nargs="*", metavar="FIGURE",
@@ -107,12 +112,12 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def _cmd_table(args, want_axis: str | None) -> int:
+def _cmd_table(args) -> int:
     config, spec = load_config(args.config)
     if spec is None:
         raise ConfigError("configuration carries no 'sweep' section")
-    if want_axis is not None and spec.axis != want_axis:
-        raise ConfigError(f"this subcommand requires sweep.axis = {want_axis!r}")
+    if args.want_axis is not None and spec.axis != args.want_axis:
+        raise ConfigError(f"this subcommand requires sweep.axis = {args.want_axis!r}")
     config = override_tolerance(config, args.tol)
     _validity_notes(config, args.quiet)
     table = run_sweep(spec, config)
@@ -122,7 +127,7 @@ def _cmd_table(args, want_axis: str | None) -> int:
     return 0
 
 
-def _cmd_materials() -> int:
+def _cmd_materials(args) -> int:
     for m in material_presets():
         if isinstance(m, Vacuum):
             print(f"{m.label}: vacuum")
@@ -156,29 +161,14 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "rate": _cmd_rate,
-    "sweep": lambda args: _cmd_table(args, None),
-    "screening": lambda args: _cmd_table(args, "thickness_d"),
-    "materials": lambda args: _cmd_materials(),
-    "reproduce": _cmd_reproduce,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    try:
+        args = _build_parser().parse_args(argv)
         with warnings.catch_warnings():
             if getattr(args, "quiet", False):
                 # The quasi-static validity warning is a validity note too.
                 warnings.simplefilter("ignore", UserWarning)
-            return _COMMANDS[args.command](args)
+            return args.run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -26,8 +26,10 @@ example):
                 "spacing": "linear" | "log"}   # sweep runs only; spacing optional
     }
 
-Every object takes exactly its keys above; an unknown key anywhere (a
-misspelling) is a ConfigError naming the object and the key.  A material's
+Every object takes exactly its keys above, each declared once with the reader
+of its value (_fields); an unknown key anywhere (a misspelling) is a ConfigError
+naming the object and the key, and a bad value one naming the same object
+("material 'm' parameters.sigma must be a number").  A material's
 "parameters" take "sigma" (drude_metal), the two-fluid "lambda0", "Tc",
 "sigma_normal" and "alpha" (isotropic_sc, and each of uniaxial_sc's
 "transverse" and "longitudinal"), or nothing (vacuum); both superconductors
@@ -73,13 +75,15 @@ __all__ = [
     "parse_config",
 ]
 
-_AXIS_COLUMN = {
-    "distance_z": "z_m",
-    "thickness_d": "d_m",
-    "temperature_T": "T_K",
-    "reduced_T_over_Tc": "T_over_Tc",
+# Each sweep axis: its CSV column, and the (stack, z, T) of the row at grid value v, from
+# the config's (stack, z, T) and its superconducting layers' critical temperatures tcs.
+_AXES = {
+    "distance_z": ("z_m", lambda stack, z, T, v, tcs: (stack, v, T)),
+    "thickness_d": ("d_m", lambda stack, z, T, v, tcs: (stack.with_film_thickness(v), z, T)),
+    "temperature_T": ("T_K", lambda stack, z, T, v, tcs: (stack, z, v)),
+    "reduced_T_over_Tc": ("T_over_Tc", lambda stack, z, T, v, tcs: (stack, z, v * tcs[0])),
 }
-AXES = tuple(_AXIS_COLUMN)
+AXES = tuple(_AXES)
 # Largest sweep.points: a bigger grid is a mistake, not a run to queue.
 MAX_POINTS = 10**6
 
@@ -192,24 +196,17 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
     names = ["gamma_total_per_s", "tau_s", "n_th"]
     if thickness:
         names.append("screening_factor")
-    columns = {_AXIS_COLUMN[spec.axis]: grid, **{name: [] for name in names}, "status": []}
-    stack, z, T = config.stack, config.z, config.stack.temperature
+    column, row_at = _AXES[spec.axis]
+    columns = {column: grid, **{name: [] for name in names}, "status": []}
     causes = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuasiStaticWarning)
         if thickness:
-            tau0 = spin_flip_rate(stack.with_film_thickness(0.0), z, config.transition,
-                                  None, config.settings).tau
+            tau0 = spin_flip_rate(config.stack.with_film_thickness(0.0), config.z,
+                                  config.transition, None, config.settings).tau
         for value in grid:
             try:
-                if spec.axis == "distance_z":
-                    z = value
-                elif thickness:
-                    stack = config.stack.with_film_thickness(value)
-                elif spec.axis == "temperature_T":
-                    T = value
-                else:  # reduced_T_over_Tc
-                    T = value * tcs[0]
+                stack, z, T = row_at(config.stack, config.z, config.stack.temperature, value, tcs)
                 result = spin_flip_rate(stack, z, config.transition, T, config.settings)
             except SpinflipError as exc:
                 causes.append(exc)
@@ -255,19 +252,27 @@ def emit_csv(table: SweepTable, path) -> None:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-def _fields(value, context: str, required=(), optional=()) -> dict:
-    """`value` as a JSON object with every `required` key not null and no key outside
-    `required` and `optional`, less its null (absent) keys; each error names the object."""
+def _fields(value, context: str, required: dict, optional: dict) -> dict:
+    """`value` as a JSON object whose keys are those of the {key: reader} maps `required`
+    and `optional`, each `required` key given and not null; each error names the object.
+    Every non-null (given) key is read by its reader, in declaration order, into the result."""
     if not isinstance(value, dict):
         raise ConfigError(f"{context} must be a JSON object")
     for key in required:
         if value.get(key) is None:
             raise ConfigError(f"{'null' if key in value else 'missing'} {key!r} in {context}")
-    unknown = value.keys() - {*required, *optional}
+    readers = {**required, **optional}
+    unknown = value.keys() - readers.keys()
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(sorted(map(repr, unknown)))} in {context}; "
-                          f"expected {', '.join((*required, *optional)) or 'none'}")
-    return {key: v for key, v in value.items() if v is not None}
+                          f"expected {', '.join(readers) or 'none'}")
+    return {key: read(value, key, context) for key, read in readers.items()
+            if value.get(key) is not None}
+
+
+def _nested(mapping: dict, key: str, context: str):
+    """A nested object or list as it is, for the code that reads its parts."""
+    return mapping[key]
 
 
 def _real(value, context: str) -> float:
@@ -283,8 +288,8 @@ def _finite(mapping: dict, key: str, context: str) -> float:
     return _real(mapping[key], f"{context}.{key}")
 
 
-def _text(mapping: dict, key: str, context: str, default: str | None = None) -> str:
-    if not isinstance(value := mapping.get(key, default), str):
+def _text(mapping: dict, key: str, context: str) -> str:
+    if not isinstance(value := mapping[key], str):
         raise ConfigError(f"{context}.{key} must be a string")
     return value
 
@@ -296,12 +301,18 @@ def _whole(mapping: dict, key: str, context: str) -> int:
     return int(value)
 
 
-def _complex(value, context: str) -> complex:
-    """A finite complex number given as a number or a [re, im] pair."""
-    parts = value if isinstance(value, list) else [value]
-    if not 1 <= len(parts) <= 2:
-        raise ConfigError(f"{context} must be a finite number or a [re, im] pair")
-    return complex(*(_real(x, context) for x in parts))
+def _elements(mapping: dict, key: str, context: str) -> tuple[complex, ...]:
+    """A list of finite complex numbers, each a number or a [re, im] pair."""
+    if not isinstance(elements := mapping[key], list):
+        raise ConfigError(f"{context}.{key} must be a list")
+    values = []
+    for i, xy in enumerate(elements):
+        place = f"{context}.{key}[{i}]"
+        parts = xy if isinstance(xy, list) else [xy]
+        if not 1 <= len(parts) <= 2:
+            raise ConfigError(f"{place} must be a finite number or a [re, im] pair")
+        values.append(complex(*(_real(x, place) for x in parts)))
+    return tuple(values)
 
 
 def _built(place: str, make, *args, **kwargs):
@@ -312,24 +323,20 @@ def _built(place: str, make, *args, **kwargs):
         raise ConfigError(f"{place}: {exc}") from exc
 
 
-_TWO_FLUID = ("lambda0", "Tc", "sigma_normal", "alpha")
-_VALIDITY = ("first_critical_field", "gap_frequency")   # a superconductor's, optional
-_PARAMETERS = {   # variant -> its required and optional parameter keys
-    "vacuum": ((), ()),
-    "drude_metal": (("sigma",), ()),
+_TWO_FLUID = dict.fromkeys(("lambda0", "Tc", "sigma_normal", "alpha"), _finite)
+_VALIDITY = dict.fromkeys(("first_critical_field", "gap_frequency"), _finite)  # optional
+_PARAMETERS = {   # variant -> its required and optional parameter readers
+    "vacuum": ({}, {}),
+    "drude_metal": ({"sigma": _finite}, {}),
     "isotropic_sc": (_TWO_FLUID, _VALIDITY),
-    "uniaxial_sc": (("transverse", "longitudinal"), _VALIDITY),
+    "uniaxial_sc": (dict.fromkeys(("transverse", "longitudinal"), _nested), _VALIDITY),
 }
 
 
-def _two_fluid(params: dict, context: str) -> TwoFluidParams:
-    fields = {key: _finite(params, key, context) for key in _TWO_FLUID}
-    return _built(context, TwoFluidParams, **fields)
-
-
 def _parse_material(entry, context: str) -> MaterialModel:
-    entry = _fields(entry, context, ("label", "variant"), ("parameters",))
-    label, variant = _text(entry, "label", context), entry["variant"]
+    entry = _fields(entry, context, {"label": _text, "variant": _nested},
+                    {"parameters": _nested})
+    label, variant = entry["label"], entry["variant"]
     ctx = f"material {label!r}"
     if not (isinstance(variant, str) and variant in _PARAMETERS):
         raise ConfigError(f"unknown material variant {variant!r} for {label!r}")
@@ -337,24 +344,24 @@ def _parse_material(entry, context: str) -> MaterialModel:
     if variant == "vacuum":
         return Vacuum(label=label)
     if variant == "drude_metal":
-        return _built(ctx, DrudeMetal, sigma=_finite(params, "sigma", ctx), label=label)
-    validity = {key: _finite(params, key, ctx) for key in _VALIDITY if key in params}
+        return _built(ctx, DrudeMetal, label=label, **params)
     if variant == "isotropic_sc":
-        return _built(ctx, IsotropicSuperconductor, params=_two_fluid(params, ctx),
-                      label=label, **validity)
-    parts = {part: _two_fluid(_fields(params[part], f"{ctx} {part}", _TWO_FLUID), f"{ctx} {part}")
-             for part in ("transverse", "longitudinal")}
-    return _built(ctx, UniaxialSuperconductor, label=label, **parts, **validity)
+        two_fluid = _built(ctx, TwoFluidParams, **{key: params.pop(key) for key in _TWO_FLUID})
+        return _built(ctx, IsotropicSuperconductor, params=two_fluid, label=label, **params)
+    for part in ("transverse", "longitudinal"):
+        fields = _fields(params[part], f"{ctx} {part}", _TWO_FLUID, {})
+        params[part] = _built(f"{ctx} {part}", TwoFluidParams, **fields)
+    return _built(ctx, UniaxialSuperconductor, label=label, **params)
 
 
 def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
     """Validate a configuration mapping; returns the run configuration and
     the sweep specification when one is present.  Raises ConfigError before
-    any computation on invalid input: it checks the JSON shape of each object
-    (its keys through _fields, its values here) and leaves every range check
-    to the constructor it feeds (through _built)."""
-    top = _fields(raw, "configuration", ("stack", "z"),
-                  ("materials", "transition", "quadrature", "sweep"))
+    any computation on invalid input: it reads each object through _fields and
+    the readers it declares, and leaves every range check to the constructor it
+    feeds (through _built).  The stack's temperature and z are read after the layers."""
+    top = _fields(raw, "configuration", dict.fromkeys(("stack", "z"), _nested),
+                  dict.fromkeys(("materials", "transition", "quadrature", "sweep"), _nested))
     registry = {m.label: m for m in material_presets()}
     materials_raw = top.get("materials", [])
     if not isinstance(materials_raw, list):
@@ -363,52 +370,36 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
         m = _parse_material(entry, f"materials[{i}]")
         registry[m.label] = m
 
-    stack_raw = _fields(top["stack"], "stack", ("layers", "temperature"))
+    def material(layer: dict, key: str, place: str) -> MaterialModel:   # a layer's reader
+        if not isinstance(name := layer[key], str) or name not in registry:
+            raise ConfigError(f"{place}: unknown material {name!r}")
+        return registry[name]
+
+    stack_raw = _fields(top["stack"], "stack", {"layers": _nested, "temperature": _nested}, {})
     layers_raw = stack_raw["layers"]
     if not isinstance(layers_raw, list) or len(layers_raw) < 2:
         raise ConfigError("stack.layers must list at least 2 layers")
-    layers = []
+    layers, outer = [], {"material": material}   # the outer layers are semi-infinite
     for i, lr in enumerate(layers_raw):
         place = f"stack.layers[{i}]"
-        interior = 0 < i < len(layers_raw) - 1   # outer layers are semi-infinite
-        lr = _fields(lr, place, ("material", "thickness") if interior else ("material",))
-        name = lr["material"]
-        if not isinstance(name, str) or name not in registry:
-            raise ConfigError(f"{place}: unknown material {name!r}")
-        thickness = _finite(lr, "thickness", place) if interior else math.inf
-        layers.append(_built(place, Layer, registry[name], thickness))
+        readers = {**outer, "thickness": _finite} if 0 < i < len(layers_raw) - 1 else outer
+        layers.append(_built(place, Layer, **_fields(lr, place, readers, {})))
     stack = _built("stack", LayerStack, tuple(layers), _finite(stack_raw, "temperature", "stack"))
     z = _finite(top, "z", "configuration")
 
     transition = RB87_CLOCK_TRANSITION
     if "transition" in top:
-        tr = _fields(top["transition"], "transition", ("frequency",),
-                     ("label", "matrix_elements"))
-        trkw = {"frequency": _finite(tr, "frequency", "transition"),
-                "label": _text(tr, "label", "transition", "")}
-        if "matrix_elements" in tr:
-            elements = tr["matrix_elements"]
-            if not isinstance(elements, list):
-                raise ConfigError("transition.matrix_elements must be a list")
-            trkw["matrix_elements"] = tuple(
-                _complex(xy, f"transition.matrix_elements[{i}]")
-                for i, xy in enumerate(elements))
-        transition = _built("transition", TransitionSpec, **trkw)
-
-    readers = {"rel_tol": _finite, "max_refinements": _whole}
-    q = _fields(top.get("quadrature", {}), "quadrature", optional=tuple(readers))
-    settings = _built("quadrature", replace, DEFAULT_SETTINGS,
-                      **{key: readers[key](q, key, "quadrature") for key in q})
-
+        transition = _built("transition", TransitionSpec, **_fields(
+            top["transition"], "transition", {"frequency": _finite},
+            {"label": _text, "matrix_elements": _elements}))
+    settings = _built("quadrature", replace, DEFAULT_SETTINGS, **_fields(
+        top.get("quadrature", {}), "quadrature", {},
+        {"rel_tol": _finite, "max_refinements": _whole}))
     sweep = None
-    if "sweep" in top:
-        s = _fields(top["sweep"], "sweep", ("axis", "min", "max", "points"), ("spacing",))
-        sweep = SweepSpec(
-            axis=_text(s, "axis", "sweep"),
-            minimum=_finite(s, "min", "sweep"),
-            maximum=_finite(s, "max", "sweep"),
-            points=_whole(s, "points", "sweep"),
-            spacing=_text(s, "spacing", "sweep", "linear"))
+    if "sweep" in top:   # positional: the keys are declared in SweepSpec's field order
+        sweep = SweepSpec(*_fields(top["sweep"], "sweep", {
+            "axis": _text, "min": _finite, "max": _finite, "points": _whole},
+            {"spacing": _text}).values())
 
     config = RunConfig(stack=stack, z=z, transition=transition,
                        settings=settings, echo=raw)

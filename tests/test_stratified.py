@@ -85,6 +85,15 @@ class TestLayerStack:
         with pytest.raises(DomainError):
             make()
 
+    def test_layer_list_is_stored_as_a_tuple(self):
+        layers = [Layer(VACUUM), Layer(NIOBIUM, 1e-6), Layer(COPPER)]
+        built = LayerStack(layers, 4.2)
+        assert type(built.layers) is tuple
+        assert built == stack(NIOBIUM, 1e-6)
+        assert hash(built) == hash(stack(NIOBIUM, 1e-6))
+        layers.pop()   # the caller's list does not reach into the stack
+        assert len(built.layers) == 3
+
     def test_film_thickness(self):
         assert stack(NIOBIUM, 1e-6).film_thickness == 1e-6
         assert LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2).film_thickness == 0.0

@@ -578,6 +578,51 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(raw)
 
+    PARAMETERS = {   # a valid parameters object of each variant that takes numbers
+        "drude_metal": {"sigma": 5.8e7},
+        "isotropic_sc": {**TWO_FLUID, "first_critical_field": 0.1, "gap_frequency": 7e11},
+        "uniaxial_sc": {"transverse": dict(TWO_FLUID),
+                        "longitudinal": {**TWO_FLUID, "lambda0": 1e-4}, "gap_frequency": 7e12},
+    }
+
+    @staticmethod
+    def material_error(variant, parameters):
+        raw = nb_config(materials=[{"label": "m", "variant": variant, "parameters": parameters}])
+        with pytest.raises(ConfigError) as caught:
+            parse_config(raw)
+        return str(caught.value)
+
+    @pytest.mark.parametrize("value, problem", [("5e7", "a number"), (math.inf, "finite")],
+                             ids=["string", "inf"])
+    @pytest.mark.parametrize("variant, key, required", [
+        ("drude_metal", "sigma", "sigma"),
+        *(("isotropic_sc", key, key) for key in TWO_FLUID),
+        ("isotropic_sc", "first_critical_field", "lambda0"),
+        ("isotropic_sc", "gap_frequency", "lambda0"),
+        ("uniaxial_sc", "gap_frequency", "transverse"),
+    ])
+    def test_parameter_value_error_names_its_object(self, variant, key, required, value,
+                                                    problem):
+        # The object that a missing required key of the same parameters names:
+        # "material 'm' parameters", for a value error as for a key error.
+        parameters = self.PARAMETERS[variant]
+        missing = self.material_error(
+            variant, {k: v for k, v in parameters.items() if k != required})
+        assert missing.startswith(f"missing '{required}' in ")
+        place = missing.split(" in ", 1)[1]
+        assert place == "material 'm' parameters"
+        assert (self.material_error(variant, {**parameters, key: value})
+                == f"{place}.{key} must be {problem}")
+
+    def test_uniaxial_component_names_its_part(self):
+        parameters = self.PARAMETERS["uniaxial_sc"]
+        transverse = {k: v for k, v in TWO_FLUID.items() if k != "lambda0"}
+        assert (self.material_error("uniaxial_sc", {**parameters, "transverse": transverse})
+                == "missing 'lambda0' in material 'm' transverse")
+        assert (self.material_error("uniaxial_sc", {
+            **parameters, "transverse": {**transverse, "lambda0": "3e-7"}})
+            == "material 'm' transverse.lambda0 must be a number")
+
     def test_unknown_material_names_its_layer(self):
         raw = nb_config()
         raw["stack"]["layers"][1]["material"] = "nope"
