@@ -22,10 +22,9 @@ from . import __version__
 from .constants import real_in_range
 from .errors import ConfigError, SpinflipError
 from .figures import FIGURES, figure_curves, reproduce
-from .materials import (DrudeMetal, IsotropicSuperconductor,
-                        UniaxialSuperconductor, Vacuum, material_presets)
+from .materials import material_presets
 from .rates import spin_flip_rate
-from .sweep import RunConfig, emit_csv, load_config, override_tolerance, run_sweep
+from .sweep import VARIANTS, RunConfig, emit_csv, load_config, override_tolerance, run_sweep
 
 USAGE_ERROR = 1
 COMPUTATION_ERROR = 2
@@ -129,24 +128,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_materials(args) -> int:
     for m in material_presets():
-        if isinstance(m, Vacuum):
-            print(f"{m.label}: vacuum")
-        elif isinstance(m, DrudeMetal):
-            print(f"{m.label}: drude_metal sigma={m.sigma:g} S/m")
-        elif isinstance(m, IsotropicSuperconductor):
-            p = m.params
-            print(f"{m.label}: isotropic_sc lambda0={p.lambda0:g} m Tc={p.Tc:g} K "
-                  f"alpha={p.alpha:g} sigma_normal={p.sigma_normal:g} S/m "
-                  f"[Bc1={m.first_critical_field:g} T, "
-                  f"gap={m.gap_frequency:g} Hz; Meissner state assumed]")
-        elif isinstance(m, UniaxialSuperconductor):
-            t, l = m.transverse, m.longitudinal
-            print(f"{m.label}: uniaxial_sc lambda_par0={t.lambda0:g} m "
-                  f"lambda_perp0={l.lambda0:g} m Tc={t.Tc:g} K alpha={t.alpha:g} "
-                  f"sigma_normal_par={t.sigma_normal:g} S/m "
-                  f"sigma_normal_perp={l.sigma_normal:g} S/m "
-                  f"[Bc1={m.first_critical_field:g} T, "
-                  f"gap={m.gap_frequency:g} Hz; Meissner state assumed]")
+        variant = next(v for v, (model, *_) in VARIANTS.items() if type(m) is model)
+        print(f"{m.label}: {variant}" + VARIANTS[variant][-1].format(m=m))
     return 0
 
 

@@ -27,14 +27,13 @@ example):
     }
 
 Every object takes exactly its keys above, each declared once with the reader
-of its value (_fields); an unknown key anywhere (a misspelling) is a ConfigError
-naming the object and the key, and a bad value one naming the same object
-("material 'm' parameters.sigma must be a number").  A material's
-"parameters" take "sigma" (drude_metal), the two-fluid "lambda0", "Tc",
-"sigma_normal" and "alpha" (isotropic_sc, and each of uniaxial_sc's
-"transverse" and "longitudinal"), or nothing (vacuum); both superconductors
-also take "first_critical_field" and "gap_frequency".  Only an interior
-layer takes "thickness": the outer layers are semi-infinite.
+of its value (_fields; a material's "parameters" take those of its variant in
+VARIANTS); an unknown key anywhere (a misspelling) is a ConfigError naming the
+object and the key, and a bad value one naming the same object
+("material 'm' parameters.sigma must be a number").  No two "materials"
+entries share a label (one may reuse a preset's label, to override it).  Only
+an interior layer takes "thickness": the outer layers are semi-infinite, and a
+"thickness_d" sweep needs such a film layer.
 
 CSV output: "#"-prefixed metadata lines (version, input echo), one header row
 with unit-annotated column names, then one row per grid point with decimal
@@ -190,6 +189,8 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
     if spec.axis == "reduced_T_over_Tc" and not tcs:
         raise ConfigError("reduced-temperature sweep requires a superconducting layer")
     thickness = spec.axis == "thickness_d"
+    if thickness and len(config.stack.layers) == 2:
+        raise ConfigError("thickness sweep requires a film layer")
     grid = [float(value) for value in spec.grid()]
     _check_quasi_static(max(grid) if spec.axis == "distance_z" else config.z,
                         config.transition)
@@ -324,12 +325,22 @@ def _built(place: str, make, *args, **kwargs):
 
 
 _TWO_FLUID = dict.fromkeys(("lambda0", "Tc", "sigma_normal", "alpha"), _finite)
+_COMPONENTS = dict.fromkeys(("transverse", "longitudinal"), _nested)   # each a _TWO_FLUID object
 _VALIDITY = dict.fromkeys(("first_critical_field", "gap_frequency"), _finite)  # optional
-_PARAMETERS = {   # variant -> its required and optional parameter readers
-    "vacuum": ({}, {}),
-    "drude_metal": ({"sigma": _finite}, {}),
-    "isotropic_sc": (_TWO_FLUID, _VALIDITY),
-    "uniaxial_sc": (dict.fromkeys(("transverse", "longitudinal"), _nested), _VALIDITY),
+_MEISSNER = (" [Bc1={m.first_critical_field:g} T, gap={m.gap_frequency:g} Hz;"
+             " Meissner state assumed]")
+VARIANTS = {   # variant -> model class, required and optional parameter readers, and the
+    # `spinflip materials` line of a model m after "label: variant", a str.format template
+    "vacuum": (Vacuum, {}, {}, ""),
+    "drude_metal": (DrudeMetal, {"sigma": _finite}, {}, " sigma={m.sigma:g} S/m"),
+    "isotropic_sc": (IsotropicSuperconductor, _TWO_FLUID, _VALIDITY, (
+        " lambda0={m.params.lambda0:g} m Tc={m.params.Tc:g} K alpha={m.params.alpha:g}"
+        " sigma_normal={m.params.sigma_normal:g} S/m" + _MEISSNER)),
+    "uniaxial_sc": (UniaxialSuperconductor, _COMPONENTS, _VALIDITY, (
+        " lambda_par0={m.transverse.lambda0:g} m lambda_perp0={m.longitudinal.lambda0:g} m"
+        " Tc={m.transverse.Tc:g} K alpha={m.transverse.alpha:g}"
+        " sigma_normal_par={m.transverse.sigma_normal:g} S/m"
+        " sigma_normal_perp={m.longitudinal.sigma_normal:g} S/m" + _MEISSNER)),
 }
 
 
@@ -338,20 +349,17 @@ def _parse_material(entry, context: str) -> MaterialModel:
                     {"parameters": _nested})
     label, variant = entry["label"], entry["variant"]
     ctx = f"material {label!r}"
-    if not (isinstance(variant, str) and variant in _PARAMETERS):
+    if not (isinstance(variant, str) and variant in VARIANTS):
         raise ConfigError(f"unknown material variant {variant!r} for {label!r}")
-    params = _fields(entry.get("parameters", {}), f"{ctx} parameters", *_PARAMETERS[variant])
-    if variant == "vacuum":
-        return Vacuum(label=label)
-    if variant == "drude_metal":
-        return _built(ctx, DrudeMetal, label=label, **params)
-    if variant == "isotropic_sc":
-        two_fluid = _built(ctx, TwoFluidParams, **{key: params.pop(key) for key in _TWO_FLUID})
-        return _built(ctx, IsotropicSuperconductor, params=two_fluid, label=label, **params)
-    for part in ("transverse", "longitudinal"):
-        fields = _fields(params[part], f"{ctx} {part}", _TWO_FLUID, {})
-        params[part] = _built(f"{ctx} {part}", TwoFluidParams, **fields)
-    return _built(ctx, UniaxialSuperconductor, label=label, **params)
+    model, required, optional, _ = VARIANTS[variant]
+    params = _fields(entry.get("parameters", {}), f"{ctx} parameters", required, optional)
+    if required is _TWO_FLUID:   # the flat two-fluid keys make the model's params
+        params["params"] = _built(ctx, TwoFluidParams, **{k: params.pop(k) for k in _TWO_FLUID})
+    elif required is _COMPONENTS:   # each component is a nested two-fluid object
+        for part in _COMPONENTS:
+            fields = _fields(params[part], f"{ctx} {part}", _TWO_FLUID, {})
+            params[part] = _built(f"{ctx} {part}", TwoFluidParams, **fields)
+    return _built(ctx, model, label=label, **params)
 
 
 def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
@@ -366,8 +374,11 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
     materials_raw = top.get("materials", [])
     if not isinstance(materials_raw, list):
         raise ConfigError("materials must be a list")
+    first = {}   # label -> index of the entry that gives it; a preset's may be overridden
     for i, entry in enumerate(materials_raw):
         m = _parse_material(entry, f"materials[{i}]")
+        if (j := first.setdefault(m.label, i)) != i:
+            raise ConfigError(f"materials[{i}] repeats the label {m.label!r} of materials[{j}]")
         registry[m.label] = m
 
     def material(layer: dict, key: str, place: str) -> MaterialModel:   # a layer's reader

@@ -292,6 +292,17 @@ class TestSweepCommands:
                   if not l.startswith("#")][0]
         assert "screening_factor" in header
 
+    def test_screening_over_bare_substrate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep={"axis": "thickness_d", "min": 1e-7,
+                                            "max": 1e-6, "points": 3})
+        raw = json.loads(cfg.read_text())
+        raw["stack"]["layers"] = [{"material": "vacuum"}, {"material": "copper"}]
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        assert main(["screening", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: thickness sweep requires a film layer\n"
+        assert not out.exists()
+
     def test_reduced_temperature_without_superconductor(self, tmp_path, capsys):
         cfg = write_config(tmp_path, film="copper",
                            sweep={"axis": "reduced_T_over_Tc", "min": 0.5, "max": 1.5,
@@ -339,6 +350,17 @@ class TestMaterialsCommand:
         assert "niobium" in out and "3.5e-08" in out and "Tc=8.3" in out
         assert "bscco" in out and "0.0001" in out  # lambda_perp = 100 um
         assert "copper" in out and "vacuum" in out
+
+    def test_full_listing(self, capsys):
+        assert main(["materials"]) == 0
+        assert capsys.readouterr().out == (
+            "vacuum: vacuum\n"
+            "copper: drude_metal sigma=5.8e+07 S/m\n"
+            "niobium: isotropic_sc lambda0=3.5e-08 m Tc=8.3 K alpha=4 sigma_normal=1e+07 S/m "
+            "[Bc1=0.14 T, gap=7e+11 Hz; Meissner state assumed]\n"
+            "bscco: uniaxial_sc lambda_par0=3e-07 m lambda_perp0=0.0001 m Tc=90 K alpha=1 "
+            "sigma_normal_par=4.5e+07 S/m sigma_normal_perp=45000 S/m "
+            "[Bc1=0.013 T, gap=7.5e+12 Hz; Meissner state assumed]\n")
 
 
 class TestReproduceCommand:

@@ -478,6 +478,19 @@ class TestRouteDispatch:
         aniso = spin_flip_rate(bscco_stack, 10e-6)
         assert aniso.gamma_field == gamma_anisotropic(bscco_stack, 10e-6).gamma_field
 
+    def test_route_follows_class_not_permittivity(self):
+        # A uniaxial film with equal components has Nb's isotropic permittivity,
+        # yet takes the scattering route, bit for bit.
+        p = NIOBIUM.params
+
+        def stack(film):
+            return LayerStack((Layer(VACUUM), Layer(film, 1e-6), Layer(COPPER)), 4.2)
+
+        uniaxial = spin_flip_rate(stack(UniaxialSuperconductor(p, p)), 10e-6)
+        isotropic = gamma_anisotropic(stack(IsotropicSuperconductor(p)), 10e-6)
+        assert uniaxial.gamma_field == isotropic.gamma_field
+        assert uniaxial.tau == isotropic.tau
+
     def test_benchmark_magnitudes(self, niobium_stack, bscco_stack):
         # canonical stacks at z = 10 um, 4.2 K (defaults documented in README)
         tau_nb = spin_flip_rate(niobium_stack, 10e-6).tau

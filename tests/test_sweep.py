@@ -282,6 +282,18 @@ class TestRunSweep:
             run_sweep(spec, config)
         assert calls == []
 
+    def test_thickness_sweep_without_film(self, monkeypatch):
+        raw = nb_config(sweep={"axis": "thickness_d", "min": 0.0, "max": 1e-6,
+                               "points": 3})
+        raw["stack"]["layers"] = [{"material": "vacuum"}, {"material": "copper"}]
+        config, spec = parse_config(raw)
+        import spinflip.sweep as sweep_mod
+        calls = []
+        monkeypatch.setattr(sweep_mod, "spin_flip_rate", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="^thickness sweep requires a film layer$"):
+            run_sweep(spec, config)
+        assert calls == []
+
     @pytest.mark.parametrize("axis, lo, hi", [
         ("distance_z", 1e-5, 2e-5), ("temperature_T", 4.2, 6.0)])
     def test_quasi_static_warning_once_per_sweep(self, axis, lo, hi):
@@ -373,6 +385,23 @@ class TestParseConfig:
         raw["stack"]["layers"][2] = {"material": "dirty-metal"}
         config, _ = parse_config(raw)
         assert config.stack.layers[2].material.sigma == 1e5
+
+    def test_repeated_material_label_is_refused(self):
+        # A layer of 'm' would silently get the later entry's sigma.
+        raw = nb_config(materials=[
+            {"label": "m", "variant": "drude_metal", "parameters": {"sigma": 1e7}},
+            {"label": "x", "variant": "vacuum"},
+            {"label": "m", "variant": "drude_metal", "parameters": {"sigma": 5e7}}])
+        raw["stack"]["layers"][2] = {"material": "m"}
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == "materials[2] repeats the label 'm' of materials[0]"
+
+    def test_preset_label_may_be_overridden(self):
+        raw = nb_config(materials=[
+            {"label": "copper", "variant": "drude_metal", "parameters": {"sigma": 1e7}}])
+        config, _ = parse_config(raw)
+        assert config.stack.layers[2].material == DrudeMetal(1e7, label="copper")
 
     def test_custom_materials_all_variants(self):
         raw = nb_config(materials=[
