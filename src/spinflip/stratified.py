@@ -176,7 +176,7 @@ def stack_media(stack: LayerStack, omega: float, T: float | None = None) -> Stac
                             for layer in stack.layers], stack.film_thickness)
 
 
-def layer_wavevectors(eta, media: StackMedia):
+def layer_wavevectors(eta, media: StackMedia, ordinary: bool = False):
     """z-wavenumbers (h1, h2) of both wave families in every layer of
     `media` at transverse wavenumber `eta`:
 
@@ -184,16 +184,18 @@ def layer_wavevectors(eta, media: StackMedia):
     h2^2 = eta^2 (1 - eps_t/eps_z) + (omega/c)^2 eps_t - eta^2
 
     The layer axis comes first and eta's axes follow.  When no layer is
-    uniaxial h2 is h1; otherwise (h1, h2) is one array, a root over a family axis.
+    uniaxial h2 is h1; otherwise (h1, h2) is one array, a root over a family
+    axis.  With `ordinary`, h1 alone (the bits of h1 among both), as one array.
     """
     eta = np.asarray(eta, dtype=float)
     if np.count_nonzero(eta < 0):
         raise DomainError("eta must be non-negative")
     eta2 = np.square(eta.ravel())  # one eta axis; a scalar eta is a 1-element array
-    h = media._kt2 - eta2 if media._eta2 is None else eta2 * media._eta2 + media._kt2
+    term = media._eta2 if media._eta2 is None or not ordinary else media._eta2[0]  # h^2 per eta^2
+    h = media._kt2 - eta2 if term is None else eta2 * term + media._kt2
     h = _decaying_sqrt(h) if media._fold else np.sqrt(h, out=h)  # no Im h^2 < 0 to fold
     h = h if eta.ndim == 1 else h.reshape(h.shape[:-1] + eta.shape)
-    return (h, h) if media._eta2 is None else h
+    return (h, h) if term is None and not ordinary else h
 
 
 def _interface_quotient(a, b, degenerate: str = "TM interface denominator vanished"):
@@ -260,7 +262,7 @@ def scattering_coefficients(media: StackMedia, eta):
 
 def te_reflection(media: StackMedia, eta):
     """Generalized TE reflection coefficient of `media` at `eta`: M,
-    computed without the TM family."""
+    computed from the ordinary family's wavenumbers alone."""
     eta = np.asarray(eta, dtype=float)
-    h = layer_wavevectors(eta.ravel(), media)[0]  # the one family
+    h = layer_wavevectors(eta.ravel(), media, ordinary=True)  # the one family
     return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media).reshape(eta.shape)[()]

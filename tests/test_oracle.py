@@ -4,8 +4,9 @@ with cmath and integrated by scipy.integrate.quad.
 For a seeded grid of stacks (bare Cu, and Nb, BSCCO and Cu films on Cu),
 heights and temperatures, each default-settings gamma_field of
 spin_flip_rate must match the oracle to 1e-8.  A second grid, of
-normal-state Nb films about three heights thick, holds rates that refine
-their initial panels, so the check covers the adaptive split loop as well.
+normal-state Nb films about three heights thick and bare Cu at z = 40 nm,
+holds a rate that refines its initial panels, so the check covers the
+adaptive split loop as well.
 At six points u = 2 eta z of every stack, both film responses M and N of
 scattering_coefficients must match the cmath ones to 1e-12 as complex values.
 Only the permittivities and the rate prefactor come from the package; the
@@ -117,14 +118,17 @@ def grid():
 
 
 def refining_grid():
-    """Nb films on Cu above Tc, T 10-100 K, z 1.7-3 um and d 2.5-3.5 z: 5 of
-    these 16 rates refine at the default settings."""
+    """Nb films on Cu above Tc, T 10-100 K, z 1.7-3 um and d 2.5-3.5 z (5 of
+    these 16 refined under the K21 - G10/R11 estimate, none do under the
+    coefficient-decay one), and bare Cu at z = 40 nm, whose integrand has
+    structure inside the first graded panel: it refines once."""
     rng = random.Random("oracle-refining")
     for _ in range(REFINING_CASES):
         T = rng.uniform(10.0, 100.0)
         z = rng.uniform(1.7e-6, 3e-6)
         d = rng.uniform(2.5, 3.5) * z
         yield LayerStack((Layer(VACUUM), Layer(NIOBIUM, d), Layer(COPPER)), T), z
+    yield LayerStack((Layer(VACUUM), Layer(COPPER)), 100.0), 40e-9
 
 
 def case_id(case) -> str:

@@ -528,7 +528,7 @@ class TestCallSites:
                 (copper_stack, "te_reflection", 2)):
             counts.clear()
             diag = spin_flip_rate(stack, 10e-6).diagnostics
-            calls = 9 + diag.refinements  # integrand calls
+            calls = 5 + diag.refinements  # integrand calls
             assert counts == {coefficients: calls, "layer_wavevectors": calls,
                               "permittivity": permittivities}
 

@@ -358,6 +358,23 @@ class TestScatteringCoefficients:
             m, _ = scattering_coefficients(stack_media(s, OMEGA), self.eta_grid)
             np.testing.assert_array_equal(te_reflection(stack_media(s, OMEGA), self.eta_grid), m)
 
+    @pytest.mark.parametrize("d", [1e-9, 1e-7, 2.5e-6, 1e-5])
+    @pytest.mark.parametrize("T", [4.2, 60.0, 100.0])
+    def test_te_reflection_on_uniaxial_film_is_m_bit_for_bit(self, d, T):
+        # On a uniaxial stack te_reflection roots the ordinary family alone
+        # (3 square roots a node, not 6) and keeps the bits of M.
+        from spinflip.materials import BSCCO
+        media = stack_media(stack(BSCCO, d, T=T), OMEGA)
+        for eta in (self.eta_grid, 3e5):
+            both = layer_wavevectors(np.atleast_1d(eta), media)
+            np.testing.assert_array_equal(
+                layer_wavevectors(np.atleast_1d(eta), media, ordinary=True), both[0])
+            m, _ = scattering_coefficients(media, eta)
+            got = te_reflection(media, eta)
+            assert np.shape(got) == np.shape(m)
+            assert np.array_equal(got, m) and np.array_equal(np.signbit(got.imag),
+                                                             np.signbit(m.imag))
+
     def test_zero_thickness_layer_elision(self):
         s3 = stack(NIOBIUM, 0.0)
         s2 = LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)
