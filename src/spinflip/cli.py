@@ -20,9 +20,10 @@ import warnings
 
 from . import __version__
 from .constants import real_in_range
-from .errors import ConfigError, SpinflipError
+from .errors import ConfigError, DomainError, SpinflipError
 from .figures import FIGURES, figure_curves, reproduce
 from .materials import material_presets
+from .quadrature import QuadratureSettings
 from .rates import spin_flip_rate
 from .sweep import VARIANTS, RunConfig, emit_csv, load_config, override_tolerance, run_sweep
 
@@ -38,10 +39,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """--tol value: a positive finite number."""
+    """--tol value: a positive finite number that QuadratureSettings accepts."""
     value = float(text)
     if not real_in_range(value):
         raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
+    try:
+        QuadratureSettings(rel_tol=value)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(f"tolerance {text}: {exc}") from None
     return value
 
 

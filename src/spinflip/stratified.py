@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -140,6 +141,12 @@ class StackMedia:
             _eta2=None if a is None else np.array([np.full_like(a, -1.0), a - 1.0])[..., None],
             _fold=np.signbit(self.kt2.imag).any() or a is not None and np.signbit(a.imag).any())
 
+    @cached_property
+    def _ordinary(self) -> "StackMedia":
+        """These media without their anisotropy: the ordinary family alone,
+        whose h^2 = kt2 - eta^2 needs no fold for the anisotropy's sign."""
+        return StackMedia(self.kt2, self.k, None, self.d)
+
 
 def _decaying_sqrt(w):
     """Principal complex square root folded onto Im >= 0 (Re >= 0 on the real axis)."""
@@ -176,7 +183,7 @@ def stack_media(stack: LayerStack, omega: float, T: float | None = None) -> Stac
                             for layer in stack.layers], stack.film_thickness)
 
 
-def layer_wavevectors(eta, media: StackMedia, ordinary: bool = False):
+def layer_wavevectors(eta, media: StackMedia):
     """z-wavenumbers (h1, h2) of both wave families in every layer of
     `media` at transverse wavenumber `eta`:
 
@@ -184,18 +191,16 @@ def layer_wavevectors(eta, media: StackMedia, ordinary: bool = False):
     h2^2 = eta^2 (1 - eps_t/eps_z) + (omega/c)^2 eps_t - eta^2
 
     The layer axis comes first and eta's axes follow.  When no layer is
-    uniaxial h2 is h1; otherwise (h1, h2) is one array, a root over a family
-    axis.  With `ordinary`, h1 alone (the bits of h1 among both), as one array.
+    uniaxial h2 is h1; otherwise (h1, h2) is one array, a root over a family axis.
     """
     eta = np.asarray(eta, dtype=float)
     if np.count_nonzero(eta < 0):
         raise DomainError("eta must be non-negative")
     eta2 = np.square(eta.ravel())  # one eta axis; a scalar eta is a 1-element array
-    term = media._eta2 if media._eta2 is None or not ordinary else media._eta2[0]  # h^2 per eta^2
-    h = media._kt2 - eta2 if term is None else eta2 * term + media._kt2
+    h = media._kt2 - eta2 if media._eta2 is None else eta2 * media._eta2 + media._kt2
     h = _decaying_sqrt(h) if media._fold else np.sqrt(h, out=h)  # no Im h^2 < 0 to fold
     h = h if eta.ndim == 1 else h.reshape(h.shape[:-1] + eta.shape)
-    return (h, h) if term is None and not ordinary else h
+    return (h, h) if media._eta2 is None else h
 
 
 def _interface_quotient(a, b, degenerate: str = "TM interface denominator vanished"):
@@ -264,5 +269,6 @@ def te_reflection(media: StackMedia, eta):
     """Generalized TE reflection coefficient of `media` at `eta`: M,
     computed from the ordinary family's wavenumbers alone."""
     eta = np.asarray(eta, dtype=float)
-    h = layer_wavevectors(eta.ravel(), media, ordinary=True)  # the one family
+    ordinary = media if media.anisotropy is None else media._ordinary
+    h = layer_wavevectors(eta.ravel(), ordinary)[0]  # the one family
     return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media).reshape(eta.shape)[()]

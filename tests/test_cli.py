@@ -168,8 +168,9 @@ class TestRateCommand:
         ({"quadrature": {"rel_tol": -1e-8}}, "quadrature: rel_tol"),
         ({"quadrature": {"rel_tol": 1e-300, "max_refinements": 10**9}},
          "quadrature: max_refinements must be from 1 to 1000"),
+        ({"quadrature": {"rel_tol": 1e-15}}, "quadrature: rel_tol must be at least 50"),
     ], ids=["two-materials", "uniaxial-component", "layer", "temperature", "top-layer",
-            "transition", "quadrature", "max-refinements"])
+            "transition", "quadrature", "max-refinements", "rel-tol-floor"])
     def test_range_error_names_its_place(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
         assert main(["rate", "--config", str(cfg)]) == 1
@@ -180,6 +181,11 @@ class TestRateCommand:
         cfg = write_config(tmp_path)
         assert main(["rate", "--config", str(cfg), "--tol", tol]) == 1
         assert "tolerance must be positive" in capsys.readouterr().err
+
+    def test_tol_below_the_quadrature_floor_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["rate", "--config", str(cfg), "--tol", "1e-15"]) == 1
+        assert "rel_tol must be at least 50 machine epsilons" in capsys.readouterr().err
 
     def test_tol_keeps_other_quadrature_fields(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, quadrature={"max_refinements": 7})

@@ -110,26 +110,24 @@ class TestKronrodRule:
 # The 8 initial panels in u: [0, 0.25] graded at 0.25 * 4^-k, then edges 1, 4, 16 and 60.
 INITIAL_EDGES = (0.0, 0.25 / 64, 0.25 / 16, 0.25 / 4, 0.25, 1.0, 4.0, 16.0, 60.0)
 
-# Weights of the orthonormal Legendre coefficients c_0..c_20 of the degree-20
-# interpolant on the Kronrod nodes, from numpy rather than the module's table.
-LEGENDRE = np.linalg.inv(np.polynomial.legendre.legvander(quadrature._KRONROD_NODES, 20)
-                         * np.sqrt(np.arange(21) + 0.5))
-
-
-def panel_estimate(f, h):
-    """A panel's error estimate from its definition in the module docstring,
-    for f on the 21 nodes of a panel of half-width h."""
-    x, w = quadrature._KRONROD_NODES, quadrature._KRONROD_WEIGHTS
-    c = np.abs(LEGENDRE @ f)
-    top, low = c[19:].max(), c[7:].max()
-    g = f * np.exp(h * (x - 1))  # g = f e^u, up to a constant factor
-    if np.abs(LEGENDRE @ g)[19:].max() <= 1e-6 * abs(w @ g):
-        err = 10 * top * (top / low if low else 0.0)
-    else:
-        k = w @ f
-        err = max(abs(k - quadrature._GAUSS_WEIGHTS @ f[1::2]),
-                  abs(k - quadrature._REST_WEIGHTS @ f[0::2]), 4 * low)
-    return h * max(err, 50 * np.finfo(float).eps * (w @ np.abs(f)))
+def panel_estimates(values, half):
+    """Each panel's error estimate from its definition in the module
+    docstring, for f on the 21 nodes of each row of `values` and panels of
+    half-widths `half`: the module's rule columns, then panel by panel."""
+    n, eps = len(values), np.finfo(float).eps
+    tilt = np.exp(half[:, None] * (quadrature._KRONROD_NODES - 1.0))  # g = f e^u, up to a factor
+    rules = np.concatenate((values, values * tilt)) @ quadrature._RULES
+    integral_abs = np.abs(values) @ quadrature._KRONROD_WEIGHTS
+    estimates = []
+    for h, (k, g10, r11, *c), g, a in zip(half, rules[:n], rules[n:], integral_abs):
+        c = np.abs(c)  # c_20, ..., c_7
+        top, low = max(c[0], c[1]), max(c)
+        if max(abs(g[3]), abs(g[4])) <= 1e-6 * abs(g[0]):
+            err = 10 * top * (top / low if low else 0.0)
+        else:
+            err = max(abs(k - g10), abs(k - r11), 4 * low)
+        estimates.append(h * max(err, 50 * eps * a))
+    return estimates
 
 
 class TestFirstPass:
@@ -156,8 +154,7 @@ class TestFirstPass:
         kronrod = (half * (values @ quadrature._RULES)[:, 0]).tolist()
         total = math.fsum(kronrod)
         assert value == total * (1.0 / (2 * z))
-        errors = [panel_estimate(v, h) for v, h in zip(values, half)]
-        assert diag.est_error == pytest.approx(math.fsum(errors) / abs(total), rel=1e-12)
+        assert diag.est_error == math.fsum(panel_estimates(values, half)) / abs(total)
         # The same sums from the weights alone, one panel at a time.
         by_panel = [math.fsum(h * w * v for w, v in zip(quadrature._KRONROD_WEIGHTS, row))
                     for h, row in zip(half, values)]
@@ -174,8 +171,7 @@ class TestFirstPass:
         a, b = INITIAL_EDGES[:-1], INITIAL_EDGES[1:]
         _, _, u, half, tilt = quadrature._panel_set(a, b)
         _, errors = quadrature._rules(g(u), a, b, half, tilt)
-        want = [panel_estimate(v, h) for v, h in zip(g(u).reshape(8, 21), half[:, 0])]
-        np.testing.assert_allclose(errors, want, rtol=1e-6, atol=0)
+        assert errors.tolist() == panel_estimates(g(u).reshape(8, 21), half[:, 0])
 
     @pytest.mark.parametrize("first", range(8))
     def test_first_non_finite_panel_in_u_order_is_named(self, first):
@@ -231,19 +227,28 @@ class TestFirstPass:
         assert abs(value - exact) <= diag.est_error * exact <= 1e-12 * exact
         assert min(e.min() for e in seen) > 0
 
+    @pytest.mark.parametrize("settings", [QuadratureSettings(), QuadratureSettings(rel_tol=1e-6)],
+                             ids=["default", "1e-6"])
     @pytest.mark.parametrize("dtype", [object, np.float32])
-    def test_every_call_is_read_as_floats(self, dtype):
+    def test_every_call_is_read_as_floats(self, dtype, settings):
         # The first pass and each split read the integrand's values with one
-        # rule: as float64, whatever array type the integrand returns.  At
-        # rel_tol 1e-6, because float32 values carry a rounding of 6e-8 that
-        # the estimate sees and 1e-8 cannot be reached through.
-        z, settings = 1e-5, QuadratureSettings(rel_tol=1e-6)
+        # rule: as float64, whatever array type the integrand returns.  Both
+        # integrands return the same value and diagnostics, or raise the same
+        # QuadratureError: float32 values carry a rounding of 6e-8 that the
+        # estimate sees, and whether 1e-8 is reached through it is up to the
+        # last bits of the coefficient weights.
+        z = 1e-5
         f = lambda eta: np.abs(eta * 2 * z - 1.3) * np.exp(-eta * 2 * z)
-        want, want_diag = integrate_semi_infinite(
-            lambda eta: f(eta).astype(dtype).astype(float), z, settings)
-        got, diag = integrate_semi_infinite(lambda eta: f(eta).astype(dtype), z, settings)
-        assert diag.refinements == want_diag.refinements > 0
-        assert got == want
+
+        def outcome(integrand):
+            try:
+                return integrate_semi_infinite(integrand, z, settings)
+            except QuadratureError as err:
+                return "raised", err.partial_value, err.diagnostics
+
+        want = outcome(lambda eta: f(eta).astype(dtype).astype(float))
+        got = outcome(lambda eta: f(eta).astype(dtype))
+        assert got == want and got[-1].refinements > 0
 
 
 class TestDampedOscillations:
@@ -254,8 +259,9 @@ class TestDampedOscillations:
            rel_tol=st.sampled_from([1e-8, 1e-12]))
     def test_value_within_tolerance(self, k, omega, phi, rel_tol):
         exact = (cmath.exp(1j * phi) * math.factorial(k) / (1 - 1j * omega) ** (k + 1)).real
-        # The integral of |f| is at most k!; within 1e3 eps of it, rounding
-        # in the sum, not the rule, sets the accuracy.
+        # The integral of |f| is at most k!.  Within 50 eps of it the floors
+        # refuse the rate (test_cancellation_is_limited_by_the_floor); within
+        # 1e3 eps of it, rounding in the sum, not the rule, sets the accuracy.
         assume(rel_tol * abs(exact) >= 1e3 * np.finfo(float).eps * math.factorial(k))
         z = 1e-5
         g = lambda u: u**k * np.exp(-u) * np.cos(omega * u + phi)
@@ -306,6 +312,21 @@ class TestEngine:
         exact = (0.3 + 2 * math.exp(-1.3)) / (2 * z)
         assert abs(err.value.partial_value / exact - 1) <= err.value.diagnostics.est_error
 
+    def test_cancellation_is_limited_by_the_floor(self):
+        # e^-u cos(30u): its integral is 1/901 and that of |f| about 2/pi, 574
+        # times more.  Its panels' floors of 50 eps sum to 6.4e-12 of the
+        # integral: 1e-10 is met, 1e-12 never is.
+        z = 1e-5
+        f = lambda eta: np.exp(-eta * 2 * z) * np.cos(30 * eta * 2 * z)
+        exact = 1 / 901 / (2 * z)
+        value, _ = integrate_semi_infinite(f, z, QuadratureSettings(1e-10, 200))
+        assert abs(value - exact) <= 1e-10 * exact
+        with pytest.raises(QuadratureError) as err:
+            integrate_semi_infinite(f, z, QuadratureSettings(1e-12, 200))
+        floor = 50 * np.finfo(float).eps * (2 / math.pi) * 901
+        assert err.value.diagnostics.est_error >= 0.95 * floor
+        assert abs(err.value.partial_value - exact) <= 1e-10 * exact
+
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(QuadratureError):
             integrate_semi_infinite(lambda eta: np.full_like(eta, np.nan), 1e-5)
@@ -330,4 +351,12 @@ class TestEngine:
                      (1e-300, quadrature.MAX_REFINEMENTS + 1)):
             with pytest.raises(DomainError):
                 QuadratureSettings(*args)
+        # The floors sum to 50 eps of the integral of |f| however fine the
+        # panels, so a smaller rel_tol could never be met; QUADPACK refuses
+        # it too (ier = 6).
+        floor = 50 * np.finfo(float).eps
+        assert QuadratureSettings(rel_tol=floor).rel_tol == floor
+        for rel_tol in (0.99 * floor, 1e-300):
+            with pytest.raises(DomainError, match="rel_tol must be at least 50 machine epsilons"):
+                QuadratureSettings(rel_tol=rel_tol)
 
