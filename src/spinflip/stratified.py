@@ -24,7 +24,7 @@ Conventions, fixed once for the whole package:
   into the atom-side factor exp(2i h1 z) and keeps every integrand decaying.
   In the isotropic limit M = r_TE(stack) and N = r_TM(stack).
 * One film formula (generalized_r_te) composes both families at once, on a
-  leading (M, N) axis; te_reflection is M evaluated without the TM family.
+  leading (M, N) axis; te_reflection is M alone, from the same wavevector pass.
 
 StackMedia, the one medium type of layer_wavevectors, scattering_coefficients
 and te_reflection, holds kt^2, k and the anisotropy of every layer on a
@@ -37,8 +37,8 @@ then trusts it and covers every layer in one pass, a scalar eta as an array
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +64,13 @@ __all__ = [
 _DENOMINATOR_GUARD = 1e-14
 
 
+def _tuple_of(items, name: str, kind: str) -> tuple:
+    """`items` as a tuple; a DomainError when it is not an iterable."""
+    if not isinstance(items, Iterable):
+        raise DomainError(f"{name} must be an iterable of {kind}, not {type(items).__name__}")
+    return tuple(items)
+
+
 @dataclass(frozen=True)
 class Layer:
     """One layer of the stack.  Thickness is ignored for the outer layers."""
@@ -85,8 +92,7 @@ class LayerStack:
     temperature: float
 
     def __post_init__(self):
-        if not isinstance(self.layers, tuple):
-            object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "layers", _tuple_of(self.layers, "layers", "Layers"))
         if not all(isinstance(layer, Layer) for layer in self.layers):
             raise DomainError("every layer of a stack must be a Layer")
         if len(self.layers) not in (2, 3):
@@ -141,12 +147,6 @@ class StackMedia:
             _eta2=None if a is None else np.array([np.full_like(a, -1.0), a - 1.0])[..., None],
             _fold=np.signbit(self.kt2.imag).any() or a is not None and np.signbit(a.imag).any())
 
-    @cached_property
-    def _ordinary(self) -> "StackMedia":
-        """These media without their anisotropy: the ordinary family alone,
-        whose h^2 = kt2 - eta^2 needs no fold for the anisotropy's sign."""
-        return StackMedia(self.kt2, self.k, None, self.d)
-
 
 def _decaying_sqrt(w):
     """Principal complex square root folded onto Im >= 0 (Re >= 0 on the real axis)."""
@@ -161,7 +161,7 @@ def media_of(omega: float, eps, d: float = 0.0) -> StackMedia:
     if not (real_in_range(omega) and real_in_range(d, or_zero=True)):
         raise DomainError("omega must be positive and finite, and d non-negative and finite")
     kt2, anisotropy = [], []
-    for e in eps:
+    for e in _tuple_of(eps, "eps", "PermittivityTensors"):
         if not isinstance(e, PermittivityTensor):
             raise DomainError(f"eps must hold PermittivityTensors, not {type(e).__name__}")
         if e.eps_z == 0:
@@ -266,9 +266,8 @@ def scattering_coefficients(media: StackMedia, eta):
 
 
 def te_reflection(media: StackMedia, eta):
-    """Generalized TE reflection coefficient of `media` at `eta`: M,
-    computed from the ordinary family's wavenumbers alone."""
+    """Generalized TE reflection coefficient of `media` at `eta`: M, from
+    row M of the same wavevector pass that scattering_coefficients takes."""
     eta = np.asarray(eta, dtype=float)
-    ordinary = media if media.anisotropy is None else media._ordinary
-    h = layer_wavevectors(eta.ravel(), ordinary)[0]  # the one family
+    h = layer_wavevectors(eta.ravel(), media)[0]  # the ordinary family's row
     return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media).reshape(eta.shape)[()]

@@ -169,8 +169,18 @@ class TestRateCommand:
         ({"quadrature": {"rel_tol": 1e-300, "max_refinements": 10**9}},
          "quadrature: max_refinements must be from 1 to 1000"),
         ({"quadrature": {"rel_tol": 1e-15}}, "quadrature: rel_tol must be at least 50"),
+        ({"materials": [{"label": "c", "variant": "drude_metal", "parameters": {"sigma": "5e7"}}],
+          "stack": {"layers": [{"material": "vacuum"}, {"material": "niobium", "thickness": 1e-6},
+                               {"material": "c"}], "temperature": 4.2}},
+         "material 'c' parameters.sigma must be a number"),
+        ({"materials": [{"label": "m", "variant": "drude_metal", "parameters": {"sigma": 1e7}},
+                        {"label": "m", "variant": "drude_metal", "parameters": {"sigma": 5e7}}],
+          "stack": {"layers": [{"material": "vacuum"}, {"material": "niobium", "thickness": 1e-6},
+                               {"material": "m"}], "temperature": 4.2}},
+         "materials[1] repeats the label 'm' of materials[0]"),
     ], ids=["two-materials", "uniaxial-component", "layer", "temperature", "top-layer",
-            "transition", "quadrature", "max-refinements", "rel-tol-floor"])
+            "transition", "quadrature", "max-refinements", "rel-tol-floor", "string-parameter",
+            "repeated-label"])
     def test_range_error_names_its_place(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
         assert main(["rate", "--config", str(cfg)]) == 1

@@ -262,6 +262,31 @@ class TestThickSuperconductorLimit:
         x = lam / z
         assert abs(C * 32.0 / 9.0 - (1.0 - 4.0 * x)) <= 8.5 * x**2
 
+    @pytest.mark.parametrize("t", [0.3, 0.5, 0.7, 0.8])
+    @pytest.mark.parametrize("film, d", [(NIOBIUM, 2e-6), (BSCCO, 20e-6)],
+                             ids=["niobium", "bscco"])
+    def test_log_slope_of_thick_film_on_copper(self, film, d, t):
+        # Gamma_field = Gamma_total/(n_th + 1) goes as sigma_n lambda^3 (1 -
+        # 4x + 7.5x^2), sigma_n ~ t^alpha and lambda ~ (1 - t^alpha)^(-1/2), so
+        # d ln Gamma_field/d ln T = alpha + (3 alpha/2) s + (alpha/2) s x(-4 +
+        # 15x)/(1 - 4x + 7.5x^2), s = t^alpha/(1 - t^alpha): the s-wave (alpha
+        # = 4) and d-wave (alpha = 1) slopes that criterion 11b orders.  The
+        # film is thick enough (d/lambda >= 29) that the copper below is not seen.
+        p, z, step = getattr(film, "params", None) or film.transverse, 10e-6, 1e-4
+        T = t * p.Tc
+
+        def log_gamma(ln_shift):
+            stack = LayerStack((Layer(VACUUM), Layer(film, d), Layer(COPPER)),
+                               T * math.exp(ln_shift))
+            return math.log(gamma_anisotropic(stack, z, settings=self.SETTINGS).gamma_field)
+
+        slope = (log_gamma(step) - log_gamma(-step)) / (2.0 * step)
+        a, x = p.alpha, in_plane_lambda(film, T) / z
+        s = t**a / (1.0 - t**a)
+        expected = a + 1.5 * a * s + 0.5 * a * s * x * (-4.0 + 15.0 * x) / (1.0 - 4.0 * x
+                                                                           + 7.5 * x**2)
+        assert abs(slope - expected) <= a * x**2 * s
+
 
 def in_plane_lambda(film, T):
     """lambda(T) of an isotropic film, or the in-plane one of a uniaxial film."""

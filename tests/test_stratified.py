@@ -78,10 +78,13 @@ class TestLayerStack:
         lambda: LayerStack((Layer(VACUUM), Layer(COPPER)), "4"),
         lambda: LayerStack((Layer(VACUUM), Layer(COPPER)), None),
         lambda: LayerStack((Layer(VACUUM), "copper"), 4.2),
+        lambda: LayerStack(5, 4.2),
+        lambda: LayerStack(None, 4.2),
+        lambda: media_of(OMEGA, 5),
     ], ids=["thickness-str", "thickness-complex", "temperature-str", "temperature-none",
-            "layer-str"])
+            "layer-str", "layers-int", "layers-none", "media_of-eps-int"])
     def test_wrong_type_is_domain_error(self, make):
-        # At construction, not as a TypeError from a range comparison.
+        # At construction, not as a TypeError from a range comparison or a loop.
         with pytest.raises(DomainError):
             make()
 
@@ -361,11 +364,9 @@ class TestScatteringCoefficients:
     @pytest.mark.parametrize("d", [1e-9, 1e-7, 2.5e-6, 1e-5])
     @pytest.mark.parametrize("T", [4.2, 60.0, 100.0])
     def test_te_reflection_on_uniaxial_film_is_m_bit_for_bit(self, d, T):
-        # On a uniaxial stack te_reflection roots the ordinary family alone
-        # (3 square roots a node, not 6, and no fold) and keeps the bits of M.
+        # On a uniaxial stack te_reflection keeps the bits of M.
         from spinflip.materials import BSCCO
         media = stack_media(stack(BSCCO, d, T=T), OMEGA)
-        assert not media._ordinary._fold  # only the anisotropy's sign asks for a fold
         for eta in (self.eta_grid, 3e5):
             m, _ = scattering_coefficients(media, eta)
             got = te_reflection(media, eta)
