@@ -119,9 +119,10 @@ def grid():
 
 def refining_grid():
     """Nb films on Cu above Tc, T 10-100 K, z 1.7-3 um and d 2.5-3.5 z (5 of
-    these 16 refined under the K21 - G10/R11 estimate, none do under the
-    coefficient-decay one), and bare Cu at z = 40 nm, whose integrand has
-    structure inside the first graded panel: it refines once."""
+    these 16 refine when a panel's estimate is its K21 - G10 or K21 - R11
+    difference, none under the coefficient-decay estimate), and bare Cu at
+    z = 40 nm, whose integrand has structure inside the first graded panel:
+    it refines once."""
     rng = random.Random("oracle-refining")
     for _ in range(REFINING_CASES):
         T = rng.uniform(10.0, 100.0)

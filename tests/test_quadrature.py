@@ -38,15 +38,32 @@ class TestAnalyticMoments:
         assert value == pytest.approx(riemann(f, z), rel=1e-6)
 
 
+# The orthonormal Legendre polynomials p_0..p_20 on the 21 Kronrod nodes (columns).
+P21 = np.polynomial.legendre.legvander(quadrature._KRONROD_NODES, 20) * np.sqrt(np.arange(21) + 0.5)
+
+
+def lower_degree_rules():
+    """G10, the 10-point Gauss rule on the odd nodes, and R11, the rule on the
+    11 even nodes exact for the Legendre polynomials P_0..P_10, as weights on
+    all 21 nodes (rows)."""
+    x = quadrature._KRONROD_NODES
+    rules = np.zeros((2, x.size))
+    rules[0, 1::2] = np.polynomial.legendre.leggauss(10)[1]
+    moments = np.eye(11)[0] * 2.0  # integral of P_k over [-1, 1]
+    rules[1, 0::2] = np.linalg.solve(np.polynomial.legendre.legvander(x[0::2], 10).T, moments)
+    return rules
+
+
+LOWER_DEGREE_RULES = lower_degree_rules()
+
+
 class TestKronrodRule:
     def test_embedded_gauss_rule_is_gauss_legendre_10(self):
-        nodes, weights = np.polynomial.legendre.leggauss(10)
+        nodes, _ = np.polynomial.legendre.leggauss(10)
         np.testing.assert_allclose(quadrature._KRONROD_NODES[1::2], nodes, rtol=0, atol=2e-16)
-        np.testing.assert_allclose(quadrature._GAUSS_WEIGHTS, weights, rtol=0, atol=2e-16)
 
     @pytest.mark.parametrize("nodes, weights, degree", [
         (slice(None), quadrature._KRONROD_WEIGHTS, 31),
-        (slice(0, None, 2), quadrature._REST_WEIGHTS, 11),
     ])
     def test_rule_exact_through_its_degree(self, nodes, weights, degree):
         x = quadrature._KRONROD_NODES[nodes]
@@ -75,13 +92,33 @@ class TestKronrodRule:
         assert diag.evaluations == sum(calls) == 21 * (diag.panels + diag.refinements)
 
     def test_legendre_columns_are_the_interpolant_coefficients(self):
-        # Column 3 + i of _RULES applied to the orthonormal Legendre
+        # Column 1 + i of _RULES applied to the orthonormal Legendre
         # polynomial p_m on the nodes gives 1 for m = 20 - i and 0 otherwise.
-        x = quadrature._KRONROD_NODES
-        p = np.polynomial.legendre.legvander(x, 20) * np.sqrt(np.arange(21) + 0.5)
-        got = quadrature._RULES[:, 3:].T @ p
+        got = quadrature._RULES[:, 1:].T @ P21
         want = np.eye(21)[::-1][:got.shape[0]]
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-15)
+
+    def test_4_low_bounds_the_lower_degree_rule_differences(self):
+        # On the 21 values f is its degree-20 interpolant sum c_k p_k, so
+        # K21 - rule applied to f is sum c_k (K21 - rule)(p_k).  For G10 (the
+        # Gauss rule on the odd nodes) and R11 (the interpolatory rule on the
+        # even ones) that is 0 below degree 7 and sums to under 4 above, so
+        # the unresolved estimate 4 low = 4 max |c_k|, k >= 7, bounds both.
+        on_p = (quadrature._KRONROD_WEIGHTS - LOWER_DEGREE_RULES) @ P21  # K21 - G10, K21 - R11
+        for weights, total in zip(on_p, (1.7414, 1.7708)):
+            np.testing.assert_allclose(weights[:7], 0.0, rtol=0, atol=1e-13)
+            assert math.fsum(abs(weights[7:])) == pytest.approx(total, abs=1e-4)
+
+    @given(st.one_of(
+        st.lists(st.floats(-1e100, 1e100), min_size=21, max_size=21).map(np.array),
+        # decaying Legendre coefficients, as on a resolved panel
+        st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=21, max_size=21),
+                  st.floats(0.0, 3.0)).map(
+            lambda t: P21 @ (np.array(t[0]) * 10.0 ** (-t[1] * np.arange(21))))))
+    def test_4_low_bounds_both_differences_of_any_values(self, f):
+        low = np.abs(f @ quadrature._RULES[:, 1:]).max()
+        differences = np.abs(f @ quadrature._KRONROD_WEIGHTS - f @ LOWER_DEGREE_RULES.T)
+        assert differences.max() <= 4 * low + 4 * np.finfo(float).eps * np.abs(f).sum()
 
     def test_panels_in_one_call_equal_panels_alone(self):
         g = lambda u: u**3 * np.exp(-u) + np.sqrt(u)
@@ -95,7 +132,7 @@ class TestKronrodRule:
         for i, (lo, hi) in enumerate(zip(a, b)):
             value1, err1 = (x[0] for x in rules([lo], [hi]))
             assert values[i] == pytest.approx(value1, rel=1e-15, abs=0)
-            # An estimate is a difference of two rules: its rounding is the value's.
+            # An estimate is made of coefficients of f: its rounding is the value's.
             assert errors[i] == pytest.approx(err1, rel=0, abs=4e-16 * abs(values[i]))
 
     def test_non_finite_panel_is_named(self):
@@ -119,13 +156,13 @@ def panel_estimates(values, half):
     rules = np.concatenate((values, values * tilt)) @ quadrature._RULES
     integral_abs = np.abs(values) @ quadrature._KRONROD_WEIGHTS
     estimates = []
-    for h, (k, g10, r11, *c), g, a in zip(half, rules[:n], rules[n:], integral_abs):
+    for h, (_, *c), g, a in zip(half, rules[:n], rules[n:], integral_abs):
         c = np.abs(c)  # c_20, ..., c_7
         top, low = max(c[0], c[1]), max(c)
-        if max(abs(g[3]), abs(g[4])) <= 1e-6 * abs(g[0]):
+        if max(abs(g[1]), abs(g[2])) <= 1e-6 * abs(g[0]):
             err = 10 * top * (top / low if low else 0.0)
         else:
-            err = max(abs(k - g10), abs(k - r11), 4 * low)
+            err = 4 * low
         estimates.append(h * max(err, 50 * eps * a))
     return estimates
 
@@ -164,7 +201,7 @@ class TestFirstPass:
     @pytest.mark.parametrize("g", [
         lambda u: u**2 * np.exp(-u),                  # resolved: extrapolation and floor
         lambda u: np.exp(-u) / (1 + u),
-        lambda u: np.abs(u - 1.3) * np.exp(-u),       # a kink: the older estimate
+        lambda u: np.abs(u - 1.3) * np.exp(-u),       # a kink: 4 low
         lambda u: np.cos(12 * u + 1) * np.exp(-u),    # aliased on the wide panels
     ], ids=["u2", "pole", "kink", "aliased"])
     def test_each_panel_estimate_is_its_definition(self, g):
