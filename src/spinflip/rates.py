@@ -129,6 +129,12 @@ def _result(gamma_field: float, transition: TransitionSpec, T: float,
     return RateResult(gamma_field, n, gamma_total, tau, diag)
 
 
+def _overflow(z: float, exc: ArithmeticError) -> DomainError:
+    """The DomainError of a rate at z whose arithmetic raised `exc`."""
+    return DomainError(f"the rate at z = {z:g} m overflows double precision "
+                       f"({exc}); an input is far outside its physical range")
+
+
 def _channel_weights(transition: TransitionSpec,
                      orientation: SpinOrientation = SpinOrientation.RANDOM):
     """Kernel weights (w_M, w_N) = (16 (w_par + 2 w_perp), 16 w_par) of the
@@ -206,8 +212,7 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
     except SpinflipError:
         raise
     except ArithmeticError as exc:  # overflow, or 0/0 and inf - inf after one
-        raise DomainError(f"the rate at z = {z:g} m overflows double precision "
-                          f"({exc}); an input is far outside its physical range") from exc
+        raise _overflow(z, exc) from exc
 
 
 def gamma_isotropic(stack: LayerStack, z: float,

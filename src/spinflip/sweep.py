@@ -59,7 +59,7 @@ from .materials import (DrudeMetal, IsotropicSuperconductor, MaterialModel,
                         TwoFluidParams, UniaxialSuperconductor, Vacuum,
                         material_presets)
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .rates import _check_quasi_static, spin_flip_rate
+from .rates import _check_quasi_static, _overflow, _result, spin_flip_rate
 from .stratified import Layer, LayerStack
 
 __all__ = [
@@ -178,9 +178,10 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
     """Evaluate the rate over the sweep grid.
 
     Rows are independent and deterministic; per-row failures are recorded in
-    the status column and only an all-row failure aborts the run.  Thickness
-    sweeps carry the screening factor against the zero-thickness stack.  The
-    quasi-static warning is issued once, for the largest z of the sweep.
+    the status column and only an all-row failure aborts the run.  Rows whose
+    medium repeats share one field rate and keep their own T, n_th and status.
+    Thickness sweeps carry the screening factor against the zero-thickness
+    stack.  The quasi-static warning is issued once, for the largest z of the sweep.
     """
     if not (isinstance(spec, SweepSpec) and isinstance(config, RunConfig)):
         raise ConfigError(f"run_sweep needs a SweepSpec and a RunConfig, not "
@@ -205,10 +206,19 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
         if thickness:
             tau0 = spin_flip_rate(config.stack.with_film_thickness(0.0), config.z,
                                   config.transition, None, config.settings).tau
+        first = {}   # row key -> RateResult; a permittivity reads T only below its Tc
         for value in grid:
             try:
                 stack, z, T = row_at(config.stack, config.z, config.stack.temperature, value, tcs)
-                result = spin_flip_rate(stack, z, config.transition, T, config.settings)
+                key = (z, stack.film_thickness, T if any(T < tc for tc in tcs) else None)
+                if (hit := first.get(key)) is None:
+                    result = first[key] = spin_flip_rate(stack, z, config.transition, T,
+                                                         config.settings)
+                else:   # the first row's field rate at this row's T
+                    try:
+                        result = _result(hit.gamma_field, config.transition, T, hit.diagnostics)
+                    except OverflowError as exc:
+                        raise _overflow(z, exc) from exc
             except SpinflipError as exc:
                 causes.append(exc)
                 row = [math.nan] * len(names)

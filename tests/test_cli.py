@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -344,6 +345,27 @@ class TestSweepCommands:
         assert "error:" in captured.err and "points" in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+
+    def test_reused_row_overflow_is_a_row_status(self, tmp_path, capsys):
+        # The 2e303 K and 4e303 K rows reuse the 1 K row's field rate over bare
+        # copper; their thermal occupation overflows, which is a row's error.
+        cfg = write_config(
+            tmp_path, z=1e-8,
+            stack={"layers": [{"material": "vacuum"}, {"material": "copper"}],
+                   "temperature": 4.2},
+            transition={"frequency": 560e3, "matrix_elements": [1e3, 1e3, 1e3]},
+            sweep={"axis": "temperature_T", "min": 1, "max": 4e303, "points": 3})
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert [r["status"] for r in rows][0] == "ok"
+        for row, T in zip(rows[1:], ("2e+303", "4e+303")):
+            assert row["status"].startswith(
+                "error: the rate at z = 1e-08 m overflows double precision (thermal occupation ")
+            assert f"at T = {T} K); an input is far outside its physical range" in row["status"]
 
     def test_computation_error_exit_code(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, sweep={"axis": "distance_z", "min": 1e-6,

@@ -128,11 +128,35 @@ class TestPermittivity:
         eps = permittivity(uni, OMEGA, 10.0)
         assert eps.eps_t == eps.eps_z
 
-    def test_above_tc_equals_drude(self):
+    @given(
+        lam0=st.floats(1e-9, 1e-4),
+        tc=st.floats(1.0, 150.0),
+        sigma=st.floats(1e2, 1e9),
+        alpha=st.sampled_from([1.0, 4.0]),
+        f=st.floats(1e3, 1e12),
+        above=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2),
+        anywhere=st.lists(st.floats(0.0, 1e300), min_size=2, max_size=2),
+    )
+    def test_above_tc_equals_drude(self, lam0, tc, sigma, alpha, f, above, anywhere):
         sc = IsotropicSuperconductor(TwoFluidParams(35e-9, 8.3, 1e7, 4))
         metal = DrudeMetal(1e7)
         for T in (8.3, 9.0, 77.0):
             assert permittivity(sc, OMEGA, T) == permittivity(metal, OMEGA, T)
+
+        # run_sweep shares one field rate among rows that differ only in a T at
+        # or above every Tc: each permittivity there is bitwise the same at any
+        # such T, and at any T at all for vacuum and a normal metal.
+        def bits(mat, T):
+            eps = permittivity(mat, 2 * math.pi * f, T)
+            return [x.hex() for e in (eps.eps_t, eps.eps_z) for x in (e.real, e.imag)]
+
+        p = TwoFluidParams(lam0, tc, sigma, alpha)
+        superconductors = (IsotropicSuperconductor(p), UniaxialSuperconductor(
+            p, TwoFluidParams(lam0 * 10, tc, sigma / 3, alpha)))
+        for mat, temperatures in ((VACUUM, anywhere), (DrudeMetal(sigma), anywhere),
+                                  *((m, [tc, *(tc + u for u in above)]) for m in superconductors)):
+            first = bits(mat, temperatures[0])
+            assert all(bits(mat, T) == first for T in temperatures[1:])
 
     def test_continuity_at_tc(self):
         # The Meissner term vanishes linearly in Tc - T but is ~7 orders of

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from spinflip.constants import TransitionSpec
 from spinflip.errors import ConfigError, QuasiStaticWarning, SpinflipError
-from spinflip.materials import COPPER, DrudeMetal, NIOBIUM, VACUUM, Vacuum
+from spinflip.figures import figure_curves
+from spinflip.materials import BSCCO, COPPER, DrudeMetal, NIOBIUM, VACUUM, Vacuum
 from spinflip.quadrature import QuadratureSettings
 from spinflip.rates import spin_flip_rate
 from spinflip.stratified import Layer, LayerStack
@@ -228,6 +229,63 @@ class TestRunSweep:
         # T/Tc = 1.5 must equal a plain temperature evaluation at 1.5 * 8.3 K
         ref = spin_flip_rate(config.stack, 1e-5, T=1.5 * 8.3)
         assert table.columns["tau_s"][-1] == pytest.approx(ref.tau, rel=1e-12)
+
+    def test_reused_rows_match_the_definition(self, monkeypatch):
+        # Rows whose medium repeats (every film above its Tc) share one field
+        # rate; each row must still equal its own spin_flip_rate.
+        import spinflip.sweep as sweep_mod
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return spin_flip_rate(*args)
+
+        monkeypatch.setattr(sweep_mod, "spin_flip_rate", spy)
+        counts = []
+        for curve in figure_curves("fig4") + figure_curves("fig5"):
+            config, spec = parse_config({k: v for k, v in curve.items() if k != "name"})
+            tc = NIOBIUM.params.Tc if curve["name"].startswith("niobium") else BSCCO.transverse.Tc
+            calls.clear()
+            table = run_sweep(spec, config)
+            counts.append(len(calls))
+            temps = [float(v) * (tc if spec.axis == "reduced_T_over_Tc" else 1.0)
+                     for v in spec.grid()]
+            rates = [spin_flip_rate(config.stack, config.z, config.transition, T,
+                                    config.settings) for T in temps]
+            expected = {"gamma_total_per_s": [r.gamma_total for r in rates],
+                        "tau_s": [r.tau for r in rates], "n_th": [r.n_th for r in rates]}
+            for name, column in expected.items():
+                np.testing.assert_array_equal(table.columns[name], column, strict=True)
+            assert table.columns["status"] == [
+                "normal-state film" if T >= tc else "ok" for T in temps]
+        assert counts == [6, 55, 25, 25, 31, 31]
+
+    def test_reused_row_overflow_is_a_row_error(self, monkeypatch):
+        # T = 2e303 K and 4e303 K share the 1 K row's field rate over bare
+        # copper, and their thermal occupation overflows double precision.
+        config, spec = parse_config({
+            "stack": {"layers": [{"material": "vacuum"}, {"material": "copper"}],
+                      "temperature": 4.2},
+            "z": 1e-8,
+            "transition": {"frequency": 560e3, "matrix_elements": [1e3, 1e3, 1e3]},
+            "sweep": {"axis": "temperature_T", "min": 1, "max": 4e303, "points": 3}})
+        import spinflip.sweep as sweep_mod
+        calls = []
+        monkeypatch.setattr(sweep_mod, "spin_flip_rate",
+                            lambda *args: calls.append(args) or spin_flip_rate(*args))
+        status = run_sweep(spec, config).columns["status"]
+        expected = []
+        for T in spec.grid():
+            try:
+                spin_flip_rate(config.stack, config.z, config.transition, float(T),
+                               config.settings)
+                expected.append("ok")
+            except SpinflipError as exc:
+                expected.append(f"error: {exc}")
+        assert len(calls) == 1   # the overflowing rows reuse the first row's rate
+        assert status == expected
+        assert status[1].startswith("error: the rate at z = 1e-08 m overflows double "
+                                    "precision (thermal occupation ")
 
     def test_per_row_errors_recorded(self, monkeypatch):
         config, spec = parse_config(nb_config(
