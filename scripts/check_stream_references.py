@@ -10,9 +10,10 @@ default settings and checks its tau against the reference to
 ``workloads.CHECK_TOL``.  It prints, per stream, the rates checked, the
 misses, the worst relative deviation, the largest estimated relative error
 (``est_error``), the rates whose deviation exceeds their own ``est_error``,
-and the refinements and integrand evaluations per rate, and exits 1 on any
-miss; the ``est_error`` figures are reported, not gated.  The benchmark's
-own ``--self-check`` probes 32 requests; this covers all of them.
+and the refinements and integrand evaluations per rate.  It exits 1 on any
+miss and on any rate beyond its own ``est_error``: an estimate below the
+true error would let the quadrature stop short.  The benchmark's own
+``--self-check`` probes 32 requests; this covers all of them.
 """
 
 import json
@@ -45,7 +46,7 @@ def check(stream: str) -> int:
           f"{W.CHECK_TOL:g}, worst {worst:.2e}, largest est_error {largest_estimate:.2e}, "
           f"{underestimates} beyond their est_error, {refinements / rates:.4f} refinements "
           f"and {evaluations / rates:.1f} evaluations per rate")
-    return misses
+    return misses + underestimates
 
 
 if __name__ == "__main__":

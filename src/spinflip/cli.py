@@ -19,7 +19,6 @@ import sys
 import warnings
 
 from . import __version__
-from .constants import real_in_range
 from .errors import ConfigError, DomainError, SpinflipError
 from .figures import FIGURES, figure_curves, reproduce
 from .materials import material_presets
@@ -39,15 +38,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """--tol value: a positive finite number that QuadratureSettings accepts."""
-    value = float(text)
-    if not real_in_range(value):
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
+    """--tol value: a rel_tol that QuadratureSettings accepts."""
     try:
-        QuadratureSettings(rel_tol=value)
+        return QuadratureSettings(rel_tol=float(text)).rel_tol
     except DomainError as exc:
         raise argparse.ArgumentTypeError(f"tolerance {text}: {exc}") from None
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,6 +145,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
+    # A shown warning is one "warning: <message>" line; recorders still record it.
+    shown, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
         args = _build_parser().parse_args(argv)
         with warnings.catch_warnings():
@@ -163,6 +160,8 @@ def main(argv=None) -> int:
     except SpinflipError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return COMPUTATION_ERROR
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -191,7 +191,7 @@ def _two_fluid_eps(p: TwoFluidParams, omega: float, T: float) -> complex:
     if T >= p.Tc:
         return _drude_eps(p.sigma_normal, omega)
     lam, sig_n = _below_tc(p, T)
-    return 1.0 - 1.0 / (omega / CONSTANTS.c * lam) ** 2 + 1j * sig_n / (CONSTANTS.eps0 * omega)
+    return 1.0 - 1.0 / (omega / CONSTANTS.c * lam) ** 2 + _drude_eps(sig_n, omega)
 
 
 def permittivity(material: MaterialModel, omega: float, T: float) -> PermittivityTensor:

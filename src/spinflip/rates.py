@@ -27,11 +27,11 @@ rate.  spin_flip_rate picks a route by the stack; each is one _gamma call.
 _rate_integrand computes -2z and w_N k1^2 once per rate, and _gamma applies
 the 1/(8 pi) with P, so each integrand call does only eta-dependent work.
 
-Rates are "field" rates at zero temperature of the field; thermal
-occupation multiplies them by (n_th + 1).  A zero rate (lossless stack or
-zero matrix elements) has tau = inf; a negative one raises DomainError,
-since it only arises where the quasi-static kernel does not hold, and so
-does a rate whose arithmetic overflows double precision.
+Rates are "field" rates at zero temperature of the field; _result multiplies
+them by (n_th + 1) and refuses an n_th that overflows.  Zero weights (zero
+matrix elements) integrate to +0.0, and a zero rate has tau = inf; a negative
+one raises DomainError, since it only arises where the quasi-static kernel
+does not hold, and so does a rate whose arithmetic overflows double precision.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class RateResult:
     gamma_field: float             # rate before thermal occupation (1/s)
     n_th: float                    # mean thermal photon number
     gamma_total: float             # gamma_field * (n_th + 1) (1/s)
-    tau: float                     # 1/gamma_total (s); inf for a zero rate (lossless stack)
+    tau: float                     # 1/gamma_total (s); inf for a zero rate
     diagnostics: QuadratureDiagnostics
 
 
@@ -119,20 +119,20 @@ def _check_quasi_static(z: float, transition: TransitionSpec):
             QuasiStaticWarning, stacklevel=_caller_stacklevel())
 
 
-def _result(gamma_field: float, transition: TransitionSpec, T: float,
+def _result(gamma_field: float, transition: TransitionSpec, z: float, T: float,
             diag: QuadratureDiagnostics) -> RateResult:
     n = thermal_photon_number(transition.frequency, T)
     gamma_total = gamma_field * (n + 1.0)
     if not gamma_total < math.inf:  # n_th overflowed: T far beyond any model
-        raise OverflowError(f"thermal occupation {n:g} at T = {T:g} K")
+        raise _overflow(z, f"thermal occupation {n:g} at T = {T:g} K")
     tau = 1.0 / gamma_total if gamma_total > 0 else math.inf
     return RateResult(gamma_field, n, gamma_total, tau, diag)
 
 
-def _overflow(z: float, exc: ArithmeticError) -> DomainError:
-    """The DomainError of a rate at z whose arithmetic raised `exc`."""
+def _overflow(z: float, cause) -> DomainError:
+    """The DomainError of a rate at z whose arithmetic overflowed (`cause`)."""
     return DomainError(f"the rate at z = {z:g} m overflows double precision "
-                       f"({exc}); an input is far outside its physical range")
+                       f"({cause}); an input is far outside its physical range")
 
 
 def _channel_weights(transition: TransitionSpec,
@@ -177,7 +177,7 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
     """The one rate entry, which checks z and the transition (stack_media checks
     the stack, omega and T): the orientation's channels on rate_prefactor(), or
     with `m_only` (None: if the stack is isotropic; uniaxial stacks refused) the
-    M channel over PATH_CALIBRATION_RATIO.  An arithmetic overflow is a DomainError."""
+    M channel over PATH_CALIBRATION_RATIO (zero weights: +0.0).  An overflow is a DomainError."""
     if not isinstance(transition, TransitionSpec):
         raise DomainError(f"transition must be a TransitionSpec, not {type(transition).__name__}")
     if not real_in_range(z):
@@ -194,9 +194,6 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
             w_m, w_n = _channel_weights(transition, orientation)
             if m_only:
                 w_m, w_n = w_m / PATH_CALIBRATION_RATIO, 0.0
-            if w_m == 0.0 and w_n == 0.0:
-                # Zero matrix elements: no coupling, no integral to run.
-                return _result(0.0, transition, T, QuadratureDiagnostics(0, 0.0, 0.0, 0, 0))
             integrand = _rate_integrand(media, z, transition.omega, w_m, w_n)
             value, diag = integrate_semi_infinite(integrand, z, settings)
             gamma_field = rate_prefactor() / (8.0 * math.pi) * value
@@ -208,7 +205,7 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
                     f"quasi-static rate kernel does not hold here (it needs z far below "
                     f"the transition wavelength {CONSTANTS.c / transition.frequency:g} m "
                     f"and a rate well above rounding)")
-            return _result(gamma_field, transition, T, diag)
+            return _result(gamma_field, transition, z, T, diag)
     except SpinflipError:
         raise
     except ArithmeticError as exc:  # overflow, or 0/0 and inf - inf after one

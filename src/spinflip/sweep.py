@@ -59,7 +59,7 @@ from .materials import (DrudeMetal, IsotropicSuperconductor, MaterialModel,
                         TwoFluidParams, UniaxialSuperconductor, Vacuum,
                         material_presets)
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .rates import _check_quasi_static, _overflow, _result, spin_flip_rate
+from .rates import _check_quasi_static, _result, spin_flip_rate
 from .stratified import Layer, LayerStack
 
 __all__ = [
@@ -215,10 +215,7 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
                     result = first[key] = spin_flip_rate(stack, z, config.transition, T,
                                                          config.settings)
                 else:   # the first row's field rate at this row's T
-                    try:
-                        result = _result(hit.gamma_field, config.transition, T, hit.diagnostics)
-                    except OverflowError as exc:
-                        raise _overflow(z, exc) from exc
+                    result = _result(hit.gamma_field, config.transition, z, T, hit.diagnostics)
             except SpinflipError as exc:
                 causes.append(exc)
                 row = [math.nan] * len(names)

@@ -2,7 +2,7 @@ import contextlib
 import csv
 import io
 import json
-import math
+import sys
 import warnings
 
 import pytest
@@ -112,6 +112,24 @@ class TestRateCommand:
             assert main(["rate", "--config", str(cfg)]) == 2
         assert "negative field rate" in capsys.readouterr().err
 
+    def test_quasi_static_warning_is_one_stderr_line(self, tmp_path, capsys, monkeypatch):
+        # pytest records warnings; this display writes what formatwarning
+        # makes of one to stderr, as the default display does outside pytest.
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+        monkeypatch.setattr(warnings, "showwarning", show)
+        cfg = write_config(tmp_path, z=1000.0)
+        format_before = warnings.formatwarning
+        assert main(["rate", "--config", str(cfg)]) == 2
+        assert warnings.formatwarning is format_before  # main restores it
+        err = capsys.readouterr().err.splitlines()
+        assert err[1] == ("warning: z = 1000 m is not small against the transition wavelength "
+                          "535.344 m; the quasi-static rate formulas degrade")
+        assert err[0].startswith("note: niobium") and err[2].startswith("computation error:")
+        assert len(err) == 3
+        assert main(["rate", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("computation error:")
+
     def test_unknown_quadrature_key_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, quadrature={"rel_tl": 1e-3})
         assert main(["rate", "--config", str(cfg)]) == 1
@@ -191,7 +209,7 @@ class TestRateCommand:
     def test_bad_tol_is_usage_error(self, tmp_path, capsys, tol):
         cfg = write_config(tmp_path)
         assert main(["rate", "--config", str(cfg), "--tol", tol]) == 1
-        assert "tolerance must be positive" in capsys.readouterr().err
+        assert f"tolerance {tol}: rel_tol must be positive and finite" in capsys.readouterr().err
 
     def test_tol_below_the_quadrature_floor_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -248,9 +266,8 @@ class TestMatrixElements:
 
     @pytest.mark.parametrize("film", ["niobium", "bscco"])
     def test_zero_elements_give_infinite_lifetime(self, tmp_path, capsys, film):
-        fields = fields_of(rate_lines(tmp_path, capsys, film, [0, 0, 0]))
-        assert fields["gamma_field_per_s"] == 0.0
-        assert math.isinf(fields["tau_s"])
+        lines = rate_lines(tmp_path, capsys, film, [0, 0, 0])
+        assert "gamma_field_per_s=0" in lines and "tau_s=inf" in lines
 
     @pytest.mark.parametrize("film", ["niobium", "bscco"])
     def test_doubled_elements_quadruple_the_rate(self, tmp_path, capsys, film):

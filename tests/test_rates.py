@@ -294,6 +294,34 @@ def in_plane_lambda(film, T):
     return lambda_of_T(p.lambda0, T, p.Tc, p.alpha)
 
 
+def pearl_sheet_coefficient(z):
+    """C(z) = lim (1 - Gamma/Gamma0) lambda^2/(d z) as d -> 0 over bare copper,
+    from the first-order response of a sheet of kinetic inductance
+    mu0 lambda^2/d (Pearl, Appl. Phys. Lett. 5, 65 (1964)): the sheet adds
+    d/lambda^2 to kappa_1 = -i h1 in r = (h0 - h1)/(h0 + h1), so dr/d(d/lambda^2)
+    = -2i h0/(h0 + h1)^2, h0 and h1 the decaying (Im h > 0) z-wavenumbers of
+    vacuum and copper.  With scipy.integrate.quad over u = 2 eta z:
+
+        C(z) = -(1/2z) int eta^2 e^(-2 eta z) Im[-4i h0/(h0 + h1)^2] d eta
+                       / int eta^2 e^(-2 eta z) Im[(h0 - h1)/(h0 + h1)] d eta.
+    """
+    quad = pytest.importorskip("scipy.integrate").quad
+    k2 = (OMEGA / CONSTANTS.c) ** 2
+    eps_cu = 1 + 1j * COPPER.sigma / (CONSTANTS.eps0 * OMEGA)
+
+    def weighted(u, response):
+        eta = u / (2 * z)
+        h0, h1 = np.sqrt(k2 - eta**2 + 0j), np.sqrt(k2 * eps_cu - eta**2)
+        return u**2 * math.exp(-u) * response(h0, h1).imag
+
+    def integral(response):
+        return quad(weighted, 0, np.inf, args=(response,), epsabs=0, epsrel=1e-12,
+                    limit=200)[0]
+
+    sheet = integral(lambda h0, h1: -4j * h0 / (h0 + h1) ** 2)
+    return -sheet / integral(lambda h0, h1: (h0 - h1) / (h0 + h1)) / (2 * z)
+
+
 class TestFilmScreeningLimits:
     """Screening of the copper substrate by an s-wave (Nb) and a d-wave (BSCCO)
     film at both ends of its thickness d, lambda the film's (in-plane) lambda(T).
@@ -307,9 +335,10 @@ class TestFilmScreeningLimits:
     Thin film: the film acts as a sheet of kinetic inductance mu0 lambda^2/d,
     whose scale against z is the Pearl length 2 lambda^2/d (Pearl, Appl. Phys.
     Lett. 5, 65 (1964)), not lambda.  So (1 - Gamma/Gamma0) lambda^2/(d z),
-    Gamma0 the bare copper, tends to a number set by the substrate and z alone:
-    2.7515 (Nb) and 2.7532 (BSCCO) at z = 10 um, 1.5196 and 1.5202 at 30 um,
-    at 0 K and 4.2 K alike.  Both rates come from gamma_anisotropic:
+    Gamma0 the bare copper, tends to the sheet's C(z), set by the substrate and
+    z alone (pearl_sheet_coefficient): 2.7521 at z = 10 um and 1.5200 at 30 um.
+    The rates read 2.7515 (Nb) and 2.7532 (BSCCO) at 10 um, 1.5196 and 1.5202
+    at 30 um, at 0 K and 4.2 K alike.  Both rates come from gamma_anisotropic:
     spin_flip_rate takes the scattering route on a BSCCO film and the 3 pi route
     on bare copper, and that ratio reads -7.95e6.
     """
@@ -344,9 +373,10 @@ class TestFilmScreeningLimits:
             screened = 1 - gamma_anisotropic(s, z, settings=self.SETTINGS).gamma_total / bare
             return screened * in_plane_lambda(film, T) ** 2 / (d * z)
 
-        nb, bscco = coefficient(NIOBIUM), coefficient(BSCCO)
-        assert nb > 0   # the film screens
-        assert bscco == pytest.approx(nb, rel=1e-3, abs=0)
+        sheet = pearl_sheet_coefficient(z)
+        assert sheet == pytest.approx({10e-6: 2.7521, 30e-6: 1.5200}[z], rel=0, abs=1e-4)
+        for film in (NIOBIUM, BSCCO):
+            assert coefficient(film) == pytest.approx(sheet, rel=1e-3, abs=0), film.label
 
 
 class TestNearMetalAccuracy:
@@ -483,10 +513,18 @@ class TestOrientation:
                                    rtol=1e-14, atol=0)
         assert np.max(n_term / (m_term + n_term)) > 1e-4
 
-    def test_zero_matrix_elements_zero_rate(self, niobium_stack):
+    def test_zero_matrix_elements_zero_rate(self, niobium_stack, bscco_stack, copper_stack):
+        # Zero weights run the one integral, which comes out exactly +0.0.
         silent = TransitionSpec(frequency=560e3, matrix_elements=(0, 0, 0))
-        result = gamma_general(niobium_stack, 10e-6, transition=silent)
-        assert result.gamma_field == 0.0
+        for stack in (niobium_stack, bscco_stack, copper_stack):
+            for z in (0.1e-6, 10e-6, 1e-2):
+                results = [spin_flip_rate(stack, z, silent)] + [
+                    gamma_anisotropic(stack, z, silent, orientation=o) for o in SpinOrientation]
+                if not stack.is_anisotropic:
+                    results.append(gamma_isotropic(stack, z, silent))
+                for result in results:
+                    assert math.copysign(1.0, result.gamma_field) == 1.0
+                    assert result.gamma_field == 0.0 and math.isinf(result.tau)
 
     def test_explicit_elements_scale_quadratically(self, niobium_stack):
         single = TransitionSpec(frequency=560e3, matrix_elements=(0.25, 0, 0))
