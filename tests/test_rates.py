@@ -373,10 +373,13 @@ class TestFilmScreeningLimits:
             screened = 1 - gamma_anisotropic(s, z, settings=self.SETTINGS).gamma_total / bare
             return screened * in_plane_lambda(film, T) ** 2 / (d * z)
 
+        nb, bscco = coefficient(NIOBIUM), coefficient(BSCCO)
+        assert nb > 0   # the film screens
+        assert bscco == pytest.approx(nb, rel=1e-3, abs=0)
         sheet = pearl_sheet_coefficient(z)
         assert sheet == pytest.approx({10e-6: 2.7521, 30e-6: 1.5200}[z], rel=0, abs=1e-4)
-        for film in (NIOBIUM, BSCCO):
-            assert coefficient(film) == pytest.approx(sheet, rel=1e-3, abs=0), film.label
+        assert nb == pytest.approx(sheet, rel=1e-3, abs=0)
+        assert bscco == pytest.approx(sheet, rel=1e-3, abs=0)
 
 
 class TestNearMetalAccuracy:
@@ -525,6 +528,10 @@ class TestOrientation:
                 for result in results:
                     assert math.copysign(1.0, result.gamma_field) == 1.0
                     assert result.gamma_field == 0.0 and math.isinf(result.tau)
+            # Zero weights do not skip the integrand: arithmetic that overflows
+            # is a DomainError, as it is for nonzero elements.
+            with pytest.raises(DomainError, match="overflows double precision"):
+                spin_flip_rate(stack, 1e-300, silent)
 
     def test_explicit_elements_scale_quadratically(self, niobium_stack):
         single = TransitionSpec(frequency=560e3, matrix_elements=(0.25, 0, 0))
