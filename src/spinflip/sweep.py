@@ -30,10 +30,11 @@ Every object takes exactly its keys above, each declared once with the reader
 of its value (_fields; a material's "parameters" take those of its variant in
 VARIANTS); an unknown key anywhere (a misspelling) is a ConfigError naming the
 object and the key, and a bad value one naming the same object
-("material 'm' parameters.sigma must be a number").  No two "materials"
-entries share a label (one may reuse a preset's label, to override it).  Only
-an interior layer takes "thickness": the outer layers are semi-infinite, and a
-"thickness_d" sweep needs such a film layer.
+("material 'm' parameters.sigma must be a number").  No key repeats within
+an object, and no two "materials" entries share a label (one may reuse a
+preset's label, to override it).  Only an interior layer takes "thickness":
+the outer layers are semi-infinite, and a "thickness_d" sweep needs such a
+film layer.
 
 CSV output: "#"-prefixed metadata lines (version, input echo), one header row
 with unit-annotated column names, then one row per grid point with decimal
@@ -424,11 +425,19 @@ def parse_config(raw: dict) -> tuple[RunConfig, SweepSpec | None]:
     return config, sweep
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a repeated key, a copy-paste slip, is a ConfigError."""
+    keys = sorted(key for key, _ in pairs)
+    if repeated := [a for a, b in zip(keys, keys[1:]) if a == b]:
+        raise ConfigError(f"repeated key {repeated[0]!r} in a JSON object")
+    return dict(pairs)
+
+
 def load_config(path) -> tuple[RunConfig, SweepSpec | None]:
     """Read and validate a JSON configuration file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode

@@ -151,6 +151,22 @@ class TestRateCommand:
         assert f"error: unknown key(s) {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text, key", [
+        ('"z": 1e-6, "z": 1e-5', "z"),
+        ('"z": 1e-5', "temperature"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys, text, key):
+        # json.load keeps the last value of a repeated key, so a copy-paste
+        # slip would run silently at it.
+        temperature = '4.2, "temperature": 77.0' if key == "temperature" else "4.2"
+        cfg = tmp_path / "repeated.json"
+        cfg.write_text('{"stack": {"layers": [{"material": "vacuum"}, {"material": "copper"}], '
+                       f'"temperature": {temperature}}}, {text}}}')
+        assert main(["rate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: repeated key {key!r}" in err
+        assert "Traceback" not in err
+
     def test_numeric_material_label_is_usage_error(self, tmp_path, capsys):
         # A label is read as a string, not coerced: 5 once defined material '5'.
         cfg = write_config(tmp_path, film="5", materials=[

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from spinflip import quadrature
 from spinflip.errors import DomainError, QuadratureError
@@ -125,8 +125,8 @@ class TestKronrodRule:
         a, b = [0.0, 0.25 / 64, 1.0], [0.25 / 64, 0.25, 3.0]
 
         def rules(lo, hi):
-            _, _, u, half, tilt = quadrature._panel_set(lo, hi)
-            return quadrature._rules(g(u), lo, hi, half, tilt)
+            panels = quadrature._panel_set(lo, hi)
+            return quadrature._rules(g(panels[2]), panels)
 
         values, errors = rules(a, b)
         for i, (lo, hi) in enumerate(zip(a, b)):
@@ -169,7 +169,7 @@ def panel_estimates(values, half):
 
 class TestFirstPass:
     """A rate that converges on its first pass: 5 integrand calls into one
-    168-value array, the 8 panels tested and summed as arrays, no panel records."""
+    168-value array, the 8 panels tested and summed as arrays, no split."""
 
     def test_value_and_diagnostics_are_the_per_panel_sums(self):
         z = 1e-5
@@ -206,8 +206,8 @@ class TestFirstPass:
     ], ids=["u2", "pole", "kink", "aliased"])
     def test_each_panel_estimate_is_its_definition(self, g):
         a, b = INITIAL_EDGES[:-1], INITIAL_EDGES[1:]
-        _, _, u, half, tilt = quadrature._panel_set(a, b)
-        _, errors = quadrature._rules(g(u), a, b, half, tilt)
+        panels = _, _, u, half, _ = quadrature._panel_set(a, b)
+        _, errors = quadrature._rules(g(u), panels)
         assert errors.tolist() == panel_estimates(g(u).reshape(8, 21), half[:, 0])
 
     @pytest.mark.parametrize("first", range(8))
@@ -307,7 +307,57 @@ class TestDampedOscillations:
         assert abs(value * 2 * z - exact) <= rel_tol * abs(exact)
 
 
+def record_loop(integrand, z, settings):
+    """Worst-first splitting over (error, a, b, value) records, a stable sort
+    and pop() taking the worst: (value or partial value, refinements, panels,
+    evaluations, est_error), for an integral that is not zero."""
+    scale = 1 / (2 * z)
+    a, b = INITIAL_EDGES[:-1], INITIAL_EDGES[1:]
+    first = quadrature._panel_set(a, b)
+    kronrod, errors = quadrature._rules(integrand(first[2] * scale), first)
+    panels = list(zip(errors.tolist(), a, b, kronrod.tolist()))
+    refinements = 0
+    while True:
+        total, err_total = math.fsum(p[3] for p in panels), math.fsum(p[0] for p in panels)
+        if err_total <= settings.rel_tol * abs(total) or refinements == settings.max_refinements:
+            break
+        panels.sort(key=lambda p: p[0])
+        _, lo, hi, _ = panels.pop()
+        mid = 0.5 * (lo + hi)
+        halves = quadrature._panel_set((lo, mid), (mid, hi))
+        kronrod, errors = quadrature._rules(integrand(halves[2] * scale), halves)
+        panels += zip(errors.tolist(), (lo, mid), (mid, hi), kronrod.tolist())
+        refinements += 1
+    return (float(np.float64(total) * scale), refinements, len(panels),
+            168 + 42 * refinements, err_total / abs(total))
+
+
 class TestEngine:
+    @given(kind=st.sampled_from(["kink", "step", "oscillating", "square"]),
+           c=st.floats(0.01, 30.0), p=st.floats(0.1, 1.5), omega=st.floats(0.0, 300.0),
+           k=st.integers(-3, 11), rel_tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12, 1e-13]),
+           budget=st.integers(1, 200))
+    @example(kind="square", c=1.0, p=1.0, omega=0.0, k=3, rel_tol=1e-8, budget=7)
+    def test_splits_match_the_record_loop(self, kind, c, p, omega, k, rel_tol, budget):
+        # Panels of equal estimates are split latest first, as pop() takes
+        # the last of them after a stable sort, so every count and bit agrees,
+        # whether the budget suffices or runs out.  A square wave of period
+        # 2^(1-k) in u repeats on both halves of a split, so their estimates
+        # are equal; the example splits them in the other order if the first
+        # of the largest estimates is taken.
+        g = {"kink": lambda u: np.abs(u - c) ** p * np.exp(-u),
+             "step": lambda u: np.where(u > c, 2.0, 1.0) * np.exp(-u),
+             "oscillating": lambda u: (1.5 + np.cos(omega * u)) * np.exp(-u),
+             "square": lambda u: np.floor(u * 2.0**k) % 2 + 0.5}[kind]
+        z, settings = 1e-5, QuadratureSettings(rel_tol, budget)
+        f = lambda eta: g(eta * 2 * z)
+        try:
+            value, diag = integrate_semi_infinite(f, z, settings)
+        except QuadratureError as err:
+            value, diag = err.partial_value, err.diagnostics
+        assert (value, diag.refinements, diag.panels, diag.evaluations,
+                diag.est_error) == record_loop(f, z, settings)
+
     def test_oscillatory_integrand(self):
         z = 1e-5
         f = lambda eta: np.sin(10 * eta * 2 * z) ** 2 * np.exp(-2 * eta * z)
