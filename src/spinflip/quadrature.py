@@ -43,14 +43,12 @@ eta ~ 1/delta while the kernel decays over eta ~ 1/z), which the graded
 panels resolve.  The nodes are interior, so u = 0 is never evaluated.
 
 Integrands must accept an ndarray of eta values and return an ndarray of the
-same shape, read as floats.  The first pass is 5 calls (the four graded panels
-in one, each other panel in its own) into one 168-value array, so a non-finite
-panel raises only after all 5 calls (an error of a later call comes first).
-From then on the panels are float arrays of edges, K21 values and estimates.
-Worst first, as in QUADPACK's QAG, a split evaluates both halves of the last
-panel of the largest estimate in one 42-point call, deletes it and appends
-them.  Panels hold integrals over u: the Jacobian 1/(2z) is applied once, to
-the total or to a QuadratureError's partial value.
+same shape, read as floats.  The first pass is one call on the 168 nodes of
+the 8 initial panels.  From then on the panels are float arrays of edges, K21
+values and estimates.  Worst first, as in QUADPACK's QAG, a split evaluates
+both halves of the last panel of the largest estimate in one 42-point call,
+deletes it and appends them.  Panels hold integrals over u: the Jacobian
+1/(2z) is applied once, to the total or to a QuadratureError's partial value.
 """
 
 from __future__ import annotations
@@ -120,11 +118,9 @@ def _panel_set(a, b):
 
 
 # The 8 initial panels in u, built once: [0, 0.25] graded toward u = 0 at
-# 0.25 * 4^-k (k = 3, 2, 1), then edges 0.25, 1, 4, 16 and _U.  The graded
-# four share one integrand call and each other panel has its own.
+# 0.25 * 4^-k (k = 3, 2, 1), then edges 0.25, 1, 4, 16 and _U.
 _EDGES = (0.0, 0.25 / 64, 0.25 / 16, 0.25 / 4, 0.25, 1.0, 4.0, 16.0, _U)
 _INITIAL = _panel_set(_EDGES[:-1], _EDGES[1:])
-_INITIAL_CALLS = [slice(0, 84)] + [slice(i, i + 21) for i in range(84, 168, 21)]
 
 # Largest max_refinements.  Every refinement re-sums and copies all panels, so
 # an unconverged rate's cost grows faster than its budget: e^(-2 eta) (1.5 +
@@ -202,7 +198,7 @@ def integrate_semi_infinite(integrand, z: float,
 
     scale = 1.0 / (2.0 * z)  # d eta / d u
     eta = _INITIAL[2] * scale
-    kronrod, errors = _rules(np.concatenate([integrand(eta[n]) for n in _INITIAL_CALLS]), _INITIAL)
+    kronrod, errors = _rules(integrand(eta), _INITIAL)
     a, b, refinements = _INITIAL[0], _INITIAL[1], 0
     while True:
         total, err_total = math.fsum(kronrod.tolist()), math.fsum(errors.tolist())

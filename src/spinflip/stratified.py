@@ -127,13 +127,14 @@ class LayerStack:
         return LayerStack((self.layers[0], film, self.layers[2]), self.temperature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StackMedia:
     """What the wavevectors of a stack's layers need at one frequency, as
     arrays on a leading layer axis: kt2 = (omega/c)^2 eps_t, its decaying
     root k (the TM-family wavenumber) and the anisotropy 1 - eps_t/eps_z (0
     for an isotropic layer, and None when no layer is uniaxial); and the film
-    thickness d (0 for a bare substrate)."""
+    thickness d (0 for a bare substrate).  Media compare and hash by
+    identity, since their fields are arrays."""
 
     kt2: np.ndarray
     k: np.ndarray

@@ -84,10 +84,9 @@ class TestKronrodRule:
 
         _, diag = integrate_semi_infinite(f, z)
         assert diag.refinements > 0
-        # The four graded panels of [0, 0.25] share one call, each other
-        # initial panel is one call and each split evaluates both halves in
-        # one call.
-        assert calls == [84] + [21] * 4 + [42] * diag.refinements
+        # The 8 initial panels share one call and each split evaluates both
+        # halves in one call.
+        assert calls == [168] + [42] * diag.refinements
         assert diag.panels == 8 + diag.refinements
         assert diag.evaluations == sum(calls) == 21 * (diag.panels + diag.refinements)
 
@@ -168,8 +167,8 @@ def panel_estimates(values, half):
 
 
 class TestFirstPass:
-    """A rate that converges on its first pass: 5 integrand calls into one
-    168-value array, the 8 panels tested and summed as arrays, no split."""
+    """A rate that converges on its first pass: one integrand call on the 168
+    nodes, the 8 panels tested and summed as arrays, no split."""
 
     def test_value_and_diagnostics_are_the_per_panel_sums(self):
         z = 1e-5
@@ -180,7 +179,7 @@ class TestFirstPass:
             return eta**2 * np.exp(-2 * eta * z)
 
         value, diag = integrate_semi_infinite(f, z)
-        assert [e.size for e in seen] == [84] + [21] * 4
+        assert [e.size for e in seen] == [168]
         assert (diag.evaluations, diag.panels, diag.refinements) == (168, 8, 0)
         a, b = np.array(INITIAL_EDGES[:-1]), np.array(INITIAL_EDGES[1:])
         half = 0.5 * (b - a)
@@ -213,7 +212,7 @@ class TestFirstPass:
     @pytest.mark.parametrize("first", range(8))
     def test_first_non_finite_panel_in_u_order_is_named(self, first):
         # NaN inside panel `first` and inside every later third panel; the
-        # error names `first` wherever its call falls among the 5.
+        # error names `first`, the first non-finite panel in u order.
         bad = [first] + list(range(first + 3, 8, 3))
         z = 1e-5
 

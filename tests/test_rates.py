@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import spinflip.constants
+import spinflip.quadrature
 import spinflip.rates
 import spinflip.stratified
 from spinflip.constants import CONSTANTS, RB87_CLOCK_TRANSITION, TransitionSpec, rate_prefactor
@@ -598,9 +599,38 @@ class TestCallSites:
                 (copper_stack, "te_reflection", 2)):
             counts.clear()
             diag = spin_flip_rate(stack, 10e-6).diagnostics
-            calls = 5 + diag.refinements  # integrand calls
+            calls = 1 + diag.refinements  # integrand calls
             assert counts == {coefficients: calls, "layer_wavevectors": calls,
                               "permittivity": permittivities}
+
+    @pytest.mark.parametrize("z", [1e-6, 10e-6])
+    def test_integrand_values_do_not_depend_on_call_grouping(self, monkeypatch, z,
+                                                             niobium_stack, bscco_stack,
+                                                             copper_stack):
+        # The rate integrand works node by node, so the quadrature may group
+        # its nodes into calls as it likes: one call on the first pass's 168
+        # nodes, calls of 84 and 4 x 21 nodes, and one call per panel give the
+        # same bits.
+        seen = []
+
+        def recording(integrand, *args, _real=spinflip.rates.integrate_semi_infinite):
+            seen.append(integrand)
+            return _real(integrand, *args)
+        monkeypatch.setattr(spinflip.rates, "integrate_semi_infinite", recording)
+        eta = spinflip.quadrature._INITIAL[2] * (1.0 / (2.0 * z))
+        assert eta.size == 168
+        groupings = [[slice(0, 168)],
+                     [slice(0, 84)] + [slice(i, i + 21) for i in range(84, 168, 21)],
+                     [slice(i, i + 21) for i in range(0, 168, 21)]]
+        # The Nb film and bare Cu through te_reflection, BSCCO through
+        # scattering_coefficients (test_patched_module_names_see_every_call).
+        for stack in (niobium_stack, bscco_stack, copper_stack):
+            seen.clear()
+            spin_flip_rate(stack, z)
+            f, = seen
+            values = [np.concatenate([f(eta[s]) for s in calls]) for calls in groupings]
+            assert values[0].dtype == np.float64 and np.isfinite(values[0]).all()
+            assert values[0].tobytes() == values[1].tobytes() == values[2].tobytes()
 
 
 class TestCheckedOnce:

@@ -115,6 +115,19 @@ class TestLayerStack:
             bare.with_film_thickness(1e-6)
 
 
+class TestStackMedia:
+    @pytest.mark.parametrize("layers", [
+        stack(NIOBIUM, 1e-6), stack(BSCCO, 1e-6), LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2),
+    ], ids=["nb", "bscco", "bare-cu"])
+    def test_media_compare_and_hash_by_identity(self, layers):
+        # Their fields are arrays, so two media built alike are two objects:
+        # == and hash() must not raise on them.
+        m, other = stack_media(layers, OMEGA), stack_media(layers, OMEGA)
+        assert m == m and not m != m
+        assert m != other and not m == other
+        assert len({m, other, m}) == 2
+
+
 class TestLayerWavevectors:
     def test_isotropic_families_coincide(self):
         eps = PermittivityTensor(2.0 + 1.0j, 2.0 + 1.0j)
