@@ -43,12 +43,13 @@ eta ~ 1/delta while the kernel decays over eta ~ 1/z), which the graded
 panels resolve.  The nodes are interior, so u = 0 is never evaluated.
 
 Integrands must accept an ndarray of eta values and return an ndarray of the
-same shape, read as floats.  The first pass is one call on the 168 nodes of
-the 8 initial panels.  From then on the panels are float arrays of edges, K21
-values and estimates.  Worst first, as in QUADPACK's QAG, a split evaluates
-both halves of the last panel of the largest estimate in one 42-point call,
-deletes it and appends them.  Panels hold integrals over u: the Jacobian
-1/(2z) is applied once, to the total or to a QuadratureError's partial value.
+same shape, read as floats; any other shape is a DomainError.  The first pass
+is one call on the 168 nodes of the 8 initial panels.  From then on the
+panels are float arrays of edges, K21 values and estimates.  Worst first, as
+in QUADPACK's QAG, a split evaluates both halves of the last panel of the
+largest estimate in one 42-point call, deletes it and appends them.  Panels
+hold integrals over u: the Jacobian 1/(2z) is applied once, to the total or
+to a QuadratureError's partial value.
 """
 
 from __future__ import annotations
@@ -163,7 +164,10 @@ class QuadratureDiagnostics:
 
 def _rules(values, panels):
     """K21 values over u and error estimates of a _panel_set's panels from f on its nodes."""
-    a, b, _, half, tilt = panels
+    a, b, nodes, half, tilt = panels
+    if np.shape(values) != nodes.shape:  # the integrand's contract: one value per eta
+        raise DomainError(f"integrand returned shape {np.shape(values)} "
+                          f"for eta of shape {nodes.shape}")
     f = np.asarray(values, dtype=float).reshape(-1, _NODES)
     n = len(f)
     rules = np.concatenate((f, f * tilt)) @ _RULES  # f's panels, then g's (f with e^-u taken out)

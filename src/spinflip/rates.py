@@ -209,7 +209,7 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
     except SpinflipError:
         raise
     except ArithmeticError as exc:  # overflow, or 0/0 and inf - inf after one
-        raise _overflow(z, exc) from exc
+        raise _overflow(z, exc.args[-1] if exc.args else type(exc).__name__) from exc
 
 
 def gamma_isotropic(stack: LayerStack, z: float,

@@ -31,7 +31,7 @@ and te_reflection, holds kt^2, k and the anisotropy of every layer on a
 leading layer axis.  media_of checks omega, the permittivities and d once and
 builds it (stack_media from a checked LayerStack, once per rate); each function
 then trusts it and covers every layer in one pass, a scalar eta as an array
-(with the bits of that eta inside one), on the columns StackMedia prepares.
+(with the bits of that eta inside one), from StackMedia's four fields alone.
 """
 
 from __future__ import annotations
@@ -133,20 +133,13 @@ class StackMedia:
     arrays on a leading layer axis: kt2 = (omega/c)^2 eps_t, its decaying
     root k (the TM-family wavenumber) and the anisotropy 1 - eps_t/eps_z (0
     for an isotropic layer, and None when no layer is uniaxial); and the film
-    thickness d (0 for a bare substrate).  Media compare and hash by
-    identity, since their fields are arrays."""
+    thickness d (0 for a bare substrate), from which each call forms what it
+    reads.  Media compare and hash by identity, since their fields are arrays."""
 
     kt2: np.ndarray
     k: np.ndarray
     anisotropy: np.ndarray | None
     d: float
-
-    def __post_init__(self):  # once per rate, the columns that every coefficient call reads:
-        a, k2 = self.anisotropy, np.array([np.ones_like(self.k), self.k**2])[..., None]
-        self.__dict__.update(  # kt2, 2i d; per family, interface k^2 pairs and h^2's eta^2 term
-            _kt2=self.kt2[:, None], _two_i_d=2j * self.d, _k2=(k2[:, 1:], k2[:, :-1]),
-            _eta2=None if a is None else np.array([np.full_like(a, -1.0), a - 1.0])[..., None],
-            _fold=np.signbit(self.kt2.imag).any() or a is not None and np.signbit(a.imag).any())
 
 
 def _decaying_sqrt(w):
@@ -158,7 +151,7 @@ def _decaying_sqrt(w):
 def media_of(omega: float, eps, d: float = 0.0) -> StackMedia:
     """StackMedia at angular frequency `omega` of layers with permittivities
     `eps` (PermittivityTensors, top to bottom; the stack coefficients need 2
-    or 3) and film thickness `d`: each field built as one typed array."""
+    or 3) and film thickness `d`: each of its four fields one typed array."""
     if not (real_in_range(omega) and real_in_range(d, or_zero=True)):
         raise DomainError("omega must be positive and finite, and d non-negative and finite")
     kt2, anisotropy = [], []
@@ -198,10 +191,11 @@ def layer_wavevectors(eta, media: StackMedia):
     if np.count_nonzero(eta < 0):
         raise DomainError("eta must be non-negative")
     eta2 = np.square(eta.ravel())  # one eta axis; a scalar eta is a 1-element array
-    h = media._kt2 - eta2 if media._eta2 is None else eta2 * media._eta2 + media._kt2
-    h = _decaying_sqrt(h) if media._fold else np.sqrt(h, out=h)  # no Im h^2 < 0 to fold
+    kt2, a = media.kt2[:, None], media.anisotropy
+    h = _decaying_sqrt(kt2 - eta2 if a is None else  # eta^2 terms -1 (M), anisotropy - 1 (N)
+                       eta2 * np.array([np.full_like(a, -1.0), a - 1.0])[..., None] + kt2)
     h = h if eta.ndim == 1 else h.reshape(h.shape[:-1] + eta.shape)
-    return (h, h) if media._eta2 is None else h
+    return (h, h) if a is None else h
 
 
 def _interface_quotient(a, b, degenerate: str = "TM interface denominator vanished"):
@@ -222,7 +216,7 @@ def generalized_r_te(r12, r23, k2z, d: float):
     """Film reflection coefficient combining two interfaces with the interior
     round-trip phase:  (r12 + r23 e^{2i k2z d}) / (1 - r21 r23 e^{2i k2z d}),
     with r21 = -r12.  The one film formula of the package: both wave families
-    compose their interface coefficients with its core _film (2i d prepared by media_of)."""
+    compose their interface coefficients with its core _film, which takes 2i d."""
     if not real_in_range(d, or_zero=True):
         raise DomainError("film thickness must be non-negative and finite")
     return _film(r12, r23, k2z, 2j * d)
@@ -249,7 +243,7 @@ def _stack_quotient(r, h, media: StackMedia):
     if not 2 <= n <= 3:
         raise DomainError("reflection coefficients need a medium of 2 or 3 layers")
     return r[..., 0, :] if n == 2 else _film(r[..., 0, :], r[..., 1, :], h[..., 1, :],
-                                             media._two_i_d)
+                                             2j * media.d)
 
 
 def scattering_coefficients(media: StackMedia, eta):
@@ -262,7 +256,8 @@ def scattering_coefficients(media: StackMedia, eta):
     eta = np.asarray(eta, dtype=float)
     h = layer_wavevectors(eta.ravel(), media)
     h = h[0] if media.anisotropy is None else h  # one h serves both families
-    r = _interface_quotient(h[..., :-1, :] * media._k2[0], h[..., 1:, :] * media._k2[1])
+    k2 = np.array([np.ones_like(media.k), media.k**2])[..., None]  # per family, k^2 of each layer
+    r = _interface_quotient(h[..., :-1, :] * k2[:, 1:], h[..., 1:, :] * k2[:, :-1])
     return _stack_quotient(r, h, media).reshape((2,) + eta.shape)  # M at k^2 = 1
 
 

@@ -417,6 +417,20 @@ class TestEngine:
         with pytest.raises(QuadratureError):
             integrate_semi_infinite(lambda eta: np.full_like(eta, np.nan), 1e-5)
 
+    @pytest.mark.parametrize("integrand, shape", [
+        (lambda eta: 1.0, "()"),
+        (lambda eta: np.exp(-eta[::2]), "(84,)"),
+        (lambda eta: np.tile(np.exp(-eta), 2), "(336,)"),
+        (lambda eta: np.exp(-eta)[:, None], "(168, 1)"),
+    ], ids=["scalar", "half", "twice", "column"])
+    def test_integrand_of_another_shape_is_named(self, integrand, shape):
+        # One value per eta is the integrand's contract; any other shape is a
+        # DomainError naming both shapes, not a numpy error from the rules
+        # and not, for a column, a silent reshape.
+        with pytest.raises(DomainError, match=re.escape(
+                f"integrand returned shape {shape} for eta of shape (168,)")):
+            integrate_semi_infinite(integrand, 1e-5)
+
     def test_domain(self):
         for z in (0.0, math.inf, math.nan, True):
             with pytest.raises(DomainError):

@@ -773,8 +773,18 @@ class TestOverflowingInputs:
     def test_raises_domain_error(self, make):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuasiStaticWarning)
-            with pytest.raises(DomainError, match="overflows double precision"):
+            with pytest.raises(DomainError, match="overflows double precision") as err:
                 make()
+        # The cause is the exception's message, not the repr of an
+        # OverflowError's (errno, message) args.
+        assert "(34," not in str(err.value)
+
+    def test_cause_without_a_message_is_the_exception_type(self, monkeypatch):
+        def overflow(*args):
+            raise OverflowError
+        monkeypatch.setattr(spinflip.rates, "integrate_semi_infinite", overflow)
+        with pytest.raises(DomainError, match=r"overflows double precision \(OverflowError\)"):
+            spin_flip_rate(NB_STACK, 10e-6)
 
     def test_extreme_inputs_that_stay_representable_still_compute(self):
         # The guard is on the arithmetic, not on a range of inputs.

@@ -201,8 +201,9 @@ class TestLayerWavevectors:
     @given(eps_t=any_eps, eps_z=any_eps, eta=st.floats(0.0, 1e8))
     def test_fold_only_where_needed(self, eps_t, eps_z, eta):
         # h^2 is kt2 - eta^2, or eta^2 (anisotropy - 1) + kt2, as one
-        # multiply-add; its root is folded onto Im >= 0 only when an Im kt2
-        # or Im anisotropy is negative, with the bits of folding every time.
+        # multiply-add.  Every root is folded onto Im >= 0, and the fold
+        # changes a root only where its Im is negative: wherever no fold is
+        # needed the bits are those of the unfolded principal root.
         assume(eps_z != 0)
         media = media_of(OMEGA, [PermittivityTensor(eps_t, eps_z)])
         kt2, eta2 = media.kt2[:, None], np.array([eta * eta])
