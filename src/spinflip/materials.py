@@ -191,7 +191,12 @@ def _two_fluid_eps(p: TwoFluidParams, omega: float, T: float) -> complex:
     if T >= p.Tc:
         return _drude_eps(p.sigma_normal, omega)
     lam, sig_n = _below_tc(p, T)
-    return 1.0 - 1.0 / (omega / CONSTANTS.c * lam) ** 2 + _drude_eps(sig_n, omega)
+    try:
+        superfluid = 1.0 / (omega / CONSTANTS.c * lam) ** 2
+    except ArithmeticError as exc:  # the square overflows, or underflows to 0
+        raise DomainError(f"(omega lambda/c)^2 or its inverse at omega = {omega:g} rad/s and "
+                          f"lambda = {lam:g} m overflows double precision") from exc
+    return 1.0 - superfluid + _drude_eps(sig_n, omega)
 
 
 def permittivity(material: MaterialModel, omega: float, T: float) -> PermittivityTensor:

@@ -42,10 +42,13 @@ inside the skin depth delta, so the reflection coefficients change over
 eta ~ 1/delta while the kernel decays over eta ~ 1/z), which the graded
 panels resolve.  The nodes are interior, so u = 0 is never evaluated.
 
-Integrands must accept an ndarray of eta values and return an ndarray of the
-same shape, read as floats; any other shape is a DomainError.  The first pass
-is one call on the 168 nodes of the 8 initial panels.  From then on the
-panels are float arrays of edges, K21 values and estimates.  Worst first, as
+Integrands must accept an ndarray of eta values and return a real ndarray of
+the same shape; any other shape, or complex values, is a DomainError.  The
+first pass is one call on the 168 nodes of the 8 initial panels, or in
+integrate_rows on eta of shape (R, 168) for R rows (a sweep's call holds up
+to 8), the rules, tilt and half-widths broadcast over the rows.  Each row
+then goes on alone, its panels float arrays of edges, K21 values and
+estimates, with its own fsum and tolerance.  Worst first, as
 in QUADPACK's QAG, a split evaluates both halves of the last panel of the
 largest estimate in one 42-point call, deletes it and appends them.  Panels
 hold integrals over u: the Jacobian 1/(2z) is applied once, to the total or
@@ -62,7 +65,8 @@ import numpy as np
 from .constants import real_in_range
 from .errors import DomainError, QuadratureError
 
-__all__ = ["QuadratureSettings", "QuadratureDiagnostics", "integrate_semi_infinite"]
+__all__ = ["QuadratureSettings", "QuadratureDiagnostics", "integrate_semi_infinite",
+           "integrate_rows"]
 
 # The 21-point Kronrod rule on [-1, 1] (QUADPACK qk21), listed for x >= 0
 # from x = 1 inward and mirrored below into ascending order.
@@ -162,24 +166,26 @@ class QuadratureDiagnostics:
     panels: int             # final panel count
 
 
-def _rules(values, panels):
-    """K21 values over u and error estimates of a _panel_set's panels from f on its nodes."""
+def _rules(values, panels, rows=()):
+    """K21 values over u and error estimates, of shape rows + (panels,), from f on the nodes."""
     a, b, nodes, half, tilt = panels
-    if np.shape(values) != nodes.shape:  # the integrand's contract: one value per eta
-        raise DomainError(f"integrand returned shape {np.shape(values)} "
-                          f"for eta of shape {nodes.shape}")
-    f = np.asarray(values, dtype=float).reshape(-1, _NODES)
+    f = np.asarray(values)
+    if f.shape != rows + nodes.shape or f.dtype.kind == "c":  # the contract: a real value per eta
+        raise DomainError(f"integrand returned shape {f.shape} for eta of shape "
+                          f"{rows + nodes.shape} (dtype {f.dtype}; one real value per eta)")
+    f = np.asarray(f, dtype=float).reshape(rows + tilt.shape)
     n = len(f)
-    rules = np.concatenate((f, f * tilt)) @ _RULES  # f's panels, then g's (f with e^-u taken out)
-    kronrod = half[:, 0] * rules[:n, 0]
+    # f's panels, then g's (f with e^-u taken out), each row's in one stacked product
+    rules = np.concatenate((f, f * tilt)) @ _RULES
+    kronrod = half[:, 0] * rules[:n, ..., 0]
     # Every K21 weight is positive: K21 is finite only if f is on all 21 nodes.
     if not np.isfinite(kronrod).all():
-        i = int(np.argmin(np.isfinite(kronrod)))  # the first non-finite panel in u order
+        i = int(np.argmin(np.isfinite(kronrod))) % a.size  # the first non-finite panel in u order
         raise QuadratureError(f"integrand not finite on panel [{a[i]}, {b[i]}]")
-    c = np.abs(rules[:, 1:])
-    top, low = np.maximum(c[:, 0], c[:, 1]), c[:n].max(axis=1)  # max |c_k| over k >= 19, k >= 7
+    c = np.abs(rules[..., 1:])
+    top, low = np.maximum(c[..., 0], c[..., 1]), c[:n].max(axis=-1)  # max |c_k|, k >= 19, k >= 7
     errors = 10.0 * top[:n] * (top[:n] / np.maximum(low, _TINY))  # top <= low
-    resolved = top[n:] <= _RESOLVED * np.abs(rules[n:, 0])
+    resolved = top[n:] <= _RESOLVED * np.abs(rules[n:, ..., 0])
     errors = np.where(resolved, errors, 4.0 * low)
     return kronrod, half[:, 0] * np.maximum(errors, _FLOOR * (np.abs(f) @ _KRONROD_WEIGHTS))
 
@@ -199,10 +205,25 @@ def integrate_semi_infinite(integrand, z: float,
         raise DomainError("z must be positive and finite")
     if not isinstance(settings, QuadratureSettings):
         raise DomainError(f"settings must be a QuadratureSettings, not {type(settings).__name__}")
-
     scale = 1.0 / (2.0 * z)  # d eta / d u
     eta = _INITIAL[2] * scale
-    kronrod, errors = _rules(integrand(eta), _INITIAL)
+    return _refine(integrand, scale, *_rules(integrand(eta), _INITIAL), settings)
+
+
+def integrate_rows(integrand, z, settings: QuadratureSettings, row) -> list:
+    """integrate_semi_infinite of each row of an (R, 1) column of checked
+    heights z: the first pass is one call of integrand on eta of shape (R,
+    168), and a row that misses its tolerance refines alone through its own
+    integrand row(i)."""
+    scale = 1.0 / (2.0 * z)
+    eta = _INITIAL[2] * scale
+    first = _rules(integrand(eta), _INITIAL, eta.shape[:-1])
+    return [_refine(lambda x, i=i: row(i)(x), s, k, e, settings)
+            for i, (s, k, e) in enumerate(zip(scale[:, 0].tolist(), *first))]
+
+
+def _refine(integrand, scale: float, kronrod, errors, settings: QuadratureSettings):
+    """One row's (value, QuadratureDiagnostics) from its first pass, by worst-first splits."""
     a, b, refinements = _INITIAL[0], _INITIAL[1], 0
     while True:
         total, err_total = math.fsum(kronrod.tolist()), math.fsum(errors.tolist())
@@ -218,7 +239,7 @@ def integrate_semi_infinite(integrand, z: float,
         refinements += 1
 
     diag = QuadratureDiagnostics(
-        evaluations=eta.size + 2 * _NODES * refinements, truncation_eta=_U * scale,
+        evaluations=_INITIAL[2].size + 2 * _NODES * refinements, truncation_eta=_U * scale,
         est_error=err_total / abs(total) if total else (0.0 if converged else math.inf),
         refinements=refinements, panels=errors.size)
     # A numpy product, so an overflow obeys the caller's np.errstate.

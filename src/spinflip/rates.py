@@ -40,7 +40,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -49,8 +49,8 @@ from .constants import (CONSTANTS, RB87_CLOCK_TRANSITION, TransitionSpec,
                         rate_prefactor, real_in_range, thermal_photon_number)
 from .errors import (DomainError, GrazingSingularityError, QuasiStaticWarning,
                      SpinflipError)
-from .quadrature import (DEFAULT_SETTINGS, QuadratureDiagnostics,
-                         QuadratureSettings, integrate_semi_infinite)
+from .quadrature import (DEFAULT_SETTINGS, QuadratureDiagnostics, QuadratureSettings,
+                         integrate_rows, integrate_semi_infinite)
 from .stratified import (LayerStack, StackMedia, layer_wavevectors, scattering_coefficients,
                          stack_media, te_reflection)
 
@@ -121,6 +121,14 @@ def _check_quasi_static(z: float, transition: TransitionSpec):
 
 def _result(gamma_field: float, transition: TransitionSpec, z: float, T: float,
             diag: QuadratureDiagnostics) -> RateResult:
+    if gamma_field < 0:
+        # A passive stack has a non-negative noise spectrum; a negative
+        # rate means the kernel was evaluated where it no longer holds.
+        raise DomainError(
+            f"negative field rate {gamma_field:.3e} 1/s at z = {z:g} m: the "
+            f"quasi-static rate kernel does not hold here (it needs z far below "
+            f"the transition wavelength {CONSTANTS.c / transition.frequency:g} m "
+            f"and a rate well above rounding)")
     n = thermal_photon_number(transition.frequency, T)
     gamma_total = gamma_field * (n + 1.0)
     if not gamma_total < math.inf:  # n_th overflowed: T far beyond any model
@@ -155,10 +163,15 @@ def _channel_weights(transition: TransitionSpec,
     return 16.0 * (w_par + 2.0 * w_perp), 16.0 * w_par
 
 
-def _rate_integrand(media: StackMedia, z: float, omega: float, w_m: float, w_n: float):
+def _rate_integrand(media: StackMedia, z, omega: float, w_m: float, w_n: float, d=None):
     """The one rate integrand, 8 pi times the kernel: eta -> e^{-2 eta z} *
     Im[w_m eta^2 M + w_n k1^2 N], (M, N) the film responses of `media` at
-    `omega`.  With w_n = 0 only the M family is computed (te_reflection)."""
+    `omega`.  With w_n = 0 only the M family is computed (te_reflection).  z
+    may be an (R, 1) column of row heights for eta of shape (R, n), with d the
+    rows' film thicknesses."""
+    if d is not None:  # each row's film on each of its eta nodes, as the coefficients ravel eta
+        return lambda eta: _rate_integrand(replace(media, d=np.repeat(d, eta.shape[-1])),
+                                           z, omega, w_m, w_n)(eta)
     neg_2z = -2.0 * z
     if w_n == 0.0:
         return lambda eta: np.exp(eta * neg_2z) * (w_m * eta**2 * te_reflection(media, eta).imag)
@@ -170,19 +183,35 @@ def _rate_integrand(media: StackMedia, z: float, omega: float, w_m: float, w_n: 
     return integrand
 
 
-def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
+def _row_integrals(media: StackMedia, z: list, d: list | None, omega: float, w_m: float,
+                   w_n: float, settings: QuadratureSettings) -> list:
+    """integrate_rows of the rate integrand of rows at heights z, film thickness d[i] if given."""
+    def row(i):  # row i alone
+        return _rate_integrand(media if d is None else replace(media, d=d[i]), z[i], omega,
+                               w_m, w_n)
+    column = np.array(z)[:, None]
+    return integrate_rows(_rate_integrand(media, column, omega, w_m, w_n, d), column, settings,
+                          row)
+
+
+def _gamma(stack: LayerStack, z: list, transition: TransitionSpec,
            T: float | None, settings: QuadratureSettings,
            orientation: SpinOrientation = SpinOrientation.RANDOM,
-           m_only: bool | None = False) -> RateResult:
-    """The one rate entry, which checks z and the transition (stack_media checks
-    the stack, omega and T): the orientation's channels on rate_prefactor(), or
-    with `m_only` (None: if the stack is isotropic; uniaxial stacks refused) the
-    M channel over PATH_CALIBRATION_RATIO (zero weights: +0.0).  An overflow is a DomainError."""
+           m_only: bool | None = False, d: list | None = None) -> list:
+    """The one rate entry: the RateResult of each row over the stack's medium,
+    a row per atom height in the list z, with its film thickness from the list
+    d if given (checked by the caller), their first passes in one integrand
+    call.  It checks z and the transition (stack_media checks the stack, omega
+    and T): the orientation's channels on rate_prefactor(), or with `m_only`
+    (None: if the stack is isotropic; uniaxial stacks refused) the M channel
+    over PATH_CALIBRATION_RATIO (zero weights: +0.0).  An error of any row is
+    raised; an overflow is a DomainError naming the largest z."""
     if not isinstance(transition, TransitionSpec):
         raise DomainError(f"transition must be a TransitionSpec, not {type(transition).__name__}")
-    if not real_in_range(z):
-        raise DomainError("atom height z must be positive and finite")
-    _check_quasi_static(z, transition)
+    for x in z:
+        if not real_in_range(x):
+            raise DomainError("atom height z must be positive and finite")
+    _check_quasi_static(top := max(z), transition)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             media = stack_media(stack, transition.omega, T)
@@ -194,22 +223,18 @@ def _gamma(stack: LayerStack, z: float, transition: TransitionSpec,
             w_m, w_n = _channel_weights(transition, orientation)
             if m_only:
                 w_m, w_n = w_m / PATH_CALIBRATION_RATIO, 0.0
-            integrand = _rate_integrand(media, z, transition.omega, w_m, w_n)
-            value, diag = integrate_semi_infinite(integrand, z, settings)
-            gamma_field = rate_prefactor() / (8.0 * math.pi) * value
-            if gamma_field < 0:
-                # A passive stack has a non-negative noise spectrum; a negative
-                # rate means the kernel was evaluated where it no longer holds.
-                raise DomainError(
-                    f"negative field rate {gamma_field:.3e} 1/s at z = {z:g} m: the "
-                    f"quasi-static rate kernel does not hold here (it needs z far below "
-                    f"the transition wavelength {CONSTANTS.c / transition.frequency:g} m "
-                    f"and a rate well above rounding)")
-            return _result(gamma_field, transition, z, T, diag)
+            omega, prefactor = transition.omega, rate_prefactor() / (8.0 * math.pi)
+            if len(z) > 1:
+                return [_result(prefactor * value, transition, x, T, diag) for x, (value, diag)
+                        in zip(z, _row_integrals(media, z, d, omega, w_m, w_n, settings))]
+            value, diag = integrate_semi_infinite(_rate_integrand(
+                media if d is None else replace(media, d=d[0]), top, omega, w_m, w_n),
+                top, settings)
+            return [_result(prefactor * value, transition, top, T, diag)]
     except SpinflipError:
         raise
     except ArithmeticError as exc:  # overflow, or 0/0 and inf - inf after one
-        raise _overflow(z, exc.args[-1] if exc.args else type(exc).__name__) from exc
+        raise _overflow(top, exc.args[-1] if exc.args else type(exc).__name__) from exc
 
 
 def gamma_isotropic(stack: LayerStack, z: float,
@@ -218,7 +243,7 @@ def gamma_isotropic(stack: LayerStack, z: float,
                     settings: QuadratureSettings = DEFAULT_SETTINGS) -> RateResult:
     """Spin-flip rate above a stack of isotropic layers: the M channel of
     gamma_anisotropic divided by PATH_CALIBRATION_RATIO."""
-    return _gamma(stack, z, transition, T, settings, m_only=True)
+    return _gamma(stack, [z], transition, T, settings, m_only=True)[0]
 
 
 def rate_integrand_anisotropic(stack: LayerStack, eta, z: float, omega: float):
@@ -245,7 +270,7 @@ def gamma_anisotropic(stack: LayerStack, z: float,
         Im C_zz = integral e^{-2 eta z}/(8 pi) Im[2 eta^2 M]        d eta;
 
     `orientation` keeps one channel, and RANDOM sums both."""
-    return _gamma(stack, z, transition, T, settings, orientation)
+    return _gamma(stack, [z], transition, T, settings, orientation)[0]
 
 
 gamma_general = gamma_anisotropic
@@ -281,5 +306,5 @@ def spin_flip_rate(stack: LayerStack, z: float,
     """Rate via the route appropriate to the stack: the scattering route if
     any layer is uniaxial, the isotropic route (M channel only) otherwise.
     Both weigh the channels by the transition's matrix elements."""
-    return _gamma(stack, z, transition, T, settings, m_only=None)
+    return _gamma(stack, [z], transition, T, settings, m_only=None)[0]
 

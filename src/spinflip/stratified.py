@@ -133,8 +133,9 @@ class StackMedia:
     arrays on a leading layer axis: kt2 = (omega/c)^2 eps_t, its decaying
     root k (the TM-family wavenumber) and the anisotropy 1 - eps_t/eps_z (0
     for an isotropic layer, and None when no layer is uniaxial); and the film
-    thickness d (0 for a bare substrate), from which each call forms what it
-    reads.  Media compare and hash by identity, since their fields are arrays."""
+    thickness d (0 for a bare substrate; rows evaluated together give each eta
+    node its own), from which each call forms what it reads.  Media compare
+    and hash by identity, since their fields are arrays."""
 
     kt2: np.ndarray
     k: np.ndarray
@@ -154,13 +155,18 @@ def media_of(omega: float, eps, d: float = 0.0) -> StackMedia:
     or 3) and film thickness `d`: each of its four fields one typed array."""
     if not (real_in_range(omega) and real_in_range(d, or_zero=True)):
         raise DomainError("omega must be positive and finite, and d non-negative and finite")
+    try:
+        k0_2 = (omega / CONSTANTS.c) ** 2
+    except OverflowError as exc:
+        raise DomainError(f"(omega/c)^2 at omega = {omega:g} rad/s overflows "
+                          "double precision") from exc
     kt2, anisotropy = [], []
     for e in _tuple_of(eps, "eps", "PermittivityTensors"):
         if not isinstance(e, PermittivityTensor):
             raise DomainError(f"eps must hold PermittivityTensors, not {type(e).__name__}")
         if e.eps_z == 0:
             raise SingularMaterialError("eps_z = 0 makes the extraordinary wave singular")
-        kt2.append((omega / CONSTANTS.c) ** 2 * e.eps_t)
+        kt2.append(k0_2 * e.eps_t)
         anisotropy.append(None if e.is_isotropic else 1.0 - e.eps_t / e.eps_z)
     kt2 = np.array(kt2, dtype=complex)
     anisotropy = (np.array([a or 0 for a in anisotropy], dtype=complex)

@@ -60,7 +60,7 @@ from .materials import (DrudeMetal, IsotropicSuperconductor, MaterialModel,
                         TwoFluidParams, UniaxialSuperconductor, Vacuum,
                         material_presets)
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .rates import _check_quasi_static, _result, spin_flip_rate
+from .rates import _check_quasi_static, _gamma, _result, spin_flip_rate
 from .stratified import Layer, LayerStack
 
 __all__ = [
@@ -86,6 +86,9 @@ _AXES = {
 AXES = tuple(_AXES)
 # Largest sweep.points: a bigger grid is a mistake, not a run to queue.
 MAX_POINTS = 10**6
+# Most rows in one rate call.  Above about 48 rows a call's complex arrays pass numpy's
+# 256 KiB in-place temporary threshold, where products round otherwise than for one row.
+CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -179,10 +182,13 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
     """Evaluate the rate over the sweep grid.
 
     Rows are independent and deterministic; per-row failures are recorded in
-    the status column and only an all-row failure aborts the run.  Rows whose
-    medium repeats share one field rate and keep their own T, n_th and status.
-    Thickness sweeps carry the screening factor against the zero-thickness
-    stack.  The quasi-static warning is issued once, for the largest z of the sweep.
+    the status column and only an all-row failure aborts the run.  The rows
+    of one medium (T counts only below a Tc) share rate calls of up to CHUNK
+    distinct (z, d), whose first passes are one integrand call; a call that
+    raises runs again a row at a time.  Rows that share a field rate keep
+    their own T, n_th and status.  Thickness sweeps carry the screening factor
+    against the zero-thickness stack.  The quasi-static warning is issued
+    once, for the largest z of the sweep.
     """
     if not (isinstance(spec, SweepSpec) and isinstance(config, RunConfig)):
         raise ConfigError(f"run_sweep needs a SweepSpec and a RunConfig, not "
@@ -207,16 +213,28 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
         if thickness:
             tau0 = spin_flip_rate(config.stack.with_film_thickness(0.0), config.z,
                                   config.transition, None, config.settings).tau
-        first = {}   # row key -> RateResult; a permittivity reads T only below its Tc
+        media, rows = {}, []   # medium key -> (first row's stack, its T, {(z, d): outcome})
         for value in grid:
             try:
                 stack, z, T = row_at(config.stack, config.z, config.stack.temperature, value, tcs)
-                key = (z, stack.film_thickness, T if any(T < tc for tc in tcs) else None)
-                if (hit := first.get(key)) is None:
-                    result = first[key] = spin_flip_rate(stack, z, config.transition, T,
-                                                         config.settings)
-                else:   # the first row's field rate at this row's T
-                    result = _result(hit.gamma_field, config.transition, z, T, hit.diagnostics)
+                key = T if any(T < tc for tc in tcs) else None
+                medium = media.setdefault(key, (stack, T, {}))
+                medium[2][z, stack.film_thickness] = None
+                rows.append((medium, (z, stack.film_thickness), T))
+            except SpinflipError as exc:   # a row without a stack: its error is its outcome
+                rows.append(((None, None, {None: exc}), None, None))
+        for stack, T, outcomes in media.values():
+            pairs = list(outcomes)
+            for i in range(0, len(pairs), CHUNK):
+                outcomes.update(zip(pairs[i:i + CHUNK],
+                                    _rates(stack, pairs[i:i + CHUNK], T, config, thickness)))
+        for (_, T0, outcomes), pair, T in rows:
+            try:
+                if isinstance(result := outcomes[pair], SpinflipError):
+                    raise result
+                if T != T0:   # the medium's field rate at this row's T
+                    result = _result(result.gamma_field, config.transition, pair[0], T,
+                                     result.diagnostics)
             except SpinflipError as exc:
                 causes.append(exc)
                 row = [math.nan] * len(names)
@@ -238,6 +256,18 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
                          "max": spec.maximum, "points": spec.points,
                          "spacing": spec.spacing}
     return SweepTable(columns=columns, metadata=metadata)
+
+
+def _rates(stack: LayerStack, pairs: list, T: float, config: RunConfig, thickness: bool) -> list:
+    """The outcome of each (z, d) row of `pairs` over `stack` at T (d its own in a
+    thickness sweep): its RateResult, or if the call raises, each row's own."""
+    try:
+        return _gamma(stack, [z for z, _ in pairs], config.transition, T, config.settings,
+                      m_only=None, d=[d for _, d in pairs] if thickness else None)
+    except SpinflipError as exc:
+        if len(pairs) == 1:
+            return [exc]
+    return [outcome for pair in pairs for outcome in _rates(stack, [pair], T, config, thickness)]
 
 
 def emit_csv(table: SweepTable, path) -> None:

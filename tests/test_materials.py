@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ class TestPermittivity:
         k = OMEGA / CONSTANTS.c
         assert eps.eps_t.imag == 0.0
         assert eps.eps_t.real == pytest.approx(1 - 1 / (k * 35e-9) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("material, omega", [
+        (NIOBIUM, 1e308), (BSCCO, 1e308), (NIOBIUM, 1e-300)],
+        ids=["niobium-huge", "bscco-huge", "niobium-tiny"])
+    def test_superfluid_term_beyond_double_precision_names_omega(self, material, omega):
+        # (omega lambda/c)^2 overflows, or underflows to 0 under a division:
+        # a DomainError naming omega, not a raw OverflowError (34, ...) or
+        # ZeroDivisionError.
+        with pytest.raises(DomainError, match=re.escape(f"at omega = {omega:g} rad/s")
+                           + ".* overflows double precision"):
+            permittivity(material, omega, 4.2)
 
     def test_uniaxial_isotropic_reduction(self):
         p = TwoFluidParams(lambda0=300e-9, Tc=90.0, sigma_normal=1e6, alpha=1)

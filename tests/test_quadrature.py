@@ -431,6 +431,13 @@ class TestEngine:
                 f"integrand returned shape {shape} for eta of shape (168,)")):
             integrate_semi_infinite(integrand, 1e-5)
 
+    def test_complex_integrand_is_refused(self):
+        # Real values are the contract too: complex ones are not cast to
+        # their real part under a ComplexWarning.
+        with pytest.raises(DomainError, match=re.escape(
+                "integrand returned shape (168,) for eta of shape (168,) (dtype complex128")):
+            integrate_semi_infinite(lambda eta: np.exp(-eta * 2e-5) * (1 + 1j), 1e-5)
+
     def test_domain(self):
         for z in (0.0, math.inf, math.nan, True):
             with pytest.raises(DomainError):

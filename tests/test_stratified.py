@@ -166,6 +166,14 @@ class TestLayerWavevectors:
         with pytest.raises(DomainError):
             media_of(omega, [PermittivityTensor(1.0, 1.0)])
 
+    def test_omega_whose_square_overflows_is_named(self):
+        # (omega/c)^2 overflows for a finite omega: a DomainError naming it,
+        # not a raw OverflowError (34, ...).
+        stack = LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2)
+        with pytest.raises(DomainError, match=r"\(omega/c\)\^2 at omega = 1e\+308 rad/s "
+                                              r"overflows double precision"):
+            stack_media(stack, 1e308)
+
     @pytest.mark.parametrize("film", [NIOBIUM, "bscco", None],
                              ids=["isotropic", "uniaxial", "bare"])
     @pytest.mark.parametrize("eta", [3e5, np.geomspace(1e0, 1e8, 40)],

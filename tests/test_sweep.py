@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from spinflip.constants import TransitionSpec
 from spinflip.errors import ConfigError, QuasiStaticWarning, SpinflipError
 from spinflip.figures import figure_curves
-from spinflip.materials import BSCCO, COPPER, DrudeMetal, NIOBIUM, VACUUM, Vacuum
+from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
+                                IsotropicSuperconductor, TwoFluidParams,
+                                UniaxialSuperconductor, Vacuum)
 from spinflip.quadrature import QuadratureSettings
-from spinflip.rates import spin_flip_rate
+from spinflip.rates import _gamma, spin_flip_rate
 from spinflip.stratified import Layer, LayerStack
-from spinflip.sweep import (MAX_POINTS, RunConfig, SweepSpec, SweepTable, emit_csv,
+from spinflip.sweep import (CHUNK, MAX_POINTS, RunConfig, SweepSpec, SweepTable, emit_csv,
                             parse_config, run_sweep, screening_factor)
 
 
@@ -183,15 +185,92 @@ class TestRunSweep:
         assert all(a < b for a, b in zip(tau, tau[1:]))
         assert all(s == "ok" for s in table.columns["status"])
 
-    def test_rows_match_direct_calls(self):
-        config, spec = parse_config(nb_config(
-            sweep={"axis": "distance_z", "min": 1e-6, "max": 1e-4,
-                   "points": 3, "spacing": "log"}))
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("film, sweep", [
+        ("niobium", {"axis": "distance_z", "min": 1e-6, "max": 1e-4, "points": 7,
+                     "spacing": "log"}),
+        ("bscco", {"axis": "distance_z", "min": 1e-6, "max": 1e-4, "points": 7,
+                   "spacing": "log"}),
+        ("niobium", {"axis": "thickness_d", "min": 0.0, "max": 2e-6, "points": 7}),
+        ("bscco", {"axis": "thickness_d", "min": 1e-8, "max": 5e-6, "points": 7,
+                   "spacing": "log"}),
+        ("niobium", {"axis": "temperature_T", "min": 1.0, "max": 12.0, "points": 7}),
+        ("bscco", {"axis": "reduced_T_over_Tc", "min": 0.2, "max": 1.4, "points": 7}),
+        # One chunk and then some: the rows span two calls.
+        ("niobium", {"axis": "distance_z", "min": 1e-6, "max": 1e-4, "points": CHUNK + 6,
+                     "spacing": "log"}),
+        # z = 0 fails, and with it the call that holds it: its rows run again
+        # one at a time, and only z = 0 is an error row.
+        ("bscco", {"axis": "distance_z", "min": 0.0, "max": 1e-4, "points": 5}),
+        # d < 0 fails as its stack is built, before any call.
+        ("niobium", {"axis": "thickness_d", "min": -5e-7, "max": 1e-6, "points": 4}),
+    ], ids=["z-nb", "z-bscco", "d-nb", "d-bscco", "T-nb", "T/Tc-bscco", "z-chunks",
+            "z-zero", "d-negative"])
+    def test_rows_match_direct_calls(self, film, sweep, rel_tol):
+        # Every row of a sweep equals its own spin_flip_rate, bit for bit,
+        # however the sweep groups the rows into calls; a row that refines
+        # (most do at rel_tol 1e-12) refines as it does alone.
+        raw = nb_config(sweep=sweep, quadrature={"rel_tol": rel_tol, "max_refinements": 200})
+        raw["stack"]["layers"][1]["material"] = film
+        config, spec = parse_config(raw)
         table = run_sweep(spec, config)
-        for z, tau in zip(table.columns["z_m"], table.columns["tau_s"]):
-            direct = spin_flip_rate(config.stack, z, config.transition,
-                                    None, config.settings)
-            assert tau == direct.tau
+        tc = NIOBIUM.params.Tc if film == "niobium" else BSCCO.transverse.Tc
+        stack, z, T = config.stack, config.z, config.stack.temperature
+        row = {"distance_z": lambda v: (stack, v, T),
+               "thickness_d": lambda v: (stack.with_film_thickness(v), z, T),
+               "temperature_T": lambda v: (stack, z, v),
+               "reduced_T_over_Tc": lambda v: (stack, z, v * tc)}[spec.axis]
+        expected = {"gamma_total_per_s": [], "tau_s": [], "n_th": [], "status": []}
+        for v in spec.grid():
+            try:
+                s, zv, Tv = row(float(v))
+                r = spin_flip_rate(s, zv, config.transition, Tv, config.settings)
+            except SpinflipError as exc:
+                values, status = [math.nan] * 3, f"error: {exc}"
+            else:
+                values = [r.gamma_total, r.tau, r.n_th]
+                status = "normal-state film" if Tv >= tc else "ok"
+            for name, value in zip(expected, values + [status]):
+                expected[name].append(value)
+        for name, column in expected.items():
+            np.testing.assert_array_equal(table.columns[name], column, strict=True)
+        errors = sum(status.startswith("error:") for status in expected["status"])
+        assert errors == (sweep["min"] <= 0 and sweep["axis"] != "thickness_d"
+                          or sweep["min"] < 0)
+
+    @given(kind=st.integers(0, 2), T=st.floats(0.0, 300.0), film_sigma=st.floats(2, 9),
+           lambda0=st.floats(-8, -5), tc=st.floats(1.0, 150.0), alpha=st.sampled_from([1.0, 4.0]),
+           lambda_perp0=st.floats(-6, -3), sigma_perp=st.floats(1, 6),
+           d=st.floats(-9, -5), substrate_sigma=st.floats(2, 9))
+    def test_rate_is_completely_monotone_in_z(self, kind, T, film_sigma, lambda0, tc, alpha,
+                                              lambda_perp0, sigma_perp, d, substrate_sigma):
+        # Gamma(z) is the Laplace transform of a non-negative spectrum over a
+        # passive stack (the random stacks of acceptance criterion 13), so by
+        # Bernstein's theorem it decreases and is log-convex in z: no oracle
+        # needed.  The slack is the quadrature's relative tolerance.
+        if kind == 0:
+            film = DrudeMetal(10 ** film_sigma)
+        elif kind == 1:
+            film = IsotropicSuperconductor(TwoFluidParams(10 ** lambda0, tc, 10 ** film_sigma,
+                                                          alpha))
+        else:
+            film = UniaxialSuperconductor(
+                TwoFluidParams(10 ** lambda0, tc, 10 ** film_sigma, 1.0),
+                TwoFluidParams(10 ** lambda_perp0, tc, 10 ** sigma_perp, 1.0))
+        stack = LayerStack((Layer(VACUUM), Layer(film, 10 ** d),
+                            Layer(DrudeMetal(10 ** substrate_sigma))), T)
+        spec = SweepSpec("distance_z", 1e-6, 1e-4, 9, "log")
+        table = run_sweep(spec, RunConfig(stack, 1e-5))
+        z, gamma = np.array(table.columns["z_m"]), np.array(table.columns["gamma_total_per_s"])
+        slack = 3 * RunConfig(stack, 1e-5).settings.rel_tol
+        assert np.all(gamma >= 0) and np.all(gamma[1:] <= gamma[:-1] * (1 + slack))
+        # Each inner point lies on or below the chord of its neighbours, where
+        # the rates are far from the subnormal range (a screened film can
+        # underflow the rate to 0).
+        w = (z[2:] - z[1:-1]) / (z[2:] - z[:-2])
+        log_gamma = np.log(np.maximum(gamma, 1e-250))
+        chord = w * log_gamma[:-2] + (1 - w) * log_gamma[2:]
+        assert np.all((log_gamma[1:-1] <= chord + slack) | (gamma[2:] <= 1e-250))
 
     def test_thickness_sweep_screening_endpoint(self):
         config, spec = parse_config(nb_config(
@@ -236,11 +315,11 @@ class TestRunSweep:
         import spinflip.sweep as sweep_mod
         calls = []
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls.append(args)
-            return spin_flip_rate(*args)
+            return _gamma(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_mod, "spin_flip_rate", spy)
+        monkeypatch.setattr(sweep_mod, "_gamma", spy)
         counts = []
         for curve in figure_curves("fig4") + figure_curves("fig5"):
             config, spec = parse_config({k: v for k, v in curve.items() if k != "name"})
@@ -271,8 +350,8 @@ class TestRunSweep:
             "sweep": {"axis": "temperature_T", "min": 1, "max": 4e303, "points": 3}})
         import spinflip.sweep as sweep_mod
         calls = []
-        monkeypatch.setattr(sweep_mod, "spin_flip_rate",
-                            lambda *args: calls.append(args) or spin_flip_rate(*args))
+        monkeypatch.setattr(sweep_mod, "_gamma",
+                            lambda *args, **kw: calls.append(args) or _gamma(*args, **kw))
         status = run_sweep(spec, config).columns["status"]
         expected = []
         for T in spec.grid():
@@ -292,16 +371,16 @@ class TestRunSweep:
             sweep={"axis": "distance_z", "min": 1e-6, "max": 1e-4,
                    "points": 3, "spacing": "log"}))
         import spinflip.sweep as sweep_mod
-        real = sweep_mod.spin_flip_rate
-        calls = {"n": 0}
+        real = sweep_mod._gamma
+        middle = float(spec.grid()[1])
 
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
+        def flaky(stack, z, *args, **kwargs):
+            # The middle row fails, and with it every call that includes it.
+            if middle in z:
                 raise SpinflipError("synthetic failure")
-            return real(*args, **kwargs)
+            return real(stack, z, *args, **kwargs)
 
-        monkeypatch.setattr(sweep_mod, "spin_flip_rate", flaky)
+        monkeypatch.setattr(sweep_mod, "_gamma", flaky)
         table = run_sweep(spec, config)
         status = table.columns["status"]
         assert status[1].startswith("error:")
@@ -324,7 +403,7 @@ class TestRunSweep:
         def broken(*args, **kwargs):
             raise SpinflipError("synthetic failure")
 
-        monkeypatch.setattr(sweep_mod, "spin_flip_rate", broken)
+        monkeypatch.setattr(sweep_mod, "_gamma", broken)
         with pytest.raises(SpinflipError, match="synthetic failure"):
             run_sweep(spec, config)
 
@@ -335,7 +414,7 @@ class TestRunSweep:
         config, spec = parse_config(raw)
         import spinflip.sweep as sweep_mod
         calls = []
-        monkeypatch.setattr(sweep_mod, "spin_flip_rate", lambda *args: calls.append(args))
+        monkeypatch.setattr(sweep_mod, "_gamma", lambda *args, **kw: calls.append(args))
         with pytest.raises(ConfigError, match="superconducting layer"):
             run_sweep(spec, config)
         assert calls == []
@@ -347,7 +426,7 @@ class TestRunSweep:
         config, spec = parse_config(raw)
         import spinflip.sweep as sweep_mod
         calls = []
-        monkeypatch.setattr(sweep_mod, "spin_flip_rate", lambda *args: calls.append(args))
+        monkeypatch.setattr(sweep_mod, "_gamma", lambda *args, **kw: calls.append(args))
         with pytest.raises(ConfigError, match="^thickness sweep requires a film layer$"):
             run_sweep(spec, config)
         assert calls == []
