@@ -51,8 +51,8 @@ from .errors import (DomainError, GrazingSingularityError, QuasiStaticWarning,
                      SpinflipError)
 from .quadrature import (DEFAULT_SETTINGS, QuadratureDiagnostics, QuadratureSettings,
                          integrate_rows, integrate_semi_infinite)
-from .stratified import (LayerStack, StackMedia, layer_wavevectors, scattering_coefficients,
-                         stack_media, te_reflection)
+from .stratified import (LayerStack, StackMedia, _real_eta, layer_wavevectors,
+                         scattering_coefficients, stack_media, te_reflection)
 
 __all__ = [
     "RateResult",
@@ -163,15 +163,12 @@ def _channel_weights(transition: TransitionSpec,
     return 16.0 * (w_par + 2.0 * w_perp), 16.0 * w_par
 
 
-def _rate_integrand(media: StackMedia, z, omega: float, w_m: float, w_n: float, d=None):
+def _rate_integrand(media: StackMedia, z, omega: float, w_m: float, w_n: float):
     """The one rate integrand, 8 pi times the kernel: eta -> e^{-2 eta z} *
     Im[w_m eta^2 M + w_n k1^2 N], (M, N) the film responses of `media` at
     `omega`.  With w_n = 0 only the M family is computed (te_reflection).  z
-    may be an (R, 1) column of row heights for eta of shape (R, n), with d the
-    rows' film thicknesses."""
-    if d is not None:  # each row's film on each of its eta nodes, as the coefficients ravel eta
-        return lambda eta: _rate_integrand(replace(media, d=np.repeat(d, eta.shape[-1])),
-                                           z, omega, w_m, w_n)(eta)
+    may be an (R, 1) column of row heights for eta of shape (R, n), with the
+    rows' fields of media, if it has any, on each eta node (_rows)."""
     neg_2z = -2.0 * z
     if w_n == 0.0:
         return lambda eta: np.exp(eta * neg_2z) * (w_m * eta**2 * te_reflection(media, eta).imag)
@@ -183,29 +180,40 @@ def _rate_integrand(media: StackMedia, z, omega: float, w_m: float, w_n: float, 
     return integrand
 
 
-def _row_integrals(media: StackMedia, z: list, d: list | None, omega: float, w_m: float,
-                   w_n: float, settings: QuadratureSettings) -> list:
-    """integrate_rows of the rate integrand of rows at heights z, film thickness d[i] if given."""
+def _rows(media: StackMedia, select) -> StackMedia:
+    """`media` with select(x) for each field x that has a row axis (its last)."""
+    kt2, k, a = (x if x is None or x.ndim == 1 else select(x)
+                 for x in (media.kt2, media.k, media.anisotropy))
+    return StackMedia(kt2, k, a, media.d if np.ndim(media.d) == 0 else select(media.d))
+
+
+def _row_integrals(media: StackMedia, z: list, omega: float, w_m: float, w_n: float,
+                   settings: QuadratureSettings) -> list:
+    """integrate_rows of the rate integrand of rows at heights z over `media`, whose
+    fields may carry the rows; a row that refines does so on its own medium."""
+    def first(eta):  # each row's fields on each of its eta nodes, as the coefficients ravel eta
+        nodes = _rows(media, lambda x: np.repeat(x, eta.shape[-1], axis=-1))
+        return _rate_integrand(nodes, column, omega, w_m, w_n)(eta)
+
     def row(i):  # row i alone
-        return _rate_integrand(media if d is None else replace(media, d=d[i]), z[i], omega,
-                               w_m, w_n)
+        return _rate_integrand(_rows(media, lambda x: x[..., i]), z[i], omega, w_m, w_n)
     column = np.array(z)[:, None]
-    return integrate_rows(_rate_integrand(media, column, omega, w_m, w_n, d), column, settings,
-                          row)
+    return integrate_rows(first, column, settings, row)
 
 
 def _gamma(stack: LayerStack, z: list, transition: TransitionSpec,
-           T: float | None, settings: QuadratureSettings,
+           T: float | list | None, settings: QuadratureSettings,
            orientation: SpinOrientation = SpinOrientation.RANDOM,
            m_only: bool | None = False, d: list | None = None) -> list:
     """The one rate entry: the RateResult of each row over the stack's medium,
-    a row per atom height in the list z, with its film thickness from the list
-    d if given (checked by the caller), their first passes in one integrand
-    call.  It checks z and the transition (stack_media checks the stack, omega
-    and T): the orientation's channels on rate_prefactor(), or with `m_only`
-    (None: if the stack is isotropic; uniaxial stacks refused) the M channel
-    over PATH_CALIBRATION_RATIO (zero weights: +0.0).  An error of any row is
-    raised; an overflow is a DomainError naming the largest z."""
+    a row per atom height in the list z, at its temperature from the list T
+    (or all at T) and with its film thickness from the list d (or all of
+    thickness d) if given (checked by the caller), their first passes in one
+    integrand call.  It checks z and the transition (stack_media checks the
+    stack, omega and T): the orientation's channels on rate_prefactor(), or
+    with `m_only` (None: if the stack is isotropic; uniaxial stacks refused)
+    the M channel over PATH_CALIBRATION_RATIO (zero weights: +0.0).  An error
+    of any row is raised; an overflow is a DomainError naming the largest z."""
     if not isinstance(transition, TransitionSpec):
         raise DomainError(f"transition must be a TransitionSpec, not {type(transition).__name__}")
     for x in z:
@@ -220,16 +228,18 @@ def _gamma(stack: LayerStack, z: list, transition: TransitionSpec,
             elif m_only and stack.is_anisotropic:
                 raise DomainError("stack contains a uniaxial layer; use gamma_anisotropic")
             T = stack.temperature if T is None else T
+            if d is not None:
+                media = replace(media, d=np.array(d) if isinstance(d, list) else d)
             w_m, w_n = _channel_weights(transition, orientation)
             if m_only:
                 w_m, w_n = w_m / PATH_CALIBRATION_RATIO, 0.0
             omega, prefactor = transition.omega, rate_prefactor() / (8.0 * math.pi)
             if len(z) > 1:
-                return [_result(prefactor * value, transition, x, T, diag) for x, (value, diag)
-                        in zip(z, _row_integrals(media, z, d, omega, w_m, w_n, settings))]
-            value, diag = integrate_semi_infinite(_rate_integrand(
-                media if d is None else replace(media, d=d[0]), top, omega, w_m, w_n),
-                top, settings)
+                return [_result(prefactor * value, transition, x, t, diag) for x, t, (value, diag)
+                        in zip(z, T if isinstance(T, list) else [T] * len(z),
+                               _row_integrals(media, z, omega, w_m, w_n, settings))]
+            value, diag = integrate_semi_infinite(_rate_integrand(media, top, omega, w_m, w_n),
+                                                  top, settings)
             return [_result(prefactor * value, transition, top, T, diag)]
     except SpinflipError:
         raise
@@ -251,9 +261,9 @@ def rate_integrand_anisotropic(stack: LayerStack, eta, z: float, omega: float):
     (before the global prefactor): e^{-2 eta z}/(8 pi) * Im[3 eta^2 M + k1^2 N]."""
     if not real_in_range(z):
         raise DomainError("z must be positive and finite")
-    integrand = _rate_integrand(stack_media(stack, omega), z, omega,
-                                *_channel_weights(RB87_CLOCK_TRANSITION))
-    return integrand(np.asarray(eta, dtype=float)) / (8.0 * math.pi)
+    media = stack_media(stack, omega)
+    integrand = _rate_integrand(media, z, omega, *_channel_weights(RB87_CLOCK_TRANSITION))
+    return integrand(_real_eta(media, eta)) / (8.0 * math.pi)
 
 
 def gamma_anisotropic(stack: LayerStack, z: float,
@@ -287,8 +297,8 @@ def double_curl_integrand(stack: LayerStack, eta, z: float, omega: float):
     error.  Exposed for testing and as the full-retardation option."""
     if not real_in_range(z):
         raise DomainError("z must be positive and finite")
-    eta_arr = np.asarray(eta, dtype=float)
     media = stack_media(stack, omega)
+    eta_arr = _real_eta(media, eta)
     k = omega / CONSTANTS.c
     h = layer_wavevectors(eta_arr, media)[0][0]  # row 0: the vacuum
     if (h == 0).any():

@@ -28,10 +28,11 @@ Conventions, fixed once for the whole package:
 
 StackMedia, the one medium type of layer_wavevectors, scattering_coefficients
 and te_reflection, holds kt^2, k and the anisotropy of every layer on a
-leading layer axis.  media_of checks omega, the permittivities and d once and
-builds it (stack_media from a checked LayerStack, once per rate); each function
-then trusts it and covers every layer in one pass, a scalar eta as an array
-(with the bits of that eta inside one), from StackMedia's four fields alone.
+leading layer axis (and of rows, on a second).  media_of checks omega, the
+permittivities and d once and builds it (stack_media from a checked LayerStack,
+once per rate or sweep call); each function checks only the medium's type and
+eta, and covers every layer in one pass, a scalar eta as an array (with the
+bits of that eta inside one), from StackMedia's four fields alone.
 """
 
 from __future__ import annotations
@@ -133,9 +134,11 @@ class StackMedia:
     arrays on a leading layer axis: kt2 = (omega/c)^2 eps_t, its decaying
     root k (the TM-family wavenumber) and the anisotropy 1 - eps_t/eps_z (0
     for an isotropic layer, and None when no layer is uniaxial); and the film
-    thickness d (0 for a bare substrate; rows evaluated together give each eta
-    node its own), from which each call forms what it reads.  Media compare
-    and hash by identity, since their fields are arrays."""
+    thickness d (0 for a bare substrate), from which each call forms what it
+    reads.  Rows at different T (stack_media of a list of T) give kt2, k and
+    anisotropy a second, row axis, and rows of different d give d one; a
+    coefficient call takes such fields per node of its raveled eta.  Media
+    compare and hash by identity, since their fields are arrays."""
 
     kt2: np.ndarray
     k: np.ndarray
@@ -174,13 +177,33 @@ def media_of(omega: float, eps, d: float = 0.0) -> StackMedia:
     return StackMedia(kt2, _decaying_sqrt(kt2), anisotropy, d)
 
 
-def stack_media(stack: LayerStack, omega: float, T: float | None = None) -> StackMedia:
-    """StackMedia of `stack` at `omega` and `T` (default: the stack's temperature)."""
+def stack_media(stack: LayerStack, omega: float, T: float | list | None = None) -> StackMedia:
+    """StackMedia of `stack` at `omega` and `T` (default: the stack's
+    temperature), or of rows at the temperatures of the list T, with a row
+    axis: each layer's permittivity once per distinct T."""
     if not isinstance(stack, LayerStack):
         raise DomainError(f"stack must be a LayerStack, not {type(stack).__name__}")
+    if isinstance(T, list) and T:   # the rows' layers as layers of one medium, layer by layer
+        eps = {t: [permittivity(layer.material, omega, t) for layer in stack.layers]
+               for t in dict.fromkeys(T)}
+        m = media_of(omega, [e for layer in zip(*map(eps.get, T)) for e in layer],
+                     stack.film_thickness)
+        return StackMedia(*(x if x is None else x.reshape(-1, len(T))
+                            for x in (m.kt2, m.k, m.anisotropy)), m.d)
     T = stack.temperature if T is None else T
     return media_of(omega, [permittivity(layer.material, omega, T)
                             for layer in stack.layers], stack.film_thickness)
+
+
+def _real_eta(media: StackMedia, eta) -> np.ndarray:
+    """eta as a float array for a coefficient call on `media`: a DomainError if media
+    is not a StackMedia, or eta does not cast to floats (complex or not numbers)."""
+    if not isinstance(media, StackMedia):
+        raise DomainError(f"media must be a StackMedia, not {type(media).__name__}")
+    try:
+        return np.asarray(eta).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"eta must be real numbers: {exc}") from exc
 
 
 def layer_wavevectors(eta, media: StackMedia):
@@ -193,13 +216,17 @@ def layer_wavevectors(eta, media: StackMedia):
     The layer axis comes first and eta's axes follow.  When no layer is
     uniaxial h2 is h1; otherwise (h1, h2) is one array, a root over a family axis.
     """
-    eta = np.asarray(eta, dtype=float)
+    eta = _real_eta(media, eta)
     if np.count_nonzero(eta < 0):
         raise DomainError("eta must be non-negative")
     eta2 = np.square(eta.ravel())  # one eta axis; a scalar eta is a 1-element array
-    kt2, a = media.kt2[:, None], media.anisotropy
+    kt2, a = media.kt2, media.anisotropy  # a column per eta node, or one for every node
+    if kt2.ndim == 1:
+        kt2, a = kt2[:, None], (None if a is None else a[:, None])
+    elif kt2.shape[1] not in (1, eta2.size):
+        raise DomainError(f"a medium of {kt2.shape[1]} rows needs one per eta node")
     h = _decaying_sqrt(kt2 - eta2 if a is None else  # eta^2 terms -1 (M), anisotropy - 1 (N)
-                       eta2 * np.array([np.full_like(a, -1.0), a - 1.0])[..., None] + kt2)
+                       eta2 * np.array([np.full_like(a, -1.0), a - 1.0]) + kt2)
     h = h if eta.ndim == 1 else h.reshape(h.shape[:-1] + eta.shape)
     return (h, h) if a is None else h
 
@@ -245,7 +272,7 @@ def interface_rv(h_f, h_f1, k_f, k_f1):
 
 def _stack_quotient(r, h, media: StackMedia):
     """One interface's coefficient, or the film formula over layer 1, on the last two axes."""
-    n = media.kt2.size
+    n = len(media.kt2)
     if not 2 <= n <= 3:
         raise DomainError("reflection coefficients need a medium of 2 or 3 layers")
     return r[..., 0, :] if n == 2 else _film(r[..., 0, :], r[..., 1, :], h[..., 1, :],
@@ -259,10 +286,11 @@ def scattering_coefficients(media: StackMedia, eta):
     coefficients, N the extraordinary family with TM ones (see module
     docstring), as one array on a leading family axis; eta's axes follow.
     """
-    eta = np.asarray(eta, dtype=float)
+    eta = _real_eta(media, eta)
     h = layer_wavevectors(eta.ravel(), media)
     h = h[0] if media.anisotropy is None else h  # one h serves both families
-    k2 = np.array([np.ones_like(media.k), media.k**2])[..., None]  # per family, k^2 of each layer
+    k = media.k[:, None] if media.k.ndim == 1 else media.k
+    k2 = np.array([np.ones_like(k), k**2])  # per family, k^2 of each layer (at each node)
     r = _interface_quotient(h[..., :-1, :] * k2[:, 1:], h[..., 1:, :] * k2[:, :-1])
     return _stack_quotient(r, h, media).reshape((2,) + eta.shape)  # M at k^2 = 1
 
@@ -270,6 +298,6 @@ def scattering_coefficients(media: StackMedia, eta):
 def te_reflection(media: StackMedia, eta):
     """Generalized TE reflection coefficient of `media` at `eta`: M, from
     row M of the same wavevector pass that scattering_coefficients takes."""
-    eta = np.asarray(eta, dtype=float)
+    eta = _real_eta(media, eta)
     h = layer_wavevectors(eta.ravel(), media)[0]  # the ordinary family's row
     return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media).reshape(eta.shape)[()]

@@ -182,11 +182,12 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
     """Evaluate the rate over the sweep grid.
 
     Rows are independent and deterministic; per-row failures are recorded in
-    the status column and only an all-row failure aborts the run.  The rows
-    of one medium (T counts only below a Tc) share rate calls of up to CHUNK
-    distinct (z, d), whose first passes are one integrand call; a call that
-    raises runs again a row at a time.  Rows that share a field rate keep
-    their own T, n_th and status.  Thickness sweeps carry the screening factor
+    the status column and only an all-row failure aborts the run.  The
+    distinct (T, z, d) rows, where T counts only below a Tc, share rate calls
+    of up to CHUNK rows in grid order, each call one medium with a row axis
+    and one integrand call for the first passes; a call that raises runs
+    again a row at a time.  Rows that share a field rate keep their own T,
+    n_th and status.  Thickness sweeps carry the screening factor
     against the zero-thickness stack.  The quasi-static warning is issued
     once, for the largest z of the sweep.
     """
@@ -213,27 +214,25 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
         if thickness:
             tau0 = spin_flip_rate(config.stack.with_film_thickness(0.0), config.z,
                                   config.transition, None, config.settings).tau
-        media, rows = {}, []   # medium key -> (first row's stack, its T, {(z, d): outcome})
+        first, rows = {}, []   # (medium key, z, d) -> its first row's (T, z, d); grid rows
         for value in grid:
             try:
                 stack, z, T = row_at(config.stack, config.z, config.stack.temperature, value, tcs)
-                key = T if any(T < tc for tc in tcs) else None
-                medium = media.setdefault(key, (stack, T, {}))
-                medium[2][z, stack.film_thickness] = None
-                rows.append((medium, (z, stack.film_thickness), T))
-            except SpinflipError as exc:   # a row without a stack: its error is its outcome
-                rows.append(((None, None, {None: exc}), None, None))
-        for stack, T, outcomes in media.values():
-            pairs = list(outcomes)
-            for i in range(0, len(pairs), CHUNK):
-                outcomes.update(zip(pairs[i:i + CHUNK],
-                                    _rates(stack, pairs[i:i + CHUNK], T, config, thickness)))
-        for (_, T0, outcomes), pair, T in rows:
+                key = (T if any(T < tc for tc in tcs) else None, z, stack.film_thickness)
+                rows.append((first.setdefault(key, (T, z, stack.film_thickness)), T))
+            except SpinflipError as exc:   # a row without a stack
+                rows.append((exc, None))
+        distinct, outcomes = list(first.values()), {}
+        for i in range(0, len(distinct), CHUNK):
+            chunk = distinct[i:i + CHUNK]
+            outcomes.update(zip(chunk, _rates(config.stack, chunk, config)))
+        for row, T in rows:
             try:
-                if isinstance(result := outcomes[pair], SpinflipError):
+                # a row without a stack is its own outcome, its error
+                if isinstance(result := outcomes.get(row, row), SpinflipError):
                     raise result
-                if T != T0:   # the medium's field rate at this row's T
-                    result = _result(result.gamma_field, config.transition, pair[0], T,
+                if T != row[0]:   # the first row's field rate at this row's T
+                    result = _result(result.gamma_field, config.transition, row[1], T,
                                      result.diagnostics)
             except SpinflipError as exc:
                 causes.append(exc)
@@ -258,16 +257,17 @@ def run_sweep(spec: SweepSpec, config: RunConfig) -> SweepTable:
     return SweepTable(columns=columns, metadata=metadata)
 
 
-def _rates(stack: LayerStack, pairs: list, T: float, config: RunConfig, thickness: bool) -> list:
-    """The outcome of each (z, d) row of `pairs` over `stack` at T (d its own in a
-    thickness sweep): its RateResult, or if the call raises, each row's own."""
+def _rates(stack: LayerStack, rows: list, config: RunConfig) -> list:
+    """The outcome of each (T, z, d) row of `rows` over `stack`, a T or d that every row
+    shares passed once: its RateResult, or if the call raises, each row's own."""
+    T, z, d = map(list, zip(*rows))
     try:
-        return _gamma(stack, [z for z, _ in pairs], config.transition, T, config.settings,
-                      m_only=None, d=[d for _, d in pairs] if thickness else None)
+        return _gamma(stack, z, config.transition, T if len(set(T)) > 1 else T[0],
+                      config.settings, m_only=None, d=d if len(set(d)) > 1 else d[0])
     except SpinflipError as exc:
-        if len(pairs) == 1:
+        if len(rows) == 1:
             return [exc]
-    return [outcome for pair in pairs for outcome in _rates(stack, [pair], T, config, thickness)]
+    return [outcome for row in rows for outcome in _rates(stack, [row], config)]
 
 
 def emit_csv(table: SweepTable, path) -> None:

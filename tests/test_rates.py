@@ -460,6 +460,18 @@ class TestDoubleCurlIntegrand:
         with pytest.raises(GrazingSingularityError):
             double_curl_integrand(niobium_stack, k, 10e-6, OMEGA)
 
+    @pytest.mark.parametrize("integrand", [double_curl_integrand, rate_integrand_anisotropic])
+    @pytest.mark.parametrize("eta, message", [
+        (1e5 + 1j, "^eta must be real numbers: .*complex128"),
+        (np.array([1e5 + 1j, 2e5]), "^eta must be real numbers: .*complex128"),
+        ("x", r"^eta must be real numbers: .*<U1"),
+    ], ids=["complex-scalar", "complex-array", "str"])
+    def test_eta_is_read_as_real_numbers(self, integrand, eta, message, bscco_stack):
+        # Not a TypeError, a ValueError, or a ComplexWarning that drops the
+        # imaginary part.
+        with pytest.raises(DomainError, match=message):
+            integrand(bscco_stack, eta, 10e-6, OMEGA)
+
 
 class TestOrientation:
     def test_parallel_perpendicular_factor_two(self, niobium_stack, bscco_stack):
@@ -733,6 +745,12 @@ class TestNonFiniteInputs:
     def test_raises_domain_error(self, make):
         with pytest.raises(DomainError):
             make()
+
+    @pytest.mark.parametrize("T", [[], [4.2], [4.2, 5.0]], ids=["none", "one", "two"])
+    def test_a_list_of_temperatures_is_refused(self, T):
+        # A list of T makes a medium with rows: a rate has one row, and one T.
+        with pytest.raises(DomainError):
+            spin_flip_rate(NB_STACK, 10e-6, T=T)
 
     def test_unknown_substrate_variant(self):
         with pytest.raises(DomainError, match="unknown material variant object"):

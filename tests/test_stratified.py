@@ -127,6 +127,51 @@ class TestStackMedia:
         assert m != other and not m == other
         assert len({m, other, m}) == 2
 
+    # Rows across each film's Tc, a repeated T, and T = 0.
+    ROW_TEMPERATURES = [4.2, 0.0, 8.0, 8.3, 95.0, 4.2, 300.0]
+
+    @pytest.mark.parametrize("layers", [
+        stack(NIOBIUM, 1e-6), stack(BSCCO, 1e-6), LayerStack((Layer(VACUUM), Layer(COPPER)), 4.2),
+    ], ids=["nb", "bscco", "bare-cu"])
+    def test_rows_are_each_rows_own_medium_to_the_bit(self, layers):
+        rows = stack_media(layers, OMEGA, self.ROW_TEMPERATURES)
+        assert rows.kt2.shape == rows.k.shape == (len(layers.layers), len(self.ROW_TEMPERATURES))
+        for i, T in enumerate(self.ROW_TEMPERATURES):
+            own = stack_media(layers, OMEGA, T)
+            assert own.kt2.shape == (len(layers.layers),)  # a single T: no row axis
+            for name in ("kt2", "k", "anisotropy"):
+                field, mine = getattr(rows, name), getattr(own, name)
+                assert (field is None) == (mine is None)
+                if mine is not None:
+                    assert field[:, i].tobytes() == mine.tobytes()
+            assert rows.d == own.d == layers.film_thickness
+
+    def test_rows_evaluate_each_permittivity_once_per_distinct_temperature(self, monkeypatch):
+        import spinflip.stratified as stratified_mod
+        calls = []
+        monkeypatch.setattr(stratified_mod, "permittivity",
+                            lambda material, omega, T: calls.append(T) or permittivity(
+                                material, omega, T))
+        stack_media(stack(NIOBIUM, 1e-6), OMEGA, self.ROW_TEMPERATURES)
+        assert calls == [T for T in dict.fromkeys(self.ROW_TEMPERATURES) for _ in range(3)]
+
+    @pytest.mark.parametrize("layers", [stack(NIOBIUM, 1e-6), stack(BSCCO, 1e-7)],
+                             ids=["nb", "bscco"])
+    def test_fields_per_eta_node_are_each_rows_own_coefficients(self, layers):
+        # A medium of R rows takes R eta nodes, row i's fields on node i.
+        temps = [4.2, 6.0, 80.0, 100.0]
+        eta = np.geomspace(1e3, 1e6, len(temps))
+        rows = stack_media(layers, OMEGA, temps)
+        for call in (lambda m, e: np.array(layer_wavevectors(e, m)),
+                     lambda m, e: scattering_coefficients(m, e),
+                     lambda m, e: te_reflection(m, e)):
+            together = call(rows, eta)
+            for i, T in enumerate(temps):
+                assert together[..., i].tobytes() == call(stack_media(layers, OMEGA, T),
+                                                          eta[i:i + 1])[..., 0].tobytes()
+        with pytest.raises(DomainError, match="a medium of 4 rows needs one per eta node"):
+            te_reflection(rows, eta[:3])
+
 
 class TestLayerWavevectors:
     def test_isotropic_families_coincide(self):
@@ -483,6 +528,40 @@ class TestGuards:
             assert np.isnan(fresnel_te(nan, nan)).all()
             assert np.isnan(interface_rv(nan, nan, 1.0, 1.0)).all()
             assert np.isnan(generalized_r_te(nan, nan, 0.0, 0.0)).all()
+
+
+ENTRIES = {
+    "layer_wavevectors": lambda media, eta: layer_wavevectors(eta, media),
+    "scattering_coefficients": scattering_coefficients,
+    "te_reflection": te_reflection,
+}
+
+
+class TestEntryChecks:
+    """Each coefficient entry checks its medium and reads eta through one
+    reader: a wrong type or a complex eta is a DomainError, not a raw
+    AttributeError, TypeError or ValueError, or a ComplexWarning that drops
+    the imaginary part."""
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("media", [None, "x", stack(NIOBIUM, 1e-6)],
+                             ids=["none", "str", "layer-stack"])
+    def test_medium_is_checked(self, entry, media):
+        with pytest.raises(DomainError, match="^media must be a StackMedia, not "):
+            ENTRIES[entry](media, 1e5)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("eta, message", [
+        (1e5 + 1j, "^eta must be real numbers: .*complex128"),
+        (np.array([1e5 + 1j]), "^eta must be real numbers: .*complex128"),
+        ([1e5, 1j], "^eta must be real numbers: .*complex128"),
+        ("x", r"^eta must be real numbers: .*<U1"),
+        ([1e5, [2e5]], "^eta must be real numbers: setting an array element with a sequence"),
+        (None, r"^eta must be real numbers: .*dtype\('O'\)"),
+    ], ids=["complex-scalar", "complex-array", "complex-list", "str", "ragged", "none"])
+    def test_eta_is_read_as_real_numbers(self, entry, eta, message):
+        with pytest.raises(DomainError, match=message):
+            ENTRIES[entry](stack_media(stack(BSCCO, 1e-7), OMEGA), eta)
 
 
 class TestInputsUnchanged:

@@ -204,8 +204,19 @@ class TestRunSweep:
         ("bscco", {"axis": "distance_z", "min": 0.0, "max": 1e-4, "points": 5}),
         # d < 0 fails as its stack is built, before any call.
         ("niobium", {"axis": "thickness_d", "min": -5e-7, "max": 1e-6, "points": 4}),
+        # T rows share calls over a medium with a row axis: a first chunk that
+        # crosses Tc (its last row, 8.51 K, stands for every row above it),
+        # and curves of two and three chunks.
+        ("niobium", {"axis": "temperature_T", "min": 4.2, "max": 12.2, "points": CHUNK + 6}),
+        ("bscco", {"axis": "temperature_T", "min": 1.0, "max": 120.0,
+                   "points": 2 * CHUNK + 3}),
+        ("niobium", {"axis": "reduced_T_over_Tc", "min": 0.05, "max": 0.95,
+                     "points": 2 * CHUNK + 1}),
+        ("bscco", {"axis": "reduced_T_over_Tc", "min": 0.1, "max": 1.2,
+                   "points": CHUNK + 3, "spacing": "log"}),
     ], ids=["z-nb", "z-bscco", "d-nb", "d-bscco", "T-nb", "T/Tc-bscco", "z-chunks",
-            "z-zero", "d-negative"])
+            "z-zero", "d-negative", "T-nb-crossing-chunk", "T-bscco-chunks",
+            "T/Tc-nb-chunks", "T/Tc-bscco-chunks"])
     def test_rows_match_direct_calls(self, film, sweep, rel_tol):
         # Every row of a sweep equals its own spin_flip_rate, bit for bit,
         # however the sweep groups the rows into calls; a row that refines
@@ -221,6 +232,7 @@ class TestRunSweep:
                "temperature_T": lambda v: (stack, z, v),
                "reduced_T_over_Tc": lambda v: (stack, z, v * tc)}[spec.axis]
         expected = {"gamma_total_per_s": [], "tau_s": [], "n_th": [], "status": []}
+        refining = 0
         for v in spec.grid():
             try:
                 s, zv, Tv = row(float(v))
@@ -230,6 +242,7 @@ class TestRunSweep:
             else:
                 values = [r.gamma_total, r.tau, r.n_th]
                 status = "normal-state film" if Tv >= tc else "ok"
+                refining += r.diagnostics.refinements > 0
             for name, value in zip(expected, values + [status]):
                 expected[name].append(value)
         for name, column in expected.items():
@@ -237,6 +250,7 @@ class TestRunSweep:
         errors = sum(status.startswith("error:") for status in expected["status"])
         assert errors == (sweep["min"] <= 0 and sweep["axis"] != "thickness_d"
                           or sweep["min"] < 0)
+        assert (refining > 0) == (rel_tol == 1e-12)
 
     @given(kind=st.integers(0, 2), T=st.floats(0.0, 300.0), film_sigma=st.floats(2, 9),
            lambda0=st.floats(-8, -5), tc=st.floats(1.0, 150.0), alpha=st.sampled_from([1.0, 4.0]),
@@ -311,13 +325,14 @@ class TestRunSweep:
 
     def test_reused_rows_match_the_definition(self, monkeypatch):
         # Rows whose medium repeats (every film above its Tc) share one field
-        # rate; each row must still equal its own spin_flip_rate.
+        # rate; each row must still equal its own spin_flip_rate.  `calls`
+        # holds the rows of each _gamma call: one per distinct medium.
         import spinflip.sweep as sweep_mod
         calls = []
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return _gamma(*args, **kwargs)
+        def spy(stack, z, *args, **kwargs):
+            calls.extend(z)
+            return _gamma(stack, z, *args, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "_gamma", spy)
         counts = []
@@ -338,6 +353,36 @@ class TestRunSweep:
             assert table.columns["status"] == [
                 "normal-state film" if T >= tc else "ok" for T in temps]
         assert counts == [6, 55, 25, 25, 31, 31]
+
+    def test_failing_row_of_a_temperature_chunk(self, monkeypatch):
+        # 4.2-12.2 K over Nb: rows below 8.3 K are 5 media, and the 4 rows
+        # above share the 9.2 K row's; all 6 are one call.  The 6.2 K row
+        # fails, and with it that call: its rows run again one at a time, and
+        # every other row keeps its own values and status.
+        config, spec = parse_config(nb_config(
+            sweep={"axis": "temperature_T", "min": 4.2, "max": 12.2, "points": 9}))
+        import spinflip.sweep as sweep_mod
+        temps = [float(T) for T in spec.grid()]
+        calls = []
+
+        def flaky(stack, z, transition, T, *args, **kwargs):
+            calls.append(T)
+            if temps[2] in (T if isinstance(T, list) else [T]):
+                raise SpinflipError("synthetic failure")
+            return _gamma(stack, z, transition, T, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "_gamma", flaky)
+        table = run_sweep(spec, config)
+        assert calls == [temps[:6]] + temps[:6]
+        for i, T in enumerate(temps):
+            values = [table.columns[name][i] for name in ("gamma_total_per_s", "tau_s", "n_th")]
+            if i == 2:
+                assert table.columns["status"][i] == "error: synthetic failure"
+                assert all(math.isnan(v) for v in values)
+                continue
+            r = spin_flip_rate(config.stack, config.z, config.transition, T, config.settings)
+            assert values == [r.gamma_total, r.tau, r.n_th]
+            assert table.columns["status"][i] == ("normal-state film" if T >= 8.3 else "ok")
 
     def test_reused_row_overflow_is_a_row_error(self, monkeypatch):
         # T = 2e303 K and 4e303 K share the 1 K row's field rate over bare
