@@ -21,8 +21,8 @@ from .rates import (PATH_CALIBRATION_RATIO, RateResult, SpinOrientation,
                     double_curl_integrand, gamma_anisotropic, gamma_general,
                     gamma_isotropic, spin_flip_rate)
 from .stratified import (Layer, LayerStack, StackMedia, fresnel_te, generalized_r_te,
-                         interface_rv, layer_wavevectors, media_of,
-                         scattering_coefficients, stack_media, te_reflection)
+                         layer_wavevectors, media_of, scattering_coefficients,
+                         stack_media, te_reflection)
 from .sweep import (RunConfig, SweepSpec, SweepTable, emit_csv, load_config,
                     parse_config, run_sweep, screening_factor)
 

@@ -28,12 +28,13 @@ estimate: the 21 values are those of the degree-20 interpolant, so
 |K21 - G10| (G10 the 10-point Gauss rule on every second node) is
 1.741 |c_20|, and |K21 - R11| (R11 the interpolatory rule on the other 11)
 is at most 1.771 times the largest |c_k| over k >= 12.  No estimate is below
-QUADPACK's 50 eps times the panel's integral of |f|, and, as in QUADPACK,
-a rel_tol below 50 eps is refused.  Over the benchmark's 102,400 seeded
-stream rates (seeds 0-49 of both streams) no rate refines and every rate is
-within 6.4e-14 of its rel_tol 1e-12 reference; the lower-degree differences
-alone refined 98% of the rates stream and 83% of near_metal on the same
-panels.
+QUADPACK's 50 eps times the panel's integral of |f|, and, as in QUADPACK, a
+rel_tol below 50 eps is refused.  A summed estimate of at most the smallest
+normal double (in u) converges too: subnormal values have too few bits for any
+rel_tol.  Over the benchmark's 102,400 seeded stream rates (seeds 0-49 of both
+streams) no rate refines and every rate is within 6.4e-14 of its rel_tol 1e-12
+reference; the lower-degree differences alone refined 98% of the rates stream
+and 83% of near_metal on the same panels.
 
 The initial panels are fixed: [0, 0.25] graded toward u = 0 at the edges
 0.25 * 4^-k, k = 3, 2, 1, then [0.25, 1], [1, 4], [4, 16] and [16, 60].
@@ -102,8 +103,8 @@ _NODES = _KRONROD_NODES.size
 _RULES = np.column_stack([_KRONROD_WEIGHTS,
                           np.linalg.inv(_orthonormal_legendre(_KRONROD_NODES, 20))[20:6:-1].T])
 
-# The estimate's constants (module docstring): g resolved to 1e-6, the floor
-# of 50 eps, and the smallest positive float, which keeps 0/0 out of top/low.
+# The estimate's constants (module docstring): g resolved to 1e-6, the floor of 50
+# eps, and the smallest normal float: no 0/0 in top/low, and an absolute tolerance.
 _RESOLVED = 1e-6
 _FLOOR = 50 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -227,7 +228,7 @@ def _refine(integrand, scale: float, kronrod, errors, settings: QuadratureSettin
     a, b, refinements = _INITIAL[0], _INITIAL[1], 0
     while True:
         total, err_total = math.fsum(kronrod.tolist()), math.fsum(errors.tolist())
-        converged = err_total <= settings.rel_tol * abs(total)
+        converged = err_total <= settings.rel_tol * abs(total) or err_total <= _TINY
         if converged or refinements >= settings.max_refinements:
             break
         i = errors.size - 1 - int(np.argmax(errors[::-1]))  # the last of the worst
@@ -240,7 +241,7 @@ def _refine(integrand, scale: float, kronrod, errors, settings: QuadratureSettin
 
     diag = QuadratureDiagnostics(
         evaluations=_INITIAL[2].size + 2 * _NODES * refinements, truncation_eta=_U * scale,
-        est_error=err_total / abs(total) if total else (0.0 if converged else math.inf),
+        est_error=err_total / abs(total) if total else (math.inf if err_total else 0.0),
         refinements=refinements, panels=errors.size)
     # A numpy product, so an overflow obeys the caller's np.errstate.
     value = float(np.float64(total) * scale)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import runpy
 import sys
 import warnings
 
@@ -422,8 +423,15 @@ class TestMaterialsCommand:
         assert "bscco" in out and "0.0001" in out  # lambda_perp = 100 um
         assert "copper" in out and "vacuum" in out
 
-    def test_full_listing(self, capsys):
-        assert main(["materials"]) == 0
+    @pytest.mark.parametrize("entry", ["main", "python -m spinflip"])
+    def test_full_listing(self, capsys, monkeypatch, entry):
+        if entry == "main":
+            assert main(["materials"]) == 0
+        else:   # the package's __main__.py, run in this process
+            monkeypatch.setattr(sys, "argv", ["spinflip", "materials"])
+            with pytest.raises(SystemExit) as stop:
+                runpy.run_module("spinflip", run_name="__main__")
+            assert stop.value.code == 0
         assert capsys.readouterr().out == (
             "vacuum: vacuum\n"
             "copper: drude_metal sigma=5.8e+07 S/m\n"

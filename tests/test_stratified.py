@@ -11,7 +11,7 @@ from spinflip.errors import (DegenerateInterfaceError, DomainError,
 from spinflip.materials import (BSCCO, COPPER, NIOBIUM, VACUUM, DrudeMetal,
                                 PermittivityTensor, TwoFluidParams,
                                 UniaxialSuperconductor, permittivity)
-from spinflip.stratified import (Layer, LayerStack, fresnel_te,
+from spinflip.stratified import (Layer, LayerStack, StackMedia, fresnel_te,
                                  generalized_r_te, interface_rv,
                                  layer_wavevectors, media_of,
                                  scattering_coefficients, stack_media,
@@ -138,12 +138,12 @@ class TestStackMedia:
         assert rows.kt2.shape == rows.k.shape == (len(layers.layers), len(self.ROW_TEMPERATURES))
         for i, T in enumerate(self.ROW_TEMPERATURES):
             own = stack_media(layers, OMEGA, T)
-            assert own.kt2.shape == (len(layers.layers),)  # a single T: no row axis
+            assert own.kt2.shape == (len(layers.layers), 1)  # a single T: one row
             for name in ("kt2", "k", "anisotropy"):
                 field, mine = getattr(rows, name), getattr(own, name)
                 assert (field is None) == (mine is None)
                 if mine is not None:
-                    assert field[:, i].tobytes() == mine.tobytes()
+                    assert field[:, i:i + 1].tobytes() == mine.tobytes()
             assert rows.d == own.d == layers.film_thickness
 
     def test_rows_evaluate_each_permittivity_once_per_distinct_temperature(self, monkeypatch):
@@ -169,8 +169,13 @@ class TestStackMedia:
             for i, T in enumerate(temps):
                 assert together[..., i].tobytes() == call(stack_media(layers, OMEGA, T),
                                                           eta[i:i + 1])[..., 0].tobytes()
-        with pytest.raises(DomainError, match="a medium of 4 rows needs one per eta node"):
+        with pytest.raises(DomainError,
+                           match=r"^fields \(3, 4\) need one row or one per eta node \(3\)$"):
             te_reflection(rows, eta[:3])
+        flat = StackMedia(rows.kt2[:, 0], rows.k[:, 0], None, rows.d)   # fields without rows
+        with pytest.raises(DomainError,
+                           match=r"^fields \(3,\) need one row or one per eta node \(4\)$"):
+            te_reflection(flat, eta)
 
 
 class TestLayerWavevectors:
@@ -259,10 +264,10 @@ class TestLayerWavevectors:
         # needed the bits are those of the unfolded principal root.
         assume(eps_z != 0)
         media = media_of(OMEGA, [PermittivityTensor(eps_t, eps_z)])
-        kt2, eta2 = media.kt2[:, None], np.array([eta * eta])
+        kt2, eta2 = media.kt2, np.array([eta * eta])  # a column: the medium's one row
         h2 = [kt2 - eta2]
         if media.anisotropy is not None:
-            h2.append(eta2 * (media.anisotropy[:, None] - 1.0) + kt2)
+            h2.append(eta2 * (media.anisotropy - 1.0) + kt2)
         root = np.sqrt(np.array(h2))
         want = np.where(root.imag < 0, -root, root)
         got = layer_wavevectors(np.array([eta]), media)
@@ -401,7 +406,7 @@ class TestScatteringCoefficients:
 
         def formulas(eta):
             h1, h2 = layer_wavevectors(eta, media)
-            k = media.k[:, np.newaxis]
+            k = media.k  # a column: the medium's one row
             r_m = fresnel_te(h1[:-1], h1[1:])
             r_n = interface_rv(h2[:-1], h2[1:], k[:-1], k[1:])
             if len(layers) == 2:
@@ -562,6 +567,37 @@ class TestEntryChecks:
     def test_eta_is_read_as_real_numbers(self, entry, eta, message):
         with pytest.raises(DomainError, match=message):
             ENTRIES[entry](stack_media(stack(BSCCO, 1e-7), OMEGA), eta)
+
+
+KERNELS = {   # each exported interface kernel: valid arguments, and the start of its message
+    "fresnel_te": (fresnel_te, (1 + 1j, 2 + 0.5j), "interface coefficients take"),
+    "generalized_r_te": (generalized_r_te, (0.3 + 0.1j, 0.5 - 0.2j, 2e5 + 3e4j, 1e-6),
+                         "the film formula takes"),
+}
+
+
+class TestKernelArguments:
+    """An exported kernel given a non-number raises a DomainError, not the
+    raw TypeError of its arithmetic."""
+
+    @pytest.mark.parametrize("bad", [None, "x"], ids=["none", "str"])
+    @pytest.mark.parametrize("kernel, position", [
+        (name, i) for name, (_, args, _) in KERNELS.items() for i in range(len(args))])
+    def test_non_number_is_a_domain_error(self, kernel, position, bad):
+        call, args, message = KERNELS[kernel]
+        args = list(args)
+        args[position] = bad
+        if (kernel, position) == ("generalized_r_te", 3):   # d is checked before any arithmetic
+            message = "film thickness must be non-negative and finite$"
+        with pytest.raises(DomainError, match=f"^{message}"):
+            call(*args)
+
+    def test_interface_rv_is_not_exported(self):
+        # No program path calls it; the tests keep it as the N family's reference.
+        import spinflip
+        import spinflip.stratified
+        assert "interface_rv" not in spinflip.__all__
+        assert "interface_rv" not in spinflip.stratified.__all__
 
 
 class TestInputsUnchanged:

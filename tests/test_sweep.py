@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from spinflip.constants import TransitionSpec
@@ -256,6 +256,12 @@ class TestRunSweep:
            lambda0=st.floats(-8, -5), tc=st.floats(1.0, 150.0), alpha=st.sampled_from([1.0, 4.0]),
            lambda_perp0=st.floats(-6, -3), sigma_perp=st.floats(1, 6),
            d=st.floats(-9, -5), substrate_sigma=st.floats(2, 9))
+    # A 10 um film far below its Tc = 1 K on a poor conductor: at these T
+    # the integrand is subnormal, and the rows converge on the absolute floor.
+    @example(kind=1, T=1e-310, film_sigma=7.0, lambda0=-8.0, tc=1.0, alpha=1.0,
+             lambda_perp0=-6.0, sigma_perp=1.0, d=-5.0, substrate_sigma=2.0)
+    @example(kind=1, T=2.225073858507e-311, film_sigma=7.0, lambda0=-8.0, tc=1.0, alpha=1.0,
+             lambda_perp0=-6.0, sigma_perp=1.0, d=-5.0, substrate_sigma=2.0)
     def test_rate_is_completely_monotone_in_z(self, kind, T, film_sigma, lambda0, tc, alpha,
                                               lambda_perp0, sigma_perp, d, substrate_sigma):
         # Gamma(z) is the Laplace transform of a non-negative spectrum over a
@@ -294,6 +300,41 @@ class TestRunSweep:
         s = table.columns["screening_factor"]
         assert s[0] == 0.0  # exact: identical evaluation of d = 0
         assert all(b >= a for a, b in zip(s, s[1:]))
+
+    @pytest.mark.parametrize("lo, calls", [(0.0, 1), (1e-7, 2)],
+                             ids=["grid-holds-0", "grid-without-0"])
+    def test_tau0_is_a_row_of_the_chunked_calls(self, monkeypatch, lo, calls):
+        # The bare substrate's tau0 is the first distinct row of the sweep's
+        # _gamma calls, not a spin_flip_rate call of its own: a grid of CHUNK
+        # rows that holds d = 0 takes one call, and one without it two.
+        config, spec = parse_config(nb_config(
+            sweep={"axis": "thickness_d", "min": lo, "max": 2e-6, "points": CHUNK}))
+        import spinflip.sweep as sweep_mod
+        gammas, singles = [], []
+        monkeypatch.setattr(sweep_mod, "_gamma",
+                            lambda *args, **kw: gammas.append(kw["d"]) or _gamma(*args, **kw))
+        monkeypatch.setattr(sweep_mod, "spin_flip_rate", lambda *args: singles.append(args))
+        table = run_sweep(spec, config)
+        assert singles == [] and len(gammas) == calls and gammas[0][0] == 0.0
+        tau0 = spin_flip_rate(config.stack.with_film_thickness(0.0), config.z,
+                              config.transition, None, config.settings).tau
+        assert table.columns["screening_factor"] == [(tau - tau0) / tau0
+                                                     for tau in table.columns["tau_s"]]
+
+    def test_failing_tau0_raises_its_error(self, monkeypatch):
+        # Every grid row succeeds, but without tau0 no row has a screening factor.
+        config, spec = parse_config(nb_config(
+            sweep={"axis": "thickness_d", "min": 1e-7, "max": 2e-6, "points": 3}))
+        import spinflip.sweep as sweep_mod
+
+        def flaky(*args, d, **kwargs):
+            if 0.0 in (d if isinstance(d, list) else [d]):
+                raise SpinflipError("synthetic tau0 failure")
+            return _gamma(*args, d=d, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "_gamma", flaky)
+        with pytest.raises(SpinflipError, match="^synthetic tau0 failure$"):
+            run_sweep(spec, config)
 
     def test_temperature_sweep_regime_status(self):
         config, spec = parse_config(nb_config(
@@ -693,6 +734,8 @@ class TestParseConfig:
         lambda raw: raw.update(transition={"frequency": 1e6,
                                            "matrix_elements": [True, 0, 0]}),
         lambda raw: raw.update(quadrature={"rel_tol": 1e-300, "max_refinements": 10**9}),
+        lambda raw: raw["stack"].update(layers=[{"material": "vacuum"}]),
+        lambda raw: raw["stack"].update(layers={"material": "vacuum"}),
     ])
     def test_invalid_configs_rejected(self, mutate):
         raw = nb_config()
