@@ -46,14 +46,15 @@ panels resolve.  The nodes are interior, so u = 0 is never evaluated.
 Integrands must accept an ndarray of eta values and return a real ndarray of
 the same shape; any other shape, or complex values, is a DomainError.  The
 first pass is one call on the 168 nodes of the 8 initial panels, or in
-integrate_rows on eta of shape (R, 168) for R rows (a sweep's call holds up
-to 8), the rules, tilt and half-widths broadcast over the rows.  Each row
+integrate_rows for R rows (a sweep's call holds up to 8) on eta of shape
+(R, 168), or (1, 168) when the rows share one height, for values of shape
+(R, 168); the rules, tilt and half-widths broadcast over the rows.  Each row
 then goes on alone, its panels float arrays of edges, K21 values and
-estimates, with its own fsum and tolerance.  Worst first, as
-in QUADPACK's QAG, a split evaluates both halves of the last panel of the
-largest estimate in one 42-point call, deletes it and appends them.  Panels
-hold integrals over u: the Jacobian 1/(2z) is applied once, to the total or
-to a QuadratureError's partial value.
+estimates, with its own fsum and tolerance.  Worst first, as in QUADPACK's
+QAG, a split evaluates both halves of the last panel of the largest
+estimate in one 42-point call, deletes it and appends them.  Panels hold
+integrals over u: the Jacobian 1/(2z) is applied once, to the total or to a
+QuadratureError's partial value.
 """
 
 from __future__ import annotations
@@ -214,11 +215,11 @@ def integrate_semi_infinite(integrand, z: float,
 def integrate_rows(integrand, z, settings: QuadratureSettings, row) -> list:
     """integrate_semi_infinite of each row of an (R, 1) column of checked
     heights z: the first pass is one call of integrand on eta of shape (R,
-    168), and a row that misses its tolerance refines alone through its own
-    integrand row(i)."""
+    168), or (1, 168) when every row has one height, for values of shape (R,
+    168); a row that misses its tolerance refines alone through row(i)."""
     scale = 1.0 / (2.0 * z)
-    eta = _INITIAL[2] * scale
-    first = _rules(integrand(eta), _INITIAL, eta.shape[:-1])
+    eta = _INITIAL[2] * (scale if (scale != scale[0]).any() else scale[:1])
+    first = _rules(integrand(eta), _INITIAL, z.shape[:-1])
     return [_refine(lambda x, i=i: row(i)(x), s, k, e, settings)
             for i, (s, k, e) in enumerate(zip(scale[:, 0].tolist(), *first))]
 

@@ -167,8 +167,8 @@ def _rate_integrand(media: StackMedia, z, omega: float, w_m: float, w_n: float):
     """The one rate integrand, 8 pi times the kernel: eta -> e^{-2 eta z} *
     Im[w_m eta^2 M + w_n k1^2 N], (M, N) the film responses of `media` at
     `omega`.  With w_n = 0 only the M family is computed (te_reflection).  z
-    may be an (R, 1) column of row heights for eta of shape (R, n), with the
-    rows' fields of media, if it has any, on each eta node (_rows)."""
+    may be an (R, 1) column of row heights for eta of shape (R, n), whose rows
+    pair with the medium's (_row_integrals)."""
     neg_2z = -2.0 * z
     if w_n == 0.0:
         return lambda eta: np.exp(eta * neg_2z) * (w_m * eta**2 * te_reflection(media, eta).imag)
@@ -184,21 +184,16 @@ def _row_integrals(media: StackMedia, z: list, omega: float, w_m: float, w_n: fl
                    settings: QuadratureSettings) -> list:
     """integrate_rows of the rate integrand of rows at heights z over `media`, each
     of whose fields holds one row for every height or a row per height (d: one
-    value or one per height); a row that refines does so on its own column.  Only
-    fields with a row per height are repeated over the first pass's nodes: also
-    repeating the others made a figures pass about 16% slower."""
-    def rows(select):  # the medium of select(x) for each field x with a row per height
-        return StackMedia(*(select(x) if getattr(x, "shape", ())[-1:] == (len(z),) else x
-                            for x in (media.kt2, media.k, media.anisotropy, media.d)))
-
-    def first(eta):  # each row's fields on each of its eta nodes, as the coefficients ravel eta
-        nodes = rows(lambda x: np.repeat(x, eta.shape[-1], axis=-1))
-        return _rate_integrand(nodes, column, omega, w_m, w_n)(eta)
-
-    def row(i):  # row i alone
-        return _rate_integrand(rows(lambda x: x[..., i:i + 1]), z[i], omega, w_m, w_n)
+    value or one per height).  The first pass pairs the rows with eta's leading
+    axis, and rows at one height share one eta row (integrate_rows), so a d
+    sweep's roots and interface quotients, whose fields are one row, are computed
+    once a call.  A row that refines does so on its own column."""
+    def row(i):  # row i alone: its column of each field with a row per height
+        own = StackMedia(*(x[..., i:i + 1] if np.shape(x)[-1:] == (len(z),) else x
+                           for x in (media.kt2, media.k, media.anisotropy, media.d)))
+        return _rate_integrand(own, z[i], omega, w_m, w_n)
     column = np.array(z)[:, None]
-    return integrate_rows(first, column, settings, row)
+    return integrate_rows(_rate_integrand(media, column, omega, w_m, w_n), column, settings, row)
 
 
 def _gamma(stack: LayerStack, z: list, transition: TransitionSpec,

@@ -30,7 +30,7 @@ StackMedia is the one medium type of layer_wavevectors, scattering_coefficients
 and te_reflection.  media_of checks omega, the permittivities and d once and
 builds it (stack_media from a checked LayerStack, once per rate or sweep call);
 each function checks only the medium's type and eta, and covers every layer in
-one pass from its four fields, a scalar eta as a one-element array to the bit.
+one pass from its four fields, a scalar eta with its array element's bits.
 """
 
 from __future__ import annotations
@@ -132,9 +132,10 @@ class StackMedia:
     TM-family wavenumber) and the anisotropy 1 - eps_t/eps_z (0 for an
     isotropic layer, and None when no layer is uniaxial); and the film
     thickness d (0 for a bare substrate; one per row for rows of different d).
-    A coefficient call forms what it reads from these, its medium one row (a
-    single medium's, for every eta node) or one per node of its raveled eta.
-    Media compare and hash by identity, since their fields are arrays."""
+    A coefficient call forms what it reads from these.  A medium of R rows
+    pairs them with eta's leading axis, of R or of 1 (rows that share their
+    eta); one row (a single medium's) serves any eta.  Media compare and hash
+    by identity, since their fields are arrays."""
 
     kt2: np.ndarray
     k: np.ndarray
@@ -203,6 +204,12 @@ def _real_eta(media: StackMedia, eta) -> np.ndarray:
         raise DomainError(f"eta must be real numbers: {exc}") from exc
 
 
+def _on_eta(x, nd: int):
+    """Fields x of shape (..., rows) against eta of nd axes: the rows on eta's
+    leading axis, and one row (a single medium's) against any eta."""
+    return x if nd == 1 else x.reshape(x.shape[:-1] + (-1,) * (nd > 0) + (1,) * (nd - 1))
+
+
 def layer_wavevectors(eta, media: StackMedia):
     """z-wavenumbers (h1, h2) of both wave families in every layer of
     `media` at transverse wavenumber `eta`:
@@ -210,19 +217,20 @@ def layer_wavevectors(eta, media: StackMedia):
     h1^2 = (omega/c)^2 eps_t - eta^2
     h2^2 = eta^2 (1 - eps_t/eps_z) + (omega/c)^2 eps_t - eta^2
 
-    The layer axis comes first and eta's axes follow.  When no layer is
-    uniaxial h2 is h1; otherwise (h1, h2) is one array, a root over a family axis.
+    The layer axis comes first and eta's axes follow.  A medium of R > 1 rows
+    pairs them with eta's leading axis, of 1 (rows that share their eta) or R.
+    When no layer is uniaxial h2 is h1; otherwise (h1, h2) is one array, a root
+    over a family axis.
     """
-    eta = _real_eta(media, eta)
+    eta, fields = _real_eta(media, eta), media.kt2.shape
+    if len(fields) != 2 or fields[1] != 1 and eta.shape[:1] not in ((1,), fields[1:]):
+        raise DomainError(f"eta of shape {eta.shape} does not pair with fields {fields}: a "
+                          "medium's (layers, rows) pair their rows with eta's leading axis")
     if np.count_nonzero(eta < 0):
         raise DomainError("eta must be non-negative")
-    eta2 = np.square(eta.ravel())  # one eta axis; a scalar eta is a 1-element array
-    kt2, a = media.kt2, media.anisotropy  # a column per eta node, or one for every node
-    if kt2.shape[1:] not in ((1,), eta2.shape):
-        raise DomainError(f"fields {kt2.shape} need one row or one per eta node ({eta2.size})")
+    eta2, kt2, a = np.square(eta), _on_eta(media.kt2, eta.ndim), media.anisotropy
     h = _decaying_sqrt(kt2 - eta2 if a is None else  # eta^2 terms -1 (M), anisotropy - 1 (N)
-                       eta2 * np.array([np.full_like(a, -1.0), a - 1.0]) + kt2)
-    h = h if eta.ndim == 1 else h.reshape(h.shape[:-1] + eta.shape)
+                       eta2 * _on_eta(np.array([np.full_like(a, -1.0), a - 1.0]), eta.ndim) + kt2)
     return (h, h) if a is None else h
 
 
@@ -272,12 +280,20 @@ def interface_rv(h_f, h_f1, k_f, k_f1):
 
 
 def _stack_quotient(r, h, media: StackMedia):
-    """One interface's coefficient, or the film formula over layer 1, on the last two axes."""
+    """One interface's coefficient, or the film formula over layer 1, of arrays of
+    (families, layers) + eta's axes; a d per row pairs with eta's leading axis."""
     n = len(media.kt2)
     if not 2 <= n <= 3:
         raise DomainError("reflection coefficients need a medium of 2 or 3 layers")
-    return r[..., 0, :] if n == 2 else _film(r[..., 0, :], r[..., 1, :], h[..., 1, :],
-                                             2j * media.d)
+    if n == 2:
+        return r[:, 0]
+    two_i_d = 2j * media.d
+    if getattr(two_i_d, "size", 1) > 1:  # a d per row, paired as the rows of fields
+        if r.shape[2:3] not in ((1,), two_i_d.shape):
+            raise DomainError(f"d of shape {two_i_d.shape} does not pair with eta's axes "
+                              f"{r.shape[2:]}: a d per row pairs with eta's leading axis")
+        two_i_d = _on_eta(two_i_d, r.ndim - 2)
+    return _film(r[:, 0], r[:, 1], h[:, 1], two_i_d)
 
 
 def scattering_coefficients(media: StackMedia, eta):
@@ -285,19 +301,19 @@ def scattering_coefficients(media: StackMedia, eta):
 
     M composes the ordinary-family wavevectors with TE interface
     coefficients, N the extraordinary family with TM ones (see module
-    docstring), as one array on a leading family axis; eta's axes follow.
+    docstring), as one array on a leading family axis; eta's axes follow,
+    the leading one paired with the medium's rows as in layer_wavevectors.
     """
     eta = _real_eta(media, eta)
-    h = layer_wavevectors(eta.ravel(), media)
-    h = h[0] if media.anisotropy is None else h  # one h serves both families
-    k2 = np.array([np.ones_like(media.k), media.k**2])  # per family, k^2 of each layer
-    r = _interface_quotient(h[..., :-1, :] * k2[:, 1:], h[..., 1:, :] * k2[:, :-1])
-    return _stack_quotient(r, h, media).reshape((2,) + eta.shape)  # M at k^2 = 1
+    h = layer_wavevectors(eta, media)
+    h = h[0][np.newaxis] if media.anisotropy is None else h  # one h serves both families
+    k2 = _on_eta(np.array([np.ones_like(media.k), media.k**2]), eta.ndim)  # per family
+    r = _interface_quotient(h[:, :-1] * k2[:, 1:], h[:, 1:] * k2[:, :-1])
+    return _stack_quotient(r, h, media)  # M at k^2 = 1
 
 
 def te_reflection(media: StackMedia, eta):
     """Generalized TE reflection coefficient of `media` at `eta`: M, from
     row M of the same wavevector pass that scattering_coefficients takes."""
-    eta = _real_eta(media, eta)
-    h = layer_wavevectors(eta.ravel(), media)[0]  # the ordinary family's row
-    return _stack_quotient(fresnel_te(h[:-1], h[1:]), h, media).reshape(eta.shape)[()]
+    h = layer_wavevectors(eta, media)[0][np.newaxis]  # the ordinary family's row
+    return _stack_quotient(fresnel_te(h[:, :-1], h[:, 1:]), h, media)[0]

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,27 +157,65 @@ class TestStackMedia:
         stack_media(stack(NIOBIUM, 1e-6), OMEGA, self.ROW_TEMPERATURES)
         assert calls == [T for T in dict.fromkeys(self.ROW_TEMPERATURES) for _ in range(3)]
 
-    @pytest.mark.parametrize("layers", [stack(NIOBIUM, 1e-6), stack(BSCCO, 1e-7)],
-                             ids=["nb", "bscco"])
-    def test_fields_per_eta_node_are_each_rows_own_coefficients(self, layers):
-        # A medium of R rows takes R eta nodes, row i's fields on node i.
-        temps = [4.2, 6.0, 80.0, 100.0]
-        eta = np.geomspace(1e3, 1e6, len(temps))
-        rows = stack_media(layers, OMEGA, temps)
+    @pytest.mark.parametrize("layers", [stack(NIOBIUM, 1e-6), stack(BSCCO, 1e-7),
+                                        stack(COPPER, 1e-6, substrate=NIOBIUM)],
+                             ids=["nb", "bscco", "cu-on-nb"])
+    def test_rows_pair_with_etas_leading_axis(self, layers):
+        # A medium of R rows, a T or a d per row, pairs them with eta's
+        # leading axis: row i with eta[i] (a row of nodes, or one node), or
+        # every row with one shared eta row.  Each row is its own medium's call, to the bit, whichever
+        # layers it shares with the other rows.
+        temps, ds = [4.2, 6.0, 80.0, 100.0], [0.0, 1e-8, 1e-7, 5e-6]
+        eta = np.geomspace(1e3, 1e6, 4 * 5).reshape(4, 5)
+        one = stack_media(layers, OMEGA)
+        media = [(stack_media(layers, OMEGA, temps), [stack_media(layers, OMEGA, T) for T in temps]),
+                 (replace(one, d=np.array(ds)), [replace(one, d=d) for d in ds])]
         for call in (lambda m, e: np.array(layer_wavevectors(e, m)),
-                     lambda m, e: scattering_coefficients(m, e),
-                     lambda m, e: te_reflection(m, e)):
-            together = call(rows, eta)
-            for i, T in enumerate(temps):
-                assert together[..., i].tobytes() == call(stack_media(layers, OMEGA, T),
-                                                          eta[i:i + 1])[..., 0].tobytes()
-        with pytest.raises(DomainError,
-                           match=r"^fields \(3, 4\) need one row or one per eta node \(3\)$"):
-            te_reflection(rows, eta[:3])
+                     scattering_coefficients, te_reflection):
+            for rows, own in media:
+                for etas in (eta, eta[:1], eta[:, 0]):   # eta[:, 0]: row i on node i
+                    together = call(rows, etas)
+                    for i, alone in enumerate(own):
+                        want = call(alone, etas[i % len(etas)])
+                        got = (together[..., i] if etas.ndim == 1 else np.broadcast_to(
+                            together, want.shape[:-1] + (4, 5))[..., i, :])
+                        assert got.tobytes() == want.tobytes()
+
+    def test_rows_that_differ_only_in_anisotropy_take_each_rows_own_roots(self):
+        # Rows whose film differs only in eps_z have one kt2 but each its own
+        # anisotropy: on a shared eta row the film's N root is each row's own.
+        eps = [[PermittivityTensor(1.0, 1.0), PermittivityTensor(-3e9 + 2e3j, eps_z),
+                permittivity(COPPER, OMEGA, 4.2)] for eps_z in (-5e9 + 2e3j, -1e9 + 5e2j, -2e8 + 7j)]
+        one = media_of(OMEGA, [e for layer in zip(*eps) for e in layer], 1e-7)
+        rows = StackMedia(*(x.reshape(3, -1) for x in (one.kt2, one.k, one.anisotropy)), one.d)
+        eta = np.geomspace(1e3, 1e6, 7)
+        together = layer_wavevectors(eta[np.newaxis], rows)
+        assert (rows.kt2[1] == rows.kt2[1, 0]).all()
+        for i, row in enumerate(eps):
+            alone = media_of(OMEGA, row, 1e-7)
+            assert together[:, :, i].tobytes() == layer_wavevectors(eta, alone).tobytes()
+            assert scattering_coefficients(rows, eta[np.newaxis])[:, i].tobytes() == \
+                scattering_coefficients(alone, eta).tobytes()
+
+    @pytest.mark.parametrize("call", [layer_wavevectors, scattering_coefficients, te_reflection],
+                             ids=["wavevectors", "coefficients", "te"])
+    def test_eta_that_does_not_pair_with_the_rows_is_a_domain_error(self, call):
+        # Neither 1 nor R on eta's leading axis, or no leading axis: a
+        # DomainError naming both shapes, never numpy's broadcast ValueError.
+        rows = stack_media(stack(BSCCO, 1e-7), OMEGA, [4.2, 6.0, 80.0, 100.0])
+        thick = replace(stack_media(stack(NIOBIUM, 1e-6), OMEGA), d=np.array([0.0, 1e-8, 1e-7, 1e-6]))
+        for bad in (np.geomspace(1e3, 1e6, 15).reshape(3, 5), np.geomspace(1e3, 1e6, 3), 3e5):
+            args = (bad, rows) if call is layer_wavevectors else (rows, bad)
+            with pytest.raises(DomainError, match=rf"^eta of shape {re.escape(str(np.shape(bad)))} "
+                                                  r"does not pair with fields \(3, 4\)"):
+                call(*args)
+            if call is not layer_wavevectors:   # the wavevectors do not read d
+                with pytest.raises(DomainError, match=r"^d of shape \(4,\) does not pair with "
+                                                      rf"eta's axes {re.escape(str(np.shape(bad)))}"):
+                    call(thick, bad)
         flat = StackMedia(rows.kt2[:, 0], rows.k[:, 0], None, rows.d)   # fields without rows
-        with pytest.raises(DomainError,
-                           match=r"^fields \(3,\) need one row or one per eta node \(4\)$"):
-            te_reflection(flat, eta)
+        with pytest.raises(DomainError, match=r"does not pair with fields \(3,\)"):
+            te_reflection(flat, np.geomspace(1e3, 1e6, 4))
 
 
 class TestLayerWavevectors:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import spinflip.sweep
 from spinflip.constants import TransitionSpec
 from spinflip.errors import ConfigError, QuasiStaticWarning, SpinflipError
 from spinflip.figures import figure_curves
@@ -214,23 +215,51 @@ class TestRunSweep:
                      "points": 2 * CHUNK + 1}),
         ("bscco", {"axis": "reduced_T_over_Tc", "min": 0.1, "max": 1.2,
                    "points": CHUNK + 3, "spacing": "log"}),
+        # d rows at one height share their eta, roots and interface quotients,
+        # over three calls.
+        ("bscco", {"axis": "thickness_d", "min": 1e-9, "max": 1e-5,
+                   "points": 2 * CHUNK + 3, "spacing": "log"}),
+        # T rows whose substrate changes with T below its Tc (a "film/substrate"
+        # stack, "/substrate" a bare one): only the layers that are the same in
+        # every row of a call may share a root.
+        ("bscco/niobium", {"axis": "temperature_T", "min": 1.0, "max": 120.0,
+                           "points": 2 * CHUNK + 3}),
+        ("/niobium", {"axis": "temperature_T", "min": 1.0, "max": 12.0, "points": CHUNK + 3}),
+        ("copper/niobium", {"axis": "temperature_T", "min": 1.0, "max": 12.0,
+                            "points": CHUNK + 3}),
     ], ids=["z-nb", "z-bscco", "d-nb", "d-bscco", "T-nb", "T/Tc-bscco", "z-chunks",
             "z-zero", "d-negative", "T-nb-crossing-chunk", "T-bscco-chunks",
-            "T/Tc-nb-chunks", "T/Tc-bscco-chunks"])
-    def test_rows_match_direct_calls(self, film, sweep, rel_tol):
+            "T/Tc-nb-chunks", "T/Tc-bscco-chunks", "d-bscco-chunks", "T-bscco-on-nb",
+            "T-bare-nb", "T-cu-on-nb"])
+    def test_rows_match_direct_calls(self, monkeypatch, film, sweep, rel_tol):
         # Every row of a sweep equals its own spin_flip_rate, bit for bit,
         # however the sweep groups the rows into calls; a row that refines
-        # (most do at rel_tol 1e-12) refines as it does alone.
+        # (most do at rel_tol 1e-12) refines as it does alone.  A call fails
+        # only if one of its rows does, so no call runs again row by row.
+        failed = []   # the rows of each rate call that raised
+
+        def recorded(stack, z, *args, _real=spinflip.sweep._gamma, **kwargs):
+            try:
+                return _real(stack, z, *args, **kwargs)
+            except SpinflipError:
+                failed.append(len(z))
+                raise
+        monkeypatch.setattr(spinflip.sweep, "_gamma", recorded)
         raw = nb_config(sweep=sweep, quadrature={"rel_tol": rel_tol, "max_refinements": 200})
-        raw["stack"]["layers"][1]["material"] = film
+        film, substrate = film.split("/") if "/" in film else (film, "copper")
+        raw["stack"]["layers"] = [{"material": "vacuum"}, *(
+            [{"material": film, "thickness": 1e-6}] if film else []), {"material": substrate}]
         config, spec = parse_config(raw)
         table = run_sweep(spec, config)
-        tc = NIOBIUM.params.Tc if film == "niobium" else BSCCO.transverse.Tc
+        # Tc of each superconducting layer below the vacuum, top to bottom
+        tcs = [m.params.Tc if isinstance(m, IsotropicSuperconductor) else m.transverse.Tc
+               for m in (layer.material for layer in config.stack.layers[1:])
+               if isinstance(m, (IsotropicSuperconductor, UniaxialSuperconductor))]
         stack, z, T = config.stack, config.z, config.stack.temperature
         row = {"distance_z": lambda v: (stack, v, T),
                "thickness_d": lambda v: (stack.with_film_thickness(v), z, T),
                "temperature_T": lambda v: (stack, z, v),
-               "reduced_T_over_Tc": lambda v: (stack, z, v * tc)}[spec.axis]
+               "reduced_T_over_Tc": lambda v: (stack, z, v * tcs[0])}[spec.axis]
         expected = {"gamma_total_per_s": [], "tau_s": [], "n_th": [], "status": []}
         refining = 0
         for v in spec.grid():
@@ -241,7 +270,7 @@ class TestRunSweep:
                 values, status = [math.nan] * 3, f"error: {exc}"
             else:
                 values = [r.gamma_total, r.tau, r.n_th]
-                status = "normal-state film" if Tv >= tc else "ok"
+                status = "normal-state film" if any(Tv >= tc for tc in tcs) else "ok"
                 refining += r.diagnostics.refinements > 0
             for name, value in zip(expected, values + [status]):
                 expected[name].append(value)
@@ -250,6 +279,8 @@ class TestRunSweep:
         errors = sum(status.startswith("error:") for status in expected["status"])
         assert errors == (sweep["min"] <= 0 and sweep["axis"] != "thickness_d"
                           or sweep["min"] < 0)
+        # z = 0 fails its call of every row, then alone; d < 0 fails before any call
+        assert failed == ([spec.points, 1] if errors and spec.axis == "distance_z" else [])
         assert (refining > 0) == (rel_tol == 1e-12)
 
     @given(kind=st.integers(0, 2), T=st.floats(0.0, 300.0), film_sigma=st.floats(2, 9),
